@@ -465,7 +465,7 @@ int main(int argc, char** argv) {
         const size_t rows = std::min<size_t>(src.NumRows(), 8);
         for (size_t r = 0; r < rows; ++r) {
           if (src.IsRowDeleted(r)) continue;
-          const std::string& value = src.cell(r, 0);
+          const std::string value(src.cell(r, 0));
           if (value.empty() || !seen.insert(value).second) continue;
           (void)giant_table.AppendRow({value});
         }

@@ -83,6 +83,7 @@ DiscoveryResult McrSearch::Discover(const Table& query,
   TopKHeap<TableId> topk(static_cast<size_t>(options.k));
   std::unordered_map<TableId, std::vector<ColumnId>> best_mappings;
   MappingAccumulator acc;
+  VerifyScratch scratch;
   std::vector<uint32_t> bound;
 
   for (TableId t : tables) {
@@ -108,7 +109,7 @@ DiscoveryResult McrSearch::Discover(const Table& query,
       for (uint32_t combo_id : bound) {
         if (VerifyComboInRow(table, r, combos[combo_id], combo_id,
                              kInvalidColumnId, 0, &acc,
-                             &stats.value_comparisons)) {
+                             &stats.value_comparisons, &scratch)) {
           row_matched = true;
         }
       }

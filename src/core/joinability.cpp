@@ -71,13 +71,15 @@ bool VerifyComboInRow(const Table& table, RowId row,
                       const std::vector<std::string>& combo,
                       uint32_t combo_id, ColumnId fixed_column,
                       size_t fixed_position, MappingAccumulator* acc,
-                      uint64_t* value_comparisons) {
+                      uint64_t* value_comparisons, VerifyScratch* scratch) {
   const size_t m = combo.size();
   const size_t n = table.NumColumns();
   if (m > n) return false;
 
   // Columns matching each combo position.
-  std::vector<std::vector<ColumnId>> candidates(m);
+  std::vector<std::vector<ColumnId>>& candidates = scratch->candidates;
+  if (candidates.size() < m) candidates.resize(m);
+  for (size_t i = 0; i < m; ++i) candidates[i].clear();
   for (size_t i = 0; i < m; ++i) {
     if (fixed_column != kInvalidColumnId && i == fixed_position) {
       ++*value_comparisons;
@@ -99,14 +101,17 @@ bool VerifyComboInRow(const Table& table, RowId row,
 
   // Enumerate distinct-column assignments (smallest candidate sets first to
   // fail fast), emitting each complete assignment as a mapping.
-  std::vector<size_t> order(m);
+  std::vector<size_t>& order = scratch->order;
+  order.resize(m);
   for (size_t i = 0; i < m; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return candidates[a].size() < candidates[b].size();
   });
 
-  std::vector<ColumnId> mapping(m, kInvalidColumnId);
-  std::vector<char> used(n, 0);
+  std::vector<ColumnId>& mapping = scratch->mapping;
+  mapping.assign(m, kInvalidColumnId);
+  std::vector<char>& used = scratch->used;
+  used.assign(n, 0);
   int emitted = 0;
   bool any = false;
 

@@ -68,6 +68,16 @@ class MappingAccumulator {
 /// rows bind each key value to very few columns.
 inline constexpr int kMaxMappingsPerRowCombo = 128;
 
+/// Working memory VerifyComboInRow reuses from call to call, owned by its
+/// caller so the verification loop allocates nothing per (row, combo). Use
+/// one per verifying thread; nothing in it carries meaning between calls.
+struct VerifyScratch {
+  std::vector<std::vector<ColumnId>> candidates;  // columns per combo value
+  std::vector<size_t> order;                      // combo positions to bind
+  std::vector<ColumnId> mapping;
+  std::vector<char> used;  // per candidate column
+};
+
 /// Exact containment check of one combo in one candidate row. If every
 /// combo value occurs in the row, records all feasible distinct-column
 /// assignments in `acc` (those where column `fixed_column`, when not
@@ -77,7 +87,7 @@ bool VerifyComboInRow(const Table& table, RowId row,
                       const std::vector<std::string>& combo,
                       uint32_t combo_id, ColumnId fixed_column,
                       size_t fixed_position, MappingAccumulator* acc,
-                      uint64_t* value_comparisons);
+                      uint64_t* value_comparisons, VerifyScratch* scratch);
 
 struct BruteForceResult {
   int64_t joinability = 0;

@@ -174,6 +174,7 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
   TopKHeap<TableId>& topk = out->topk;
   const SuperKeyStore& superkeys = index.superkeys();
   MappingAccumulator acc;
+  VerifyScratch scratch;
 
   // Best provable score threshold right now (INT64_MIN = none yet).
   const auto prune_threshold = [&topk, floor] {
@@ -325,7 +326,7 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
             if (VerifyComboInRow(table, row, prep.combos[combo_id],
                                  combo_id, item.entry.column_id,
                                  prep.init_pos, &acc,
-                                 &stats.value_comparisons)) {
+                                 &stats.value_comparisons, &scratch)) {
               row_matched = true;
             }
           }
@@ -396,7 +397,7 @@ uint64_t QueryExecutor::EstimatePlItems(
   uint64_t total = 0;
   for (RowId r = 0; r < query.NumRows(); ++r) {
     if (query.IsRowDeleted(r)) continue;
-    const std::string& v = query.cell(r, init_column);
+    const std::string_view v = query.cell(r, init_column);
     if (!seen.insert(v).second) continue;
     const PostingList* pl = index_->Lookup(v);
     if (pl != nullptr) total += pl->size();

@@ -111,7 +111,7 @@ QueryRequest MakeQueryRequest(const Table& table,
   for (RowId r = 0; r < table.NumRows(); ++r) {
     if (table.IsRowDeleted(r)) continue;
     for (size_t i = 0; i < key_columns.size(); ++i) {
-      cells[i].push_back(table.cell(r, key_columns[i]));
+      cells[i].emplace_back(table.cell(r, key_columns[i]));
     }
   }
   request.query.AppendEmptyRows(table.NumLiveRows());

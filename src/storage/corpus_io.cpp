@@ -242,37 +242,25 @@ Result<Corpus> DeserializeCorpusV1(ParseCursor cursor) {
                             std::to_string(t));
     }
     // Every cell costs >= 1 byte, so a declared shape larger than the
-    // bytes left is corrupt — checked before the reserves below so a
-    // flipped count cannot drive a huge allocation.
+    // bytes left is corrupt — checked before the rows are allocated below
+    // so a flipped count cannot drive a huge allocation.
     if (num_cols > 0 && num_rows > data->size() / num_cols) {
       return cursor.Corrupt("cells truncated for the declared shape of "
                             "table " + std::to_string(t));
     }
-    // v1 interleaves the (unprefixed) cells with the header: parse them
-    // consuming the cursor, column-major, and gather row-wise to append.
-    std::vector<std::vector<std::string>> cols(
-        static_cast<size_t>(num_cols));
-    for (uint64_t c = 0; c < num_cols; ++c) {
-      cols[c].reserve(static_cast<size_t>(num_rows));
-      for (uint64_t r = 0; r < num_rows; ++r) {
-        std::string_view cell;
-        if (!GetLengthPrefixed(data, &cell)) {
-          return cursor.Corrupt("truncated cell in table " +
-                                std::to_string(t));
-        }
-        cols[c].emplace_back(cell);
+    // v1 interleaves the cells with the header: decode them column by
+    // column off the cursor, straight into the table.
+    table.AppendEmptyRows(static_cast<size_t>(num_rows));
+    for (ColumnId c = 0; c < num_cols; ++c) {
+      const Status decoded = table.DecodeColumn(c, data);
+      if (decoded.IsCorruption()) {
+        return cursor.Corrupt("truncated cell in table " + std::to_string(t));
       }
+      MATE_RETURN_IF_ERROR(decoded);
     }
     for (uint64_t r = 0; r < num_rows; ++r) {
-      std::vector<std::string> row;
-      row.reserve(static_cast<size_t>(num_cols));
-      for (uint64_t c = 0; c < num_cols; ++c) {
-        row.push_back(std::move(cols[c][r]));
-      }
-      Result<RowId> row_id = table.AppendRow(std::move(row));
-      if (!row_id.ok()) return row_id.status();
       if ((bitmap[r / 8] >> (r % 8)) & 1) {
-        MATE_RETURN_IF_ERROR(table.DeleteRow(*row_id));
+        MATE_RETURN_IF_ERROR(table.DeleteRow(static_cast<RowId>(r)));
       }
     }
     corpus.AddTable(std::move(table));
@@ -290,15 +278,11 @@ Result<Corpus> DeserializeCorpusV2(ParseCursor cursor, CorpusStats* stats,
   Corpus corpus;
   const std::string_view image(cursor.base, cursor.image_size);
   for (const TableShape& shape : header.shapes) {
-    Table table(shape.name);
-    for (const std::string& column : shape.column_names) {
-      table.AddColumn(column);
-    }
-    MATE_RETURN_IF_ERROR(ParseTableCells(
-        shape,
+    const std::string_view blob =
         image.substr(static_cast<size_t>(shape.cell_offset),
-                     static_cast<size_t>(shape.cell_bytes)),
-        cursor.image_size, &table));
+                     static_cast<size_t>(shape.cell_bytes));
+    MATE_ASSIGN_OR_RETURN(Table table,
+                          ParseTableCells(shape, blob, cursor.image_size));
     corpus.AddTable(std::move(table));
   }
   return corpus;

@@ -70,8 +70,8 @@ bool ParseRecord(std::string_view content, size_t* pos,
   return false;
 }
 
-void AppendCsvField(std::string* out, const std::string& field) {
-  bool needs_quotes = field.find_first_of(",\"\r\n") != std::string::npos;
+void AppendCsvField(std::string* out, std::string_view field) {
+  bool needs_quotes = field.find_first_of(",\"\r\n") != std::string_view::npos;
   if (!needs_quotes) {
     out->append(field);
     return;

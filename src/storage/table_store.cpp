@@ -12,9 +12,9 @@ namespace mate {
 
 namespace {
 
-// Rebuilds a table of `shape` with every cell empty — the skeleton partial
-// materialization fills column by column, and what a failed blob parse
-// leaves behind. Shape-complete (columns, row count, tombstones), so
+// Rebuilds a table of `shape` with every cell empty — the skeleton every
+// decode fills column by column, and what a failed blob parse leaves
+// behind. Shape-complete (columns, row count, tombstones), so
 // downstream cell accesses stay in bounds; the sticky status is what makes
 // a failure visible.
 Table MakeShapeStub(const TableShape& shape) {
@@ -30,6 +30,53 @@ Table MakeShapeStub(const TableShape& shape) {
     }
   }
   return stub;
+}
+
+// " (cell region, table 'name'[, column c], byte offset o of n)" — the
+// location every cell decoding error carries.
+std::string CellRegionContext(const TableShape& shape, ColumnId column,
+                              uint64_t offset, uint64_t image_size) {
+  std::string context = " (cell region, table '" + shape.name + "'";
+  if (column != kInvalidColumnId) {
+    context += ", column " + std::to_string(column);
+  }
+  return context + ", byte offset " + std::to_string(offset) + " of " +
+         std::to_string(image_size) + ")";
+}
+
+// Table::DecodeColumn over the cell region: decodes column `column` of
+// `shape` from the front of `*data`, which starts at absolute image offset
+// `offset`, and names the table, column and byte offset in any error.
+Status DecodeColumnCells(const TableShape& shape, ColumnId column,
+                         uint64_t offset, uint64_t image_size,
+                         std::string_view* data, Table* table) {
+  const size_t size = data->size();
+  const Status status = table->DecodeColumn(column, data);
+  if (status.ok()) return status;
+  const uint64_t at = offset + (size - data->size());
+  std::string message = "corpus: " + status.message() +
+                        CellRegionContext(shape, column, at, image_size);
+  return status.IsCorruption() ? Status::Corruption(std::move(message))
+                               : Status::NotSupported(std::move(message));
+}
+
+// Decodes one column's cells out of its `blob` slice, which starts at
+// absolute offset `blob_offset` in the image, into column `column` of
+// `table`, a table of `shape` whose other columns are left alone.
+Status ParseColumnCells(const TableShape& shape, ColumnId column,
+                        std::string_view blob, uint64_t blob_offset,
+                        uint64_t image_size, Table* table) {
+  std::string_view data = blob;
+  MATE_RETURN_IF_ERROR(
+      DecodeColumnCells(shape, column, blob_offset, image_size, &data, table));
+  if (!data.empty()) {
+    const uint64_t at = blob_offset + (blob.size() - data.size());
+    return Status::Corruption(
+        "corpus: " + std::to_string(data.size()) +
+        " trailing bytes after the column's cells" +
+        CellRegionContext(shape, column, at, image_size));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -165,31 +212,27 @@ struct TableStore::Impl {
 
     if (want == nullptr &&
         slot.state.load(std::memory_order_relaxed) == 0) {
-      // Full-from-cold path: parse the whole blob straight into a fresh
-      // table (row appends), skipping the skeleton — the warmer's and the
+      // Full-from-cold path: decode the whole blob into a fresh table and
+      // install it whole, with no per-column ledger — the warmer's and the
       // eager path's single pass.
-      Table table(shape.name);
-      for (const std::string& column : shape.column_names) {
-        table.AddColumn(column);
-      }
       const std::string_view image = backing.view();
-      Status status = ParseTableCells(
+      Result<Table> table = ParseTableCells(
           shape,
           image.substr(static_cast<size_t>(shape.cell_offset),
                        static_cast<size_t>(shape.cell_bytes)),
-          image_size, &table);
+          image_size);
       if (slot.was_evicted) {
         slot.was_evicted = false;
         rematerializations.fetch_add(1, std::memory_order_relaxed);
         if (outcome != nullptr) outcome->rematerialized = true;
       }
       touched_count.fetch_add(1, std::memory_order_relaxed);
-      if (status.ok()) {
-        tables[t] = std::move(table);
+      if (table.ok()) {
+        tables[t] = std::move(*table);
         slot.cols_done.assign(shape.column_names.size(), 1);
         AddResidentBytes(slot, shape.cell_bytes);
       } else {
-        StubAfterFailureLocked(t, slot, status);
+        StubAfterFailureLocked(t, slot, table.status());
       }
       if (outcome != nullptr) outcome->bytes_parsed += shape.cell_bytes;
       OnSlotFull(slot);
@@ -207,15 +250,11 @@ struct TableStore::Impl {
     }
     const auto fill_column = [&](ColumnId c) {
       if (c >= slot.cols_done.size() || slot.cols_done[c]) return true;
-      std::vector<std::string> cells;
-      Status status = ParseColumnCells(
+      const Status status = ParseColumnCells(
           shape, c,
           image.substr(static_cast<size_t>(starts[c]),
                        static_cast<size_t>(shape.column_bytes[c])),
-          starts[c], image_size, &cells);
-      if (status.ok()) {
-        status = tables[t].ReplaceColumnCells(c, std::move(cells));
-      }
+          starts[c], image_size, &tables[t]);
       if (!status.ok()) {
         StubAfterFailureLocked(t, slot, status);
         return false;
@@ -477,73 +516,23 @@ bool TableStore::fully_resident() const {
 
 Status TableStore::load_status() const { return impl_->LoadStatus(); }
 
-Status ParseTableCells(const TableShape& shape, std::string_view blob,
-                       uint64_t image_size, Table* out) {
+Result<Table> ParseTableCells(const TableShape& shape, std::string_view blob,
+                              uint64_t image_size) {
+  Table table = MakeShapeStub(shape);
   std::string_view data = blob;
-  const auto corrupt = [&](const std::string& what) {
-    return Status::Corruption(
-        "corpus: " + what + " (cell region, table '" + shape.name +
-        "', byte offset " +
-        std::to_string(shape.cell_offset + (blob.size() - data.size())) +
-        " of " + std::to_string(image_size) + ")");
-  };
-  const size_t num_cols = shape.column_names.size();
-  const uint64_t num_rows = shape.num_rows;
-  // Cells are column-major on disk; gather them row-wise to append.
-  std::vector<std::vector<std::string>> cols(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) {
-    cols[c].reserve(static_cast<size_t>(num_rows));
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      std::string_view cell;
-      if (!GetLengthPrefixed(&data, &cell)) {
-        return corrupt("truncated cell");
-      }
-      cols[c].emplace_back(cell);
-    }
+  for (ColumnId c = 0; c < shape.column_names.size(); ++c) {
+    const uint64_t at = shape.cell_offset + (blob.size() - data.size());
+    MATE_RETURN_IF_ERROR(
+        DecodeColumnCells(shape, c, at, image_size, &data, &table));
   }
   if (!data.empty()) {
-    return corrupt(std::to_string(data.size()) +
-                   " trailing bytes after the table's cells");
-  }
-  for (uint64_t r = 0; r < num_rows; ++r) {
-    std::vector<std::string> row;
-    row.reserve(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) row.push_back(std::move(cols[c][r]));
-    Result<RowId> row_id = out->AppendRow(std::move(row));
-    if (!row_id.ok()) return row_id.status();
-    if ((shape.deleted_bitmap[r / 8] >> (r % 8)) & 1) {
-      MATE_RETURN_IF_ERROR(out->DeleteRow(*row_id));
-    }
-  }
-  return Status::OK();
-}
-
-Status ParseColumnCells(const TableShape& shape, ColumnId column,
-                        std::string_view blob, uint64_t blob_offset,
-                        uint64_t image_size,
-                        std::vector<std::string>* cells) {
-  std::string_view data = blob;
-  const auto corrupt = [&](const std::string& what) {
+    const uint64_t at = shape.cell_offset + (blob.size() - data.size());
     return Status::Corruption(
-        "corpus: " + what + " (cell region, table '" + shape.name +
-        "', column " + std::to_string(column) + ", byte offset " +
-        std::to_string(blob_offset + (blob.size() - data.size())) + " of " +
-        std::to_string(image_size) + ")");
-  };
-  cells->clear();
-  cells->reserve(static_cast<size_t>(shape.num_rows));
-  for (uint64_t r = 0; r < shape.num_rows; ++r) {
-    std::string_view cell;
-    if (!GetLengthPrefixed(&data, &cell)) {
-      return corrupt("truncated cell");
-    }
-    cells->emplace_back(cell);
+        "corpus: " + std::to_string(data.size()) +
+        " trailing bytes after the table's cells" +
+        CellRegionContext(shape, kInvalidColumnId, at, image_size));
   }
-  if (!data.empty()) {
-    return corrupt(std::to_string(data.size()) +
-                   " trailing bytes after the column's cells");
-  }
-  return Status::OK();
+  return table;
 }
 
 void AppendTableCells(const Table& table, std::string* out) {

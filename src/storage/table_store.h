@@ -216,22 +216,14 @@ class TableStore {
   std::shared_ptr<Impl> impl_;
 };
 
-/// Parses one table's cell blob (cells column-major, each length-prefixed —
-/// the encoding shared by every corpus format) into `out`, which must
-/// already carry the shape's name and columns; appends the rows and applies
-/// the tombstone bitmap. Errors name the table and the absolute byte offset
-/// within the `image_size`-byte image (the blob starts at
-/// `shape.cell_offset`).
-Status ParseTableCells(const TableShape& shape, std::string_view blob,
-                       uint64_t image_size, Table* out);
-
-/// Parses one column's cells (`shape.num_rows` length-prefixed values) out
-/// of its `blob` slice, which starts at absolute offset `blob_offset` in
-/// the image. Errors name the table, the column, and the byte offset.
-Status ParseColumnCells(const TableShape& shape, ColumnId column,
-                        std::string_view blob, uint64_t blob_offset,
-                        uint64_t image_size,
-                        std::vector<std::string>* cells);
+/// Decodes one table's cell blob (cells column-major, each length-prefixed —
+/// the encoding shared by every corpus format) into a table of `shape`:
+/// its name, columns and row count, with the tombstone bitmap applied. Each
+/// column decodes straight into its compact buffer. Errors name the table,
+/// the column and the absolute byte offset within the `image_size`-byte
+/// image (the blob starts at `shape.cell_offset`).
+Result<Table> ParseTableCells(const TableShape& shape, std::string_view blob,
+                              uint64_t image_size);
 
 /// Serializes `table`'s cells in the same blob encoding.
 void AppendTableCells(const Table& table, std::string* out);

@@ -8,14 +8,40 @@ namespace mate {
 
 namespace {
 
-// Extracts `len` bits starting at `start` into a word array aligned at bit 0.
-void ExtractRange(const BitVector& v, size_t start, size_t len,
-                  std::array<uint64_t, BitVector::kMaxWords>* out) {
-  out->fill(0);
-  for (size_t i = 0; i < len; ++i) {
-    if (v.TestBit(start + i)) {
-      (*out)[i / 64] |= uint64_t{1} << (i % 64);
-    }
+constexpr size_t kWordBits = BitVector::kWordBits;
+
+// The 64 bits of `words` starting at bit `pos`; bits past the array read 0.
+uint64_t ReadBits64(const uint64_t* words, size_t num_words, size_t pos) {
+  const size_t w = pos / kWordBits;
+  const size_t shift = pos % kWordBits;
+  if (w >= num_words) return 0;
+  uint64_t bits = words[w] >> shift;
+  if (shift != 0 && w + 1 < num_words) {
+    bits |= words[w + 1] << (kWordBits - shift);
+  }
+  return bits;
+}
+
+// Overwrites the `n` (1..64) bits of `words` starting at bit `pos` with the
+// low `n` bits of `bits`.
+void WriteBits(uint64_t* words, size_t pos, uint64_t bits, size_t n) {
+  const uint64_t mask = n == kWordBits ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  bits &= mask;
+  const size_t w = pos / kWordBits;
+  const size_t shift = pos % kWordBits;
+  words[w] = (words[w] & ~(mask << shift)) | (bits << shift);
+  if (shift != 0 && shift + n > kWordBits) {
+    const size_t spill = kWordBits - shift;
+    words[w + 1] = (words[w + 1] & ~(mask >> spill)) | (bits >> spill);
+  }
+}
+
+// Copies `n` bits from `src` at `from` to `dst` at `to`, a word at a time.
+void CopyBits(const uint64_t* src, size_t src_words, size_t from, size_t n,
+              uint64_t* dst, size_t to) {
+  for (size_t done = 0; done < n; done += kWordBits) {
+    const size_t chunk = std::min(kWordBits, n - done);
+    WriteBits(dst, to + done, ReadBits64(src, src_words, from + done), chunk);
   }
 }
 
@@ -27,20 +53,11 @@ void BitVector::RotateRangeLeft(size_t start, size_t len, size_t k) {
   k %= len;
   if (k == 0) return;
 
-  // The range is small (at most 512 bits) and rotation happens once per
-  // hashed value, so a bit-at-a-time extract/write keeps this obviously
-  // correct; the hot path (IsSubsetOf) never rotates.
-  std::array<uint64_t, kMaxWords> src;
-  ExtractRange(*this, start, len, &src);
-  for (size_t i = 0; i < len; ++i) {
-    size_t from = (i + k) % len;
-    bool bit = (src[from / 64] >> (from % 64)) & 1;
-    if (bit) {
-      SetBit(start + i);
-    } else {
-      ClearBit(start + i);
-    }
-  }
+  // Offsets [k, len) move down to [0, len - k) and [0, k) wrap around to
+  // [len - k, len), each copied a word at a time from a snapshot.
+  const std::array<uint64_t, kMaxWords> src = words_;
+  CopyBits(src.data(), num_words_, start + k, len - k, words_.data(), start);
+  CopyBits(src.data(), num_words_, start, k, words_.data(), start + len - k);
 }
 
 std::string BitVector::ToBinaryString() const {

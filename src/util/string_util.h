@@ -11,11 +11,30 @@
 
 namespace mate {
 
+/// True for the six ASCII whitespace bytes (space, \t, \n, \v, \f, \r) —
+/// std::isspace in the C locale, without the libc call.
+inline bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Folds 'A'..'Z' to 'a'..'z' and leaves every other byte alone —
+/// std::tolower in the C locale, without the libc call. The one case fold
+/// of index-time normalization and query-time verification.
+inline char AsciiToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// ASCII-lowercases a copy of `s`.
 std::string ToLower(std::string_view s);
 
 /// Strips leading/trailing ASCII whitespace.
-std::string_view Trim(std::string_view s);
+inline std::string_view Trim(std::string_view s) {
+  size_t begin = 0;
+  size_t end = s.size();
+  while (begin < end && IsAsciiSpace(s[begin])) ++begin;
+  while (end > begin && IsAsciiSpace(s[end - 1])) --end;
+  return s.substr(begin, end - begin);
+}
 
 /// Canonical form of a cell value for indexing and joining: trimmed and
 /// ASCII-lowercased (the paper's corpora are case-folded the same way).
@@ -39,7 +58,15 @@ bool ParseSmallUint(std::string_view s, unsigned max, unsigned* out);
 /// True iff NormalizeValue(raw) == normalized, computed without allocating.
 /// `normalized` must already be in canonical form. This is the exact-match
 /// predicate of the joinability verification hot path.
-bool NormalizedEquals(std::string_view normalized, std::string_view raw);
+inline bool NormalizedEquals(std::string_view normalized,
+                             std::string_view raw) {
+  const std::string_view trimmed = Trim(raw);
+  if (trimmed.size() != normalized.size()) return false;
+  for (size_t i = 0; i < trimmed.size(); ++i) {
+    if (AsciiToLower(trimmed[i]) != normalized[i]) return false;
+  }
+  return true;
+}
 
 /// Printable "a|b|c" rendering of a composite key, used in examples/benches.
 std::string FormatKeyCombo(const std::vector<std::string>& values);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "util/rng.h"
 
 namespace mate {
@@ -148,6 +150,72 @@ TEST(BitVectorTest, RotatePreservesPopcount) {
     size_t ones = v.CountOnes();
     v.RotateRangeLeft(31, 481, rng.Uniform(481));
     EXPECT_EQ(v.CountOnes(), ones);
+  }
+}
+
+// Bit-at-a-time reference for RotateRangeLeft, which moves whole words:
+// offset (i + k) mod len of the range moves to offset i.
+void RotateRangeLeftReference(BitVector* v, size_t start, size_t len,
+                              size_t k) {
+  if (len == 0) return;
+  std::array<uint64_t, BitVector::kMaxWords> src = {};
+  for (size_t i = 0; i < len; ++i) {
+    if (v->TestBit(start + i)) src[i / 64] |= uint64_t{1} << (i % 64);
+  }
+  for (size_t i = 0; i < len; ++i) {
+    const size_t from = (i + k) % len;
+    if ((src[from / 64] >> (from % 64)) & 1) {
+      v->SetBit(start + i);
+    } else {
+      v->ClearBit(start + i);
+    }
+  }
+}
+
+BitVector RandomBits(size_t width, uint64_t seed) {
+  Rng rng(seed);
+  BitVector v(width);
+  for (size_t i = 0; i < width; ++i) {
+    if (rng.Bernoulli(0.5)) v.SetBit(i);
+  }
+  return v;
+}
+
+bool RotationMatchesReference(const BitVector& original, size_t start,
+                              size_t len, size_t k) {
+  BitVector rotated = original;
+  rotated.RotateRangeLeft(start, len, k);
+  BitVector reference = original;
+  RotateRangeLeftReference(&reference, start, len, k);
+  return rotated == reference;
+}
+
+TEST(BitVectorTest, RotateMatchesTheBitLoopOnEveryCaseAt128Bits) {
+  const BitVector original = RandomBits(128, 23);
+  for (size_t start = 0; start < 128; ++start) {
+    for (size_t len = 0; start + len <= 128; ++len) {
+      for (size_t k = 0; k <= len; ++k) {
+        ASSERT_TRUE(RotationMatchesReference(original, start, len, k))
+            << "start=" << start << " len=" << len << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(BitVectorTest, RotateMatchesTheBitLoopOnEveryRangeAt512Bits) {
+  // Every (start, len) of the widest vector, at rotations that put the
+  // word copies on and off word boundaries (k = 1, 63, 64, 65) plus the
+  // half and near-full turns. Sweeping every k as well would cost the bit
+  // loop about 6e9 bit moves.
+  const BitVector original = RandomBits(512, 29);
+  for (size_t start = 0; start < 512; ++start) {
+    for (size_t len = 1; start + len <= 512; ++len) {
+      const size_t rotations[] = {1, 63, 64, 65, len / 2, len - 1};
+      for (size_t k : rotations) {
+        ASSERT_TRUE(RotationMatchesReference(original, start, len, k))
+            << "start=" << start << " len=" << len << " k=" << k;
+      }
+    }
   }
 }
 

@@ -139,7 +139,7 @@ TEST(IndexUpdatesTest, DropColumnReKeysAndRehashes) {
   // Capture the dropped column's cells, then edit corpus and index.
   std::vector<std::string> removed;
   for (RowId r = 0; r < corpus.table(0).NumRows(); ++r) {
-    removed.push_back(corpus.table(0).cell(r, 1));
+    removed.emplace_back(corpus.table(0).cell(r, 1));
   }
   ASSERT_TRUE(corpus.mutable_table(0)->DropColumn(1).ok());
   ASSERT_TRUE(index->DropColumn(corpus, 0, 1, removed).ok());

@@ -132,8 +132,9 @@ TEST(VerifyComboInRowTest, FindsMatchAndMapping) {
   Table t = MakeCandidateT1();
   MappingAccumulator acc;
   uint64_t cmp = 0;
+  VerifyScratch scratch;
   EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"}, 0,
-                               kInvalidColumnId, 0, &acc, &cmp));
+                               kInvalidColumnId, 0, &acc, &cmp, &scratch));
   EXPECT_EQ(acc.MaxJoinability(), 1);
   EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 1, 2}));
   EXPECT_GT(cmp, 0u);
@@ -143,9 +144,10 @@ TEST(VerifyComboInRowTest, RejectsPartialMatch) {
   Table t = MakeCandidateT1();
   MappingAccumulator acc;
   uint64_t cmp = 0;
+  VerifyScratch scratch;
   // Row 4 is (Muhammad, Ali, US, Boxer): "lee" missing.
   EXPECT_FALSE(VerifyComboInRow(t, 4, {"muhammad", "lee", "us"}, 0,
-                                kInvalidColumnId, 0, &acc, &cmp));
+                                kInvalidColumnId, 0, &acc, &cmp, &scratch));
   EXPECT_EQ(acc.MaxJoinability(), 0);
 }
 
@@ -153,15 +155,16 @@ TEST(VerifyComboInRowTest, HonorsFixedColumn) {
   Table t = MakeCandidateT1();
   MappingAccumulator acc;
   uint64_t cmp = 0;
+  VerifyScratch scratch;
   // Fixing "us" (combo position 2) to column 2 works for row 1...
   EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"}, 0,
                                /*fixed_column=*/2, /*fixed_position=*/2, &acc,
-                               &cmp));
+                               &cmp, &scratch));
   // ...but fixing it to column 3 ("Dancer") must fail.
   MappingAccumulator acc2;
   EXPECT_FALSE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"}, 0,
                                 /*fixed_column=*/3, /*fixed_position=*/2,
-                                &acc2, &cmp));
+                                &acc2, &cmp, &scratch));
 }
 
 TEST(VerifyComboInRowTest, RequiresDistinctColumns) {
@@ -171,10 +174,11 @@ TEST(VerifyComboInRowTest, RequiresDistinctColumns) {
   (void)t.AppendRow({"x", "z"});
   MappingAccumulator acc;
   uint64_t cmp = 0;
+  VerifyScratch scratch;
   // Both key values are "x" but the row has only one "x" column: the two
   // positions cannot map to distinct columns.
   EXPECT_FALSE(VerifyComboInRow(t, 0, {"x", "x"}, 0, kInvalidColumnId, 0,
-                                &acc, &cmp));
+                                &acc, &cmp, &scratch));
 }
 
 TEST(VerifyComboInRowTest, EnumeratesAlternativeMappings) {
@@ -185,9 +189,10 @@ TEST(VerifyComboInRowTest, EnumeratesAlternativeMappings) {
   (void)t.AppendRow({"x", "x", "y"});
   MappingAccumulator acc;
   uint64_t cmp = 0;
+  VerifyScratch scratch;
   // "x" can map to column 0 or 1: both assignments must be recorded.
   EXPECT_TRUE(VerifyComboInRow(t, 0, {"x", "y"}, 0, kInvalidColumnId, 0,
-                               &acc, &cmp));
+                               &acc, &cmp, &scratch));
   acc.AddMatch({0, 2}, 1);  // a second combo under one of the mappings
   EXPECT_EQ(acc.MaxJoinability(), 2);
 }
@@ -196,6 +201,7 @@ TEST(VerifyComboInRowTest, RandomAgreementWithBruteForce) {
   // Property: for a 1-row candidate, VerifyComboInRow agrees with
   // BruteForceJoinability on whether j > 0.
   Rng rng(31);
+  VerifyScratch scratch;  // reused across trials of every shape
   for (int trial = 0; trial < 300; ++trial) {
     size_t cols = 2 + rng.Uniform(4);
     Table cand("c");
@@ -220,7 +226,7 @@ TEST(VerifyComboInRowTest, RandomAgreementWithBruteForce) {
     MappingAccumulator acc;
     uint64_t cmp = 0;
     bool verified = VerifyComboInRow(cand, 0, combo, 0, kInvalidColumnId, 0,
-                                     &acc, &cmp);
+                                     &acc, &cmp, &scratch);
     int64_t brute = BruteForceJoinability(query, key_cols, cand).joinability;
     EXPECT_EQ(verified, brute > 0) << trial;
     EXPECT_EQ(acc.MaxJoinability(), brute) << trial;

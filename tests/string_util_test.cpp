@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 namespace mate {
 namespace {
 
@@ -84,6 +87,26 @@ TEST(StringUtilTest, NormalizedEqualsIsZeroAllocCorrect) {
   EXPECT_FALSE(NormalizedEquals("muhammad", "muhammed"));
   EXPECT_FALSE(NormalizedEquals("muhammad", "muhamma"));
   EXPECT_TRUE(NormalizedEquals("", "   "));
+}
+
+// The inline ASCII helpers replace <cctype> calls on the normalization
+// path. Nothing calls setlocale, so <cctype> runs in the C locale here as
+// in the library, and every byte value must classify and fold the same.
+TEST(StringUtilTest, AsciiHelpersMatchCctypeOnEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool space = std::isspace(b) != 0;
+    const char lower = static_cast<char>(std::tolower(b));
+    EXPECT_EQ(IsAsciiSpace(c), space) << b;
+    EXPECT_EQ(AsciiToLower(c), lower) << b;
+    const std::string cell = std::string("x") + c + "y";
+    EXPECT_EQ(ToLower(cell), std::string("x") + lower + "y") << b;
+    EXPECT_EQ(Trim(std::string(1, c)).empty(), space) << b;
+    EXPECT_EQ(Trim(cell), cell) << b;
+    EXPECT_TRUE(NormalizedEquals(NormalizeValue(cell), cell)) << b;
+    const std::string normalized = space ? "" : std::string(1, lower);
+    EXPECT_TRUE(NormalizedEquals(normalized, std::string(1, c))) << b;
+  }
 }
 
 TEST(StringUtilTest, FormatKeyCombo) {

@@ -309,6 +309,56 @@ TEST(TableStoreTest, EvictionAtIdlePointsBetweenReaderWavesIsSafe) {
   EXPECT_TRUE(CorporaEqual(original, lazy));
 }
 
+TEST(TableStoreTest, EvictedTableRematerializesByteIdentical) {
+  // Cells that stress the compact layout: empty, embedded NUL, high bytes,
+  // surrounding whitespace, and a long one.
+  const std::vector<std::string> odd = {
+      "",
+      std::string("a\0b", 3),
+      std::string(1, '\0'),
+      "\xff\xfe caf\xc3\xa9",
+      "  padded\t",
+      std::string(300, 'w'),
+  };
+  Corpus original;
+  for (size_t t = 0; t < 3; ++t) {
+    Table table("odd_" + std::to_string(t));
+    table.AddColumn("a");
+    table.AddColumn("b");
+    for (size_t r = 0; r < 20; ++r) {
+      const std::string& a = odd[(r + t) % odd.size()];
+      const std::string& b = odd[(r * 7 + t) % odd.size()];
+      (void)table.AppendRow({a, b});
+    }
+    EXPECT_TRUE(table.DeleteRow(3).ok());
+    original.AddTable(std::move(table));
+  }
+  Corpus lazy = OpenLazyCopy(original, "byte_identical");
+  lazy.SetBudget(1);
+  // Copies of the first materialization's cells: views die with eviction.
+  std::vector<std::vector<std::string>> first;
+  for (RowId r = 0; r < lazy.table(1).NumRows(); ++r) {
+    first.push_back(lazy.table(1).RowValues(r));
+  }
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    lazy.EvictToBudget();
+    ASSERT_FALSE(lazy.table_resident(1));
+    // The columnar path first, then the whole-table path over an evicted
+    // slot: both must decode the same bytes as the first pass.
+    const Table& table =
+        cycle == 0 ? lazy.MaterializeColumns(1, {1}) : lazy.table(1);
+    ASSERT_EQ(table.NumRows(), first.size());
+    for (RowId r = 0; r < table.NumRows(); ++r) {
+      EXPECT_EQ(table.cell(r, 1), first[r][1]) << cycle << " row " << r;
+      EXPECT_EQ(table.cell(r, 1), original.table(1).cell(r, 1));
+    }
+    EXPECT_TRUE(TablesEqual(original.table(1), lazy.table(1)));
+    EXPECT_EQ(lazy.table(1).PayloadBytes(), original.table(1).PayloadBytes());
+  }
+  EXPECT_EQ(lazy.residency().rematerializations, 2u);
+  EXPECT_TRUE(lazy.load_status().ok());
+}
+
 TEST(TableStoreTest, ResidentStoreShapeAccessorsMatchTables) {
   Corpus corpus = MakeCorpus(3, 5);
   for (TableId t = 0; t < corpus.NumTables(); ++t) {
