@@ -210,7 +210,7 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
     // Single-column keys materialize *columnar*: with m == 1 the verifier
     // only ever reads each PL item's fixed column (joinability.cpp), so
     // this candidate needs cells for its distinct posting columns alone —
-    // over a format-v3 backing that is a sliver of a giant table. Multi-
+    // over a lazily opened corpus that is a sliver of a giant table. Multi-
     // column keys scan whole rows and take the full-table path.
     MaterializeOutcome mat;
     const bool single_column_key =

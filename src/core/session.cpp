@@ -205,20 +205,19 @@ Result<Session> Session::Open(SessionOptions options) {
   // ---- corpus (overlapped by phase 2 when phased) -------------------
   // The default path-based load is *lazy*: mmap + stats header + table
   // directory only, so the shape cross-validation below parses zero cells
-  // and Open's corpus cost is the directory walk. v1 files fall back to
-  // the eager legacy parse inside OpenCorpusLazy.
+  // and Open's corpus cost is the directory walk.
   bool corpus_file_stats = false;
   CorpusStats corpus_header_stats;
   if (options.corpus.has_value()) {
     session.corpus_ = std::move(*options.corpus);
   } else if (options.eager_corpus) {
-    // Eager load keeps the v2 header's persisted stats too — eagerness
-    // changes residency, not whether Open must pay a ComputeStats scan.
-    MATE_ASSIGN_OR_RETURN(std::string data,
-                          ReadFileToString(options.corpus_path));
+    // The same lazy open, drained before returning. It keeps the header's
+    // persisted stats too — eagerness changes residency, not whether Open
+    // must pay a ComputeStats scan.
     MATE_ASSIGN_OR_RETURN(
         session.corpus_,
-        DeserializeCorpus(data, &corpus_header_stats, &corpus_file_stats));
+        LoadCorpus(options.corpus_path, &corpus_header_stats,
+                   &corpus_file_stats));
   } else {
     MATE_ASSIGN_OR_RETURN(
         session.corpus_,
@@ -259,7 +258,7 @@ Result<Session> Session::Open(SessionOptions options) {
     }
   }
   // Stats priority: what the index was built with (hash parameterization
-  // must match), else the corpus v2 header's persisted stats (satisfying a
+  // must match), else the corpus header's persisted stats (satisfying a
   // lazy open without a scan), else the full ComputeStats scan — which
   // materializes a lazy corpus, making it effectively eager.
   if (!have_stats && corpus_file_stats) {
@@ -654,7 +653,7 @@ Status Session::Save(const std::string& corpus_path,
   // Serialization needs every cell: drain the warmer (or materialize
   // inline) and refuse to persist a corpus whose blobs failed to parse.
   MATE_RETURN_IF_ERROR(WaitCorpusResident());
-  // The stats land in the corpus v2 header, so reopening lazily needs no
+  // The stats land in the corpus header, so reopening lazily needs no
   // ComputeStats scan. Like the index's stored stats, they snapshot the
   // corpus as of the last build/scan; maintenance edits can lag them.
   MATE_RETURN_IF_ERROR(SaveCorpus(corpus_, corpus_stats_, corpus_path));

@@ -9,15 +9,16 @@
 //     the mmap'd posting region and super keys stream in on the pool, and
 //     the first Discover blocks on a readiness latch (WaitUntilReady /
 //     SessionOptions::eager_load give explicit control);
-//   * loads the corpus *lazily* from a v2 file: Open parses only the shape
+//   * loads the corpus *lazily* from its file: Open parses only the shape
 //     header (stats + table directory) over the mmap'd image, queries
 //     materialize just the candidate tables they evaluate, and a dedicated
 //     background warmer streams the rest (WaitCorpusResident /
-//     SessionOptions::eager_corpus / warm_corpus give explicit control);
+//     SessionOptions::eager_corpus / warm_corpus give explicit control).
+//     Corpus format v3 is the only one: an older image fails Open with
+//     kCorruption "unsupported version N (expected 3)";
 //   * owns one long-lived work-stealing ThreadPool reused across batches
-//     (the per-batch worker spin-up of the raw engine is gone) and fans a
-//     single large query's sharded evaluation out over the same pool
-//     (core/query_executor.h — intra-query parallelism);
+//     and fans a single large query's sharded evaluation out over the same
+//     pool (core/query_executor.h — intra-query parallelism);
 //   * owns the keyed result cache (query fingerprint -> DiscoveryResult,
 //     LRU under a byte budget) with an explicit InvalidateCache() hook for
 //     index updates;
@@ -26,11 +27,11 @@
 //     malformed key spec used to reach.
 //
 // Every binary (CLI, benches, examples) goes through Session; the raw
-// MateSearch/DiscoveryEngine classes remain as internal implementation
-// details. Thread-safety: Discover/DiscoverBatch/RunBatch are called from
-// one thread at a time (they fan work out over the pool internally);
-// mutation (mutable_*, ResetHash, SetNumThreads, ConfigureCache) requires
-// the session to be otherwise idle.
+// MateSearch class remains an internal implementation detail.
+// Thread-safety: Discover/DiscoverBatch/RunBatch are called from one thread
+// at a time (they fan work out over the pool internally); mutation
+// (mutable_*, ResetHash, SetNumThreads, ConfigureCache) requires the
+// session to be otherwise idle.
 //
 // Typical use:
 //
@@ -145,15 +146,16 @@ struct SessionOptions {
   /// blocking Open: it returns only with the index hot and every load
   /// error surfaces from Open itself.
   bool eager_load = false;
-  /// Path-based corpus loads are *lazy* by default (corpus format v2): Open
-  /// mmaps the file, parses only the stats header and table directory, and
-  /// cross-validates shape against the index with zero cell parsing; each
-  /// table's cells materialize on its first access (queries touch only the
-  /// candidate tables the index surfaces) while a background warmer streams
-  /// the rest in. Results are bit-identical to an eager open — only *when*
-  /// cells parse moves. Set true to force the old fully materialized load:
-  /// Open returns with every cell resident and every corpus error surfaces
-  /// from Open itself. v1 corpus files always load eagerly (legacy path).
+  /// Path-based corpus loads are *lazy* by default: Open mmaps the file,
+  /// parses only the stats header and table directory, and cross-validates
+  /// shape against the index with zero cell parsing; each table's cells
+  /// materialize on its first access (queries touch only the candidate
+  /// tables the index surfaces) while a background warmer streams the rest
+  /// in. Results are bit-identical to an eager open — only *when* cells
+  /// parse moves. Set true to materialize every table before Open returns
+  /// (LoadCorpus: the same reader and decoder, drained up front), so every
+  /// corpus error surfaces from Open itself. Either way the file must be
+  /// corpus format v3; other versions fail Open with kCorruption.
   bool eager_corpus = false;
   /// Background corpus warmer (lazy corpus only): a dedicated thread
   /// materializes every table after Open returns, so steady-state queries

@@ -25,8 +25,11 @@ void CloseFd(int& fd) {
 
 }  // namespace
 
-MateServer::MateServer(Session* session, ServerOptions options)
-    : session_(session), options_(std::move(options)) {
+MateServer::MateServer(Session* session, ServerOptions options,
+                       ServerTestHooks test_hooks)
+    : session_(session),
+      options_(std::move(options)),
+      test_hooks_(std::move(test_hooks)) {
   m_queries_total_ = metrics_.RegisterCounter(
       "mate_queries_total", "QUERY requests admitted by the server");
   m_shed_total_ = metrics_.RegisterCounter(
@@ -563,8 +566,8 @@ Status MateServer::Admit(QueryRequest request,
     // in the window lands before the resize, which then evicts down —
     // transient, and far cheaper than serializing every admit behind the
     // configure). ResultCache is internally synchronized.
-    if (options_.configure_partition_delay_for_test.count() > 0) {
-      std::this_thread::sleep_for(options_.configure_partition_delay_for_test);
+    if (test_hooks_.before_configure_partition) {
+      test_hooks_.before_configure_partition();
     }
     session_->ConfigureCachePartition(request.tenant,
                                       options_.tenant_cache_bytes);
@@ -644,9 +647,7 @@ void MateServer::DispatchLoop() {
         p99_us = latency_us_.Percentile(0.99);
       }
     }
-    if (options_.dispatch_delay_for_test.count() > 0) {
-      std::this_thread::sleep_for(options_.dispatch_delay_for_test);
-    }
+    if (test_hooks_.before_dispatch) test_hooks_.before_dispatch();
     uint32_t dispatch_span = QueryTrace::kNoParent;
     if (pending->trace != nullptr) {
       pending->trace->EndSpan(pending->queue_wait_span);

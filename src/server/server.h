@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -127,20 +128,11 @@ struct ServerOptions {
   /// corpora.
   uint64_t steering_min_items = QueryExecutor::kAutoParallelMinItems;
 
-  /// Test hook: Admit sleeps this long inside the (unlocked)
-  /// first-admission ConfigureCachePartition step, so tests can pin that
-  /// concurrent admits/stats are NOT stalled behind it.
-  std::chrono::milliseconds configure_partition_delay_for_test{0};
-
   /// How long Stop() waits for in-flight response writes before clobbering
   /// connections whose peers stopped reading (SHUT_RDWR unblocks a send
   /// stuck on a full buffer). Normal drains never wait this long — the
   /// grace only bounds the pathological stalled-client case.
   std::chrono::milliseconds drain_write_grace{5000};
-
-  /// Test hook: the dispatcher sleeps this long before each query, making
-  /// queue-full sheds deterministic under small max_queue_depth.
-  std::chrono::milliseconds dispatch_delay_for_test{0};
 
   /// Slow-query tracing. When non-zero, every QUERY request carries a
   /// QueryTrace through its whole lifetime (read frame -> decode -> queue
@@ -155,11 +147,25 @@ struct ServerOptions {
   std::string slow_query_log_path;
 };
 
+/// Callbacks a test hands MateServer apart from its options, so timing
+/// races can be made deterministic. An unset hook is skipped.
+struct ServerTestHooks {
+  /// Run by the dispatcher after each dequeue, before the query executes
+  /// (a sleep here makes queue-full sheds deterministic under a small
+  /// max_queue_depth).
+  std::function<void()> before_dispatch;
+  /// Run by Admit inside the (unlocked) first-admission
+  /// ConfigureCachePartition step (a sleep here pins that concurrent
+  /// admits and stats are not stalled behind it).
+  std::function<void()> before_configure_partition;
+};
+
 class MateServer {
  public:
   /// `session` must be open (or opening) and outlive the server; the
   /// server becomes its only Discover caller.
-  MateServer(Session* session, ServerOptions options);
+  MateServer(Session* session, ServerOptions options,
+             ServerTestHooks test_hooks = {});
 
   /// Not started or already stopped in the destructor -> no-op; otherwise
   /// performs the same graceful drain as Stop().
@@ -267,6 +273,7 @@ class MateServer {
 
   Session* const session_;
   const ServerOptions options_;
+  const ServerTestHooks test_hooks_;
 
   std::atomic<uint16_t> port_{0};
   int listen_fd_ = -1;

@@ -1,12 +1,13 @@
 // Binary corpus persistence. The format is versioned and length-prefixed so
 // readers can detect truncation and corruption.
 //
-// Format v3 is laid out for lazy — and *columnar* — materialization:
-// everything a serving process needs to validate shape and answer "which
-// tables could matter" sits ahead of the bulky cells, the cell region is
-// size-prefixed so its extent is bounds-checked without parsing a single
-// cell, and each directory entry carries its per-column extents so the
-// residency layer can parse one touched column of a giant table.
+// Format v3 is the only corpus format. It is laid out for lazy — and
+// *columnar* — materialization: everything a serving process needs to
+// validate shape and answer "which tables could matter" sits ahead of the
+// bulky cells, the cell region is size-prefixed so its extent is
+// bounds-checked without parsing a single cell, and each directory entry
+// carries its per-column extents so the residency layer can parse one
+// touched column of a giant table.
 //
 //   [magic "MATECORP"] [version u32 = 3]
 //   stats section:    [stats-present u8] [CorpusStats]
@@ -17,15 +18,15 @@
 //   cell region:      [region total fixed64]
 //     per table: cells column-major, each length-prefixed (cell_bytes each)
 //
-// Format v2 (same layout minus the per-column extents) still loads
-// everywhere — lazily too, with columnar materialization degrading to
-// whole-table parses. Format v1 (no stats, cells inline with each table
-// header) still loads — eagerly — through every reader here; `mate_cli
-// convert-corpus` migrates v1/v2 files in place.
+// There is one reader: every load parses the header, hands the image to a
+// lazy TableStore, and decodes cells column by column from their extents —
+// the eager loaders below just materialize every table before returning.
+// Any other version (the retired v1 and v2 layouts included) is rejected
+// with kCorruption "unsupported version N (expected 3)".
 //
 // Load errors are section- and offset-aware: a truncated or corrupt image
-// names the section ("table directory", "cell region", ...) and the byte
-// offset where parsing stopped, not just a generic failure.
+// names the section ("header", "table directory", "cell region", ...) and
+// the byte offset where parsing stopped, not just a generic failure.
 
 #ifndef MATE_STORAGE_CORPUS_IO_H_
 #define MATE_STORAGE_CORPUS_IO_H_
@@ -48,18 +49,10 @@ void SerializeCorpus(const Corpus& corpus, std::string* out);
 void SerializeCorpus(const Corpus& corpus, const CorpusStats& stats,
                      std::string* out);
 
-/// The legacy v1 writer, kept for migration round-trip tests (v1 images
-/// exercise the compatibility path in every reader).
-void SerializeCorpusV1(const Corpus& corpus, std::string* out);
-
-/// The legacy v2 writer (no per-column extents), kept so the
-/// compatibility path — lazy opens included — stays under test.
-void SerializeCorpusV2(const Corpus& corpus, const CorpusStats& stats,
-                       std::string* out);
-
-/// Parses a corpus serialized by any SerializeCorpus flavor, fully
-/// materialized. When non-null, `stats`/`stats_present` receive the v2
-/// header's persisted statistics (v1 images report stats_present = false).
+/// Parses a corpus serialized by SerializeCorpus, fully materialized (a
+/// lazy open over an owned copy of `data`, then every table decoded). When
+/// non-null, `stats`/`stats_present` receive the header's persisted
+/// statistics (stats_present = false for the stats-less writer).
 Result<Corpus> DeserializeCorpus(std::string_view data,
                                  CorpusStats* stats = nullptr,
                                  bool* stats_present = nullptr);
@@ -69,17 +62,19 @@ Status SaveCorpus(const Corpus& corpus, const std::string& path);
 Status SaveCorpus(const Corpus& corpus, const CorpusStats& stats,
                   const std::string& path);
 
-/// Reads a corpus written by SaveCorpus, fully materialized.
-Result<Corpus> LoadCorpus(const std::string& path);
-
 /// Opens `path` lazily: mmaps the image, parses only the stats section and
 /// table directory (bounds-checking the cell region extent), and returns a
 /// corpus whose tables materialize on first access — Session::Open's
-/// default corpus path. v1 images fall back to the eager legacy load
-/// (fully resident on return). `stats`/`stats_present` as above.
+/// default corpus path. `stats`/`stats_present` as above.
 Result<Corpus> OpenCorpusLazy(const std::string& path,
                               CorpusStats* stats = nullptr,
                               bool* stats_present = nullptr);
+
+/// OpenCorpusLazy plus MaterializeAll: returns with every cell resident (and
+/// the mapping released), or with the first cell-decoding error.
+Result<Corpus> LoadCorpus(const std::string& path,
+                          CorpusStats* stats = nullptr,
+                          bool* stats_present = nullptr);
 
 /// Reads/writes a whole file (shared with index_io).
 Status WriteFileAtomic(const std::string& path, std::string_view contents);

@@ -13,10 +13,10 @@ namespace mate {
 namespace {
 
 // Rebuilds a table of `shape` with every cell empty — the skeleton every
-// decode fills column by column, and what a failed blob parse leaves
-// behind. Shape-complete (columns, row count, tombstones), so
-// downstream cell accesses stay in bounds; the sticky status is what makes
-// a failure visible.
+// decode fills column by column, and what a failed parse leaves of the
+// columns it did not fill. Shape-complete (columns, row count, tombstones),
+// so downstream cell accesses stay in bounds; the sticky status is what
+// makes a failure visible.
 Table MakeShapeStub(const TableShape& shape) {
   Table stub(shape.name);
   for (const std::string& column : shape.column_names) stub.AddColumn(column);
@@ -32,45 +32,33 @@ Table MakeShapeStub(const TableShape& shape) {
   return stub;
 }
 
-// " (cell region, table 'name'[, column c], byte offset o of n)" — the
+// " (cell region, table 'name', column c, byte offset o of n)" — the
 // location every cell decoding error carries.
 std::string CellRegionContext(const TableShape& shape, ColumnId column,
                               uint64_t offset, uint64_t image_size) {
-  std::string context = " (cell region, table '" + shape.name + "'";
-  if (column != kInvalidColumnId) {
-    context += ", column " + std::to_string(column);
-  }
-  return context + ", byte offset " + std::to_string(offset) + " of " +
-         std::to_string(image_size) + ")";
-}
-
-// Table::DecodeColumn over the cell region: decodes column `column` of
-// `shape` from the front of `*data`, which starts at absolute image offset
-// `offset`, and names the table, column and byte offset in any error.
-Status DecodeColumnCells(const TableShape& shape, ColumnId column,
-                         uint64_t offset, uint64_t image_size,
-                         std::string_view* data, Table* table) {
-  const size_t size = data->size();
-  const Status status = table->DecodeColumn(column, data);
-  if (status.ok()) return status;
-  const uint64_t at = offset + (size - data->size());
-  std::string message = "corpus: " + status.message() +
-                        CellRegionContext(shape, column, at, image_size);
-  return status.IsCorruption() ? Status::Corruption(std::move(message))
-                               : Status::NotSupported(std::move(message));
+  return " (cell region, table '" + shape.name + "', column " +
+         std::to_string(column) + ", byte offset " + std::to_string(offset) +
+         " of " + std::to_string(image_size) + ")";
 }
 
 // Decodes one column's cells out of its `blob` slice, which starts at
 // absolute offset `blob_offset` in the image, into column `column` of
-// `table`, a table of `shape` whose other columns are left alone.
+// `table`, a table of `shape` whose other columns are left alone. The
+// slice must hold exactly the column's cells: a short one fails inside
+// Table::DecodeColumn, a long one on its trailing bytes.
 Status ParseColumnCells(const TableShape& shape, ColumnId column,
                         std::string_view blob, uint64_t blob_offset,
                         uint64_t image_size, Table* table) {
   std::string_view data = blob;
-  MATE_RETURN_IF_ERROR(
-      DecodeColumnCells(shape, column, blob_offset, image_size, &data, table));
+  const Status status = table->DecodeColumn(column, &data);
+  const uint64_t at = blob_offset + (blob.size() - data.size());
+  if (!status.ok()) {
+    std::string message = "corpus: " + status.message() +
+                          CellRegionContext(shape, column, at, image_size);
+    return status.IsCorruption() ? Status::Corruption(std::move(message))
+                                 : Status::NotSupported(std::move(message));
+  }
   if (!data.empty()) {
-    const uint64_t at = blob_offset + (blob.size() - data.size());
     return Status::Corruption(
         "corpus: " + std::to_string(data.size()) +
         " trailing bytes after the column's cells" +
@@ -186,13 +174,13 @@ struct TableStore::Impl {
     slot.state.store(1, std::memory_order_release);
   }
 
-  // Under slot.mu: a blob/column parse failed. Latch the sticky status and
-  // leave a shape-complete stub with every column marked done (and its
-  // full extent accounted), so no caller indexes out of bounds and the
-  // slot never re-parses the damage.
+  // Under slot.mu: a column parse failed. Latch the sticky status and mark
+  // every column done (its full extent accounted), so the slot never
+  // re-parses the damage. The table is not replaced: other threads may be
+  // reading the columns parsed before, which keep their cells, and the
+  // rest stay as the skeleton or Table::DecodeColumn left them.
   void StubAfterFailureLocked(TableId t, Slot& slot, const Status& status) {
     LatchError(status);
-    tables[t] = MakeShapeStub(shapes[t]);
     slot.cols_done.assign(shapes[t].column_names.size(), 1);
     const uint64_t held =
         slot.resident_bytes.load(std::memory_order_relaxed);
@@ -200,45 +188,13 @@ struct TableStore::Impl {
   }
 
   // Under slot.mu: parses the not-yet-resident columns in `want` (or every
-  // column when `want` is null) of lazy table `t`. Returns true when the
-  // slot ended fully resident.
+  // column when `want` is null) of lazy table `t`, each from its own
+  // extent. The slot turns fully resident once every column is done.
   void MaterializeLocked(TableId t, Slot& slot,
                          const std::vector<ColumnId>* want,
                          MaterializeOutcome* outcome) {
     if (slot.state.load(std::memory_order_relaxed) == 2) return;
     const TableShape& shape = shapes[t];
-    // Without per-column extents (a v2 image) the blob is one parse.
-    if (shape.column_bytes.empty()) want = nullptr;
-
-    if (want == nullptr &&
-        slot.state.load(std::memory_order_relaxed) == 0) {
-      // Full-from-cold path: decode the whole blob into a fresh table and
-      // install it whole, with no per-column ledger — the warmer's and the
-      // eager path's single pass.
-      const std::string_view image = backing.view();
-      Result<Table> table = ParseTableCells(
-          shape,
-          image.substr(static_cast<size_t>(shape.cell_offset),
-                       static_cast<size_t>(shape.cell_bytes)),
-          image_size);
-      if (slot.was_evicted) {
-        slot.was_evicted = false;
-        rematerializations.fetch_add(1, std::memory_order_relaxed);
-        if (outcome != nullptr) outcome->rematerialized = true;
-      }
-      touched_count.fetch_add(1, std::memory_order_relaxed);
-      if (table.ok()) {
-        tables[t] = std::move(*table);
-        slot.cols_done.assign(shape.column_names.size(), 1);
-        AddResidentBytes(slot, shape.cell_bytes);
-      } else {
-        StubAfterFailureLocked(t, slot, table.status());
-      }
-      if (outcome != nullptr) outcome->bytes_parsed += shape.cell_bytes;
-      OnSlotFull(slot);
-      return;
-    }
-
     EnsureSkeletonLocked(t, slot, outcome);
     const std::string_view image = backing.view();
     // Column c's slice starts at cell_offset + sum of earlier extents.
@@ -515,25 +471,6 @@ bool TableStore::fully_resident() const {
 }
 
 Status TableStore::load_status() const { return impl_->LoadStatus(); }
-
-Result<Table> ParseTableCells(const TableShape& shape, std::string_view blob,
-                              uint64_t image_size) {
-  Table table = MakeShapeStub(shape);
-  std::string_view data = blob;
-  for (ColumnId c = 0; c < shape.column_names.size(); ++c) {
-    const uint64_t at = shape.cell_offset + (blob.size() - data.size());
-    MATE_RETURN_IF_ERROR(
-        DecodeColumnCells(shape, c, at, image_size, &data, &table));
-  }
-  if (!data.empty()) {
-    const uint64_t at = shape.cell_offset + (blob.size() - data.size());
-    return Status::Corruption(
-        "corpus: " + std::to_string(data.size()) +
-        " trailing bytes after the table's cells" +
-        CellRegionContext(shape, kInvalidColumnId, at, image_size));
-  }
-  return table;
-}
 
 void AppendTableCells(const Table& table, std::string* out) {
   for (ColumnId c = 0; c < table.NumColumns(); ++c) {

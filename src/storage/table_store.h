@@ -2,19 +2,21 @@
 // exists and has this shape" from "this table's cells are resident":
 //
 //   * a *resident* store owns fully materialized Tables (the classic
-//     in-memory corpus: built from CSVs, adopted, or eagerly deserialized);
+//     in-memory corpus: built from CSVs or adopted);
 //   * a *lazy* store is built from a corpus-format shape header plus the
-//     mmap'd file image: names, column names, row counts, and tombstone
-//     bitmaps are known up front, while cells parse on first access —
-//     thread-safe via a per-table latch, so concurrent queries (and the
-//     session's background warmer) race safely and parse each extent once.
+//     file image: names, column names, row counts, and tombstone bitmaps
+//     are known up front, while cells parse on first access — thread-safe
+//     via a per-table latch, so concurrent queries (and the session's
+//     background warmer) race safely and parse each extent once. Eager
+//     corpus loads are lazy stores drained by MaterializeAll, so every
+//     corpus image decodes through this one per-column path.
 //
 // Residency is buffer-manager shaped, not monotone:
 //
-//   * *Columnar sub-table materialization* — when the backing directory
-//     carries per-column extents (corpus format v3), GetColumns(t, cols)
-//     parses just the touched columns of a table into a shape-complete
-//     Table whose untouched columns stay empty. Single-column-key discovery
+//   * *Columnar sub-table materialization* — every directory entry
+//     carries per-column extents, so GetColumns(t, cols) parses just the
+//     touched columns of a table into a shape-complete Table whose
+//     untouched columns stay empty. Single-column-key discovery
 //     (the evaluator reads only each PL item's fixed column) rides this to
 //     touch a sliver of a giant table instead of the whole blob.
 //   * *Byte-budget LRU eviction* — SetBudget(bytes) arms a residency
@@ -36,11 +38,13 @@
 // materialization.
 //
 // Failure model: a table whose cell blob is corrupt materializes as a
-// *shape-complete stub* (declared columns and row count, empty cells, the
-// header's tombstones) so no caller indexes out of bounds, and the first
-// error is latched into load_status() with the section and byte offset —
-// a corrupt table is therefore never silently empty: the sticky status
-// names it, and Session surfaces it from every query path.
+// *shape-complete stub* (declared columns and row count, the header's
+// tombstones; columns left unparsed read as empty cells) so no caller
+// indexes out of bounds, and the first error is latched into load_status()
+// with the section and byte offset — a corrupt table is therefore never
+// silently empty: the sticky status names it, and Session surfaces it from
+// every query path. The table object is never replaced on failure: columns
+// already handed out keep their cells.
 //
 // Thread-safety: Get/GetColumns/EnsureTable/MaterializeAll/shape accessors
 // and the warmer may run concurrently. Add/Mutable/EvictToBudget (and
@@ -54,7 +58,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "storage/table.h"
@@ -77,9 +80,9 @@ struct TableShape {
   /// Absolute byte offset / size of the cell blob in the backing image.
   uint64_t cell_offset = 0;
   uint64_t cell_bytes = 0;
-  /// Per-column blob sizes (corpus format v3 directories; they sum to
-  /// cell_bytes). Empty for v2 images — columnar sub-table materialization
-  /// then falls back to whole-table parses.
+  /// Per-column blob sizes, one per column, tiling the cell blob in column
+  /// order (they sum to cell_bytes). Every cell decode — a single column or
+  /// the whole table — reads each column from its own extent.
   std::vector<uint64_t> column_bytes;
 };
 
@@ -124,10 +127,10 @@ class TableStore {
   TableStore& operator=(const TableStore&) = delete;
 
   /// A lazy store over `backing`: the shapes come from a parsed table
-  /// directory whose cell extents the parser has already bounds-checked
-  /// against the image. Cells materialize per table (or per column) on
-  /// first access; without a budget the mapping is released once every
-  /// table is fully resident.
+  /// directory whose cell extents — per table and per column — the parser
+  /// has already bounds-checked against the image. Cells materialize per
+  /// table (or per column) on first access; without a budget the mapping
+  /// is released once every table is fully resident.
   static TableStore Lazy(std::vector<TableShape> shapes, MappedFile backing);
 
   size_t NumTables() const;
@@ -142,11 +145,10 @@ class TableStore {
   /// A failed parse yields a shape-complete stub and latches load_status().
   const Table& Get(TableId t, MaterializeOutcome* outcome = nullptr) const;
 
-  /// The table with at least `columns` materialized: when the directory
-  /// carries per-column extents, only the missing requested columns parse;
-  /// cells of columns never requested read as empty strings. Falls back to
-  /// a full Get() over v2 images (no per-column extents). Safe to mix with
-  /// Get(): a later full access parses exactly the remaining columns.
+  /// The table with at least `columns` materialized: only the missing
+  /// requested columns parse, each from its own extent; cells of columns
+  /// never requested read as empty strings. Safe to mix with Get(): a later
+  /// full access parses exactly the remaining columns.
   const Table& GetColumns(TableId t, const std::vector<ColumnId>& columns,
                           MaterializeOutcome* outcome = nullptr) const;
 
@@ -216,22 +218,14 @@ class TableStore {
   std::shared_ptr<Impl> impl_;
 };
 
-/// Decodes one table's cell blob (cells column-major, each length-prefixed —
-/// the encoding shared by every corpus format) into a table of `shape`:
-/// its name, columns and row count, with the tombstone bitmap applied. Each
-/// column decodes straight into its compact buffer. Errors name the table,
-/// the column and the absolute byte offset within the `image_size`-byte
-/// image (the blob starts at `shape.cell_offset`).
-Result<Table> ParseTableCells(const TableShape& shape, std::string_view blob,
-                              uint64_t image_size);
-
-/// Serializes `table`'s cells in the same blob encoding.
+/// Serializes `table`'s cells as one corpus-format cell blob: cells
+/// column-major, each length-prefixed.
 void AppendTableCells(const Table& table, std::string* out);
 
 /// Byte size AppendTableCells would append — the directory's cell_bytes.
 uint64_t TableCellBytes(const Table& table);
 
-/// Byte size of column `c`'s slice of that blob — the v3 directory's
+/// Byte size of column `c`'s slice of that blob — the directory's
 /// per-column extent.
 uint64_t TableColumnCellBytes(const Table& table, ColumnId c);
 

@@ -48,6 +48,12 @@ void MappedFile::Release() {
   fallback_.shrink_to_fit();
 }
 
+MappedFile MappedFile::Adopt(std::string bytes) {
+  MappedFile file;
+  file.fallback_ = std::move(bytes);
+  return file;
+}
+
 #if MATE_HAS_MMAP
 
 Result<MappedFile> MappedFile::Open(const std::string& path) {

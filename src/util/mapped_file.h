@@ -31,6 +31,10 @@ class MappedFile {
   /// the file cannot be opened or read.
   static Result<MappedFile> Open(const std::string& path);
 
+  /// Wraps an image already in memory as an owned buffer (the read-copy
+  /// fallback's representation), so it rides the same readers as a file.
+  static MappedFile Adopt(std::string bytes);
+
   /// The file contents; valid until this object is destroyed or moved from.
   std::string_view view() const {
     return is_mapped() ? std::string_view(static_cast<const char*>(addr_),

@@ -56,6 +56,17 @@ bool ParseSmallUint(std::string_view s, unsigned max, unsigned* out) {
   return true;
 }
 
+Result<unsigned> ParseUintFlag(const std::string& flag,
+                               const std::string& text, unsigned max) {
+  unsigned value = 0;
+  if (!ParseSmallUint(text, max, &value)) {
+    return Status::InvalidArgument("--" + flag + " must be an integer in [0, " +
+                                   std::to_string(max) + "], got '" + text +
+                                   "'");
+  }
+  return value;
+}
+
 std::string FormatKeyCombo(const std::vector<std::string>& values) {
   return Join(values, "|");
 }

@@ -9,6 +9,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace mate {
 
 /// True for the six ASCII whitespace bytes (space, \t, \n, \v, \f, \r) —
@@ -54,6 +56,12 @@ bool IsAllDigits(std::string_view s);
 /// overflow, or out-of-range input — never throws. Shared by the CLI and
 /// bench flag parsers so validation policy cannot drift between them.
 bool ParseSmallUint(std::string_view s, unsigned max, unsigned* out);
+
+/// ParseSmallUint for the value `text` of command-line flag `--flag`:
+/// InvalidArgument naming the flag, the accepted range and `text` on
+/// failure. The one flag parser of mate_cli and mate_server.
+Result<unsigned> ParseUintFlag(const std::string& flag,
+                               const std::string& text, unsigned max);
 
 /// True iff NormalizeValue(raw) == normalized, computed without allocating.
 /// `normalized` must already be in canonical form. This is the exact-match

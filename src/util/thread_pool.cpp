@@ -121,13 +121,4 @@ void ThreadPool::WorkerLoop(unsigned self) {
   }
 }
 
-void ThreadPool::ParallelFor(unsigned num_threads, size_t n,
-                             const std::function<void(size_t)>& fn) {
-  ThreadPool pool(num_threads);
-  for (size_t i = 0; i < n; ++i) {
-    pool.Submit([&fn, i] { fn(i); });
-  }
-  pool.Wait();
-}
-
 }  // namespace mate

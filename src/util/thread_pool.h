@@ -74,11 +74,6 @@ class ThreadPool {
   /// Worker count after the 0 -> hardware-concurrency resolution; >= 1.
   unsigned num_threads() const { return num_threads_; }
 
-  /// Convenience: runs `fn(i)` for i in [0, n) across `num_threads` workers
-  /// (same 0/1 convention) and waits for completion.
-  static void ParallelFor(unsigned num_threads, size_t n,
-                          const std::function<void(size_t)>& fn);
-
  private:
   struct WorkerQueue {
     std::mutex mu;

@@ -49,7 +49,7 @@ Corpus MakeCorpus() {
   return corpus;
 }
 
-std::string SerializeV2(const Corpus& corpus) {
+std::string SerializeWithStats(const Corpus& corpus) {
   std::string bytes;
   SerializeCorpus(corpus, corpus.ComputeStats(), &bytes);
   return bytes;
@@ -80,17 +80,32 @@ TEST(CorpusIoCorruptionTest, BadMagicNamesTheCorpus) {
 }
 
 TEST(CorpusIoCorruptionTest, UnsupportedVersionNamesTheVersion) {
-  std::string bytes = SerializeV2(MakeCorpus());
-  bytes[8] = '\x09';  // version fixed32 little-endian low byte
-  auto loaded = DeserializeCorpus(bytes);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsCorruption());
-  EXPECT_NE(loaded.status().message().find("unsupported version 9"),
-            std::string::npos);
+  // Format v3 is the only one: the retired v1 and v2 stamps are rejected
+  // exactly like an unknown version, by the eager and the lazy reader.
+  for (const int version : {1, 2, 9}) {
+    std::string bytes = SerializeWithStats(MakeCorpus());
+    bytes[8] = static_cast<char>(version);  // fixed32 LE low byte
+    const std::string expected =
+        "unsupported version " + std::to_string(version) + " (expected 3)";
+    auto loaded = DeserializeCorpus(bytes);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption());
+    EXPECT_NE(loaded.status().message().find(expected), std::string::npos);
+    EXPECT_NE(loaded.status().message().find("header section, byte offset"),
+              std::string::npos)
+        << loaded.status().message();
+
+    const std::string path = WriteTemp("version", bytes);
+    auto lazy = OpenCorpusLazy(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(lazy.ok());
+    EXPECT_TRUE(lazy.status().IsCorruption());
+    EXPECT_EQ(lazy.status().message(), loaded.status().message());
+  }
 }
 
 TEST(CorpusIoCorruptionTest, TruncatedStatsNamesSectionAndOffset) {
-  std::string bytes = SerializeV2(MakeCorpus());
+  std::string bytes = SerializeWithStats(MakeCorpus());
   auto loaded = DeserializeCorpus(bytes.substr(0, 14));  // mid-stats
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption());
@@ -101,7 +116,7 @@ TEST(CorpusIoCorruptionTest, TruncatedStatsNamesSectionAndOffset) {
 
 TEST(CorpusIoCorruptionTest, TruncatedDirectoryNamesSectionAndOffset) {
   Corpus corpus = MakeCorpus();
-  std::string bytes = SerializeV2(corpus);
+  std::string bytes = SerializeWithStats(corpus);
   const size_t region_start = CellRegionStart(corpus, bytes);
   // Any cut between the stats and the region prefix lands in the table
   // directory (or its region-size header).
@@ -117,7 +132,7 @@ TEST(CorpusIoCorruptionTest, TruncatedDirectoryNamesSectionAndOffset) {
 }
 
 TEST(CorpusIoCorruptionTest, ShortCellRegionFailsAtOpenNotMidQuery) {
-  const std::string bytes = SerializeV2(MakeCorpus());
+  const std::string bytes = SerializeWithStats(MakeCorpus());
   // Cut inside the cell region: the size prefix no longer matches, so even
   // the *lazy* open — which parses no cells — must fail up front.
   const std::string cut = bytes.substr(0, bytes.size() - 5);
@@ -136,7 +151,7 @@ TEST(CorpusIoCorruptionTest, ShortCellRegionFailsAtOpenNotMidQuery) {
 }
 
 TEST(CorpusIoCorruptionTest, TrailingGarbageIsRejected) {
-  std::string bytes = SerializeV2(MakeCorpus());
+  std::string bytes = SerializeWithStats(MakeCorpus());
   bytes += "junk";
   auto loaded = DeserializeCorpus(bytes);
   ASSERT_FALSE(loaded.ok());
@@ -146,7 +161,7 @@ TEST(CorpusIoCorruptionTest, TrailingGarbageIsRejected) {
 
 TEST(CorpusIoCorruptionTest, DirectoryRegionSizeSkewIsRejected) {
   Corpus corpus = MakeCorpus();
-  std::string bytes = SerializeV2(corpus);
+  std::string bytes = SerializeWithStats(corpus);
   const size_t region_start = CellRegionStart(corpus, bytes);
   // Grow the region by 3 bytes without touching the directory: the fixed64
   // prefix and the directory's per-table sums now disagree.
@@ -167,7 +182,7 @@ TEST(CorpusIoCorruptionTest, DirectoryRegionSizeSkewIsRejected) {
 // remaining tables unharmed.
 TEST(CorpusIoCorruptionTest, CellBlobCorruptionIsStickyAndShapeSafe) {
   Corpus corpus = MakeCorpus();
-  const std::string bytes = SerializeV2(corpus);
+  const std::string bytes = SerializeWithStats(corpus);
   const size_t region_start = CellRegionStart(corpus, bytes);
   bool found_parse_failure = false;
   for (size_t offset = region_start; offset < bytes.size(); ++offset) {
@@ -203,7 +218,7 @@ TEST(CorpusIoCorruptionTest, CellBlobCorruptionIsStickyAndShapeSafe) {
 // equal. Never a crash, never a silently short corpus.
 TEST(CorpusIoCorruptionTest, TruncationFuzzFailsCleanlyEverywhere) {
   Corpus corpus = MakeCorpus();
-  const std::string bytes = SerializeV2(corpus);
+  const std::string bytes = SerializeWithStats(corpus);
   for (size_t i = 0; i < 48; ++i) {
     const size_t cut = (bytes.size() - 1) * (i + 1) / 48;
     SCOPED_TRACE("cut=" + std::to_string(cut));
@@ -234,7 +249,7 @@ TEST(CorpusIoCorruptionTest, TruncationFuzzFailsCleanlyEverywhere) {
 TEST(CorpusIoCorruptionTest, HugeDeclaredTableCountFailsFast) {
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, uint64_t{1} << 60);  // would reserve petabytes
@@ -249,7 +264,7 @@ TEST(CorpusIoCorruptionTest, HugeDeclaredColumnCountFailsFast) {
   Corpus corpus = MakeCorpus();
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, 1);
@@ -268,7 +283,7 @@ TEST(CorpusIoCorruptionTest, WrappingRowCountCannotFakeAnEmptyBitmap) {
   // would loop ~2^64 times off the end of an empty view.
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, 1);
@@ -291,7 +306,7 @@ TEST(CorpusIoCorruptionTest, WrappingCellSizesCannotPassTheSkewCheck) {
   // drive substr past the end of the image at materialization.
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, 2);
@@ -318,7 +333,7 @@ TEST(CorpusIoCorruptionTest, ShapeLargerThanItsCellExtentIsRejected) {
   // would amplify a tiny file into an 800-row allocation.
   std::string bytes;
   bytes.append("MATECORP", 8);
-  PutFixed32(&bytes, 2);
+  PutFixed32(&bytes, 3);
   bytes.push_back('\x00');
   AppendCorpusStats(&bytes, CorpusStats{});
   PutVarint64(&bytes, 1);
@@ -339,7 +354,7 @@ TEST(CorpusIoCorruptionTest, ShapeLargerThanItsCellExtentIsRejected) {
 
 TEST(CorpusIoCorruptionTest, DeletedBitmapSizeSkewIsRejected) {
   Corpus corpus = MakeCorpus();
-  std::string bytes = SerializeV2(corpus);
+  std::string bytes = SerializeWithStats(corpus);
   // The first directory entry's bitmap is 1 byte for 3 rows; shrinking the
   // declared row count desynchronizes it.
   const std::string needle = "sensors";
@@ -382,7 +397,7 @@ size_t SensorsPerColumnOffset(const std::string& bytes) {
 
 TEST(CorpusIoCorruptionTest, PerColumnExtentPastTheBlobIsRejected) {
   Corpus corpus = MakeCorpus();
-  std::string bytes = SerializeV2(corpus);
+  std::string bytes = SerializeWithStats(corpus);
   const size_t pos = SensorsPerColumnOffset(bytes);
   ASSERT_EQ(static_cast<uint64_t>(bytes[pos]),
             TableColumnCellBytes(corpus.table(0), 0));
@@ -402,7 +417,7 @@ TEST(CorpusIoCorruptionTest, PerColumnExtentPastTheBlobIsRejected) {
 
 TEST(CorpusIoCorruptionTest, PerColumnExtentSumSkewIsRejected) {
   Corpus corpus = MakeCorpus();
-  std::string bytes = SerializeV2(corpus);
+  std::string bytes = SerializeWithStats(corpus);
   const size_t pos = SensorsPerColumnOffset(bytes);
   // Each extent stays in bounds but the pair no longer tiles the blob.
   bytes[pos] = static_cast<char>(bytes[pos] - 1);
@@ -429,7 +444,7 @@ TEST(CorpusIoCorruptionTest, CutInsideThePerColumnExtentsNamesTheSection) {
   // The truncation fuzz above sweeps the whole image; this pins the case the
   // v3 format added — a cut landing exactly among the per-column varints.
   Corpus corpus = MakeCorpus();
-  const std::string bytes = SerializeV2(corpus);
+  const std::string bytes = SerializeWithStats(corpus);
   const size_t pos = SensorsPerColumnOffset(bytes);
   auto loaded = DeserializeCorpus(std::string_view(bytes).substr(0, pos + 1));
   ASSERT_FALSE(loaded.ok());
@@ -438,34 +453,6 @@ TEST(CorpusIoCorruptionTest, CutInsideThePerColumnExtentsNamesTheSection) {
   EXPECT_NE(message.find("table directory section"), std::string::npos)
       << message;
   EXPECT_NE(message.find("byte offset"), std::string::npos);
-}
-
-TEST(CorpusIoCorruptionTest, V1ImagesStillLoadEverywhere) {
-  Corpus corpus = MakeCorpus();
-  std::string v1;
-  SerializeCorpusV1(corpus, &v1);
-  auto eager = DeserializeCorpus(v1);
-  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  EXPECT_TRUE(CorporaEqual(corpus, *eager));
-
-  const std::string path = WriteTemp("v1", v1);
-  auto lazy = OpenCorpusLazy(path);
-  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-  // The legacy path has nothing to defer: fully resident on return.
-  EXPECT_TRUE(lazy->fully_resident());
-  EXPECT_TRUE(CorporaEqual(corpus, *lazy));
-  std::remove(path.c_str());
-}
-
-TEST(CorpusIoCorruptionTest, V1TruncationStillFailsCleanly) {
-  Corpus corpus = MakeCorpus();
-  std::string v1;
-  SerializeCorpusV1(corpus, &v1);
-  for (size_t cut : {v1.size() / 4, v1.size() / 2, v1.size() - 1}) {
-    auto loaded = DeserializeCorpus(std::string_view(v1).substr(0, cut));
-    ASSERT_FALSE(loaded.ok()) << "cut=" << cut;
-    EXPECT_TRUE(loaded.status().IsCorruption());
-  }
 }
 
 }  // namespace

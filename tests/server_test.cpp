@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +61,11 @@ Table MakeQuery() {
   (void)query.AppendRow({"Helmut", "Newton", "Germany"});
   (void)query.AppendRow({"Ansel", "Adams", "UK"});
   return query;
+}
+
+// A test hook that sleeps `delay` at its point in the server.
+std::function<void()> SleepFor(std::chrono::milliseconds delay) {
+  return [delay] { std::this_thread::sleep_for(delay); };
 }
 
 Session OpenLakeSession(size_t cache_bytes = 1 << 20) {
@@ -345,8 +351,9 @@ TEST(ServerTest, WriteFrameToHungUpPeerFailsTypedInsteadOfSigpipe) {
 TEST(ServerTest, ClientDisconnectBeforeResponseDoesNotKillServer) {
   Session session = OpenLakeSession();
   ServerOptions options;
-  options.dispatch_delay_for_test = std::chrono::milliseconds(50);
-  MateServer server(&session, options);
+  ServerTestHooks hooks;
+  hooks.before_dispatch = SleepFor(std::chrono::milliseconds(50));
+  MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
   const Table query = MakeQuery();
@@ -452,8 +459,9 @@ TEST(ServerTest, QueueFullShedsWithOverloaded) {
   Session session = OpenLakeSession();
   ServerOptions options;
   options.max_queue_depth = 2;
-  options.dispatch_delay_for_test = std::chrono::milliseconds(50);
-  MateServer server(&session, options);
+  ServerTestHooks hooks;
+  hooks.before_dispatch = SleepFor(std::chrono::milliseconds(50));
+  MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
   const Table query = MakeQuery();
@@ -507,8 +515,9 @@ TEST(ServerTest, StopDrainsAdmittedInFlightQueries) {
   Session session = OpenLakeSession();
   ServerOptions options;
   options.max_queue_depth = 8;
-  options.dispatch_delay_for_test = std::chrono::milliseconds(50);
-  MateServer server(&session, options);
+  ServerTestHooks hooks;
+  hooks.before_dispatch = SleepFor(std::chrono::milliseconds(50));
+  MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
   const Table query = MakeQuery();
@@ -598,13 +607,14 @@ TEST(ServerTest, SlowQueriesDumpTheirSpanTreeAsJsonl) {
   ServerOptions options;
   // Every query is "slow": the dispatcher sleeps 20ms against a 1ms
   // threshold, so the log line is deterministic.
-  options.dispatch_delay_for_test = std::chrono::milliseconds(20);
   options.slow_query_threshold = std::chrono::milliseconds(1);
   const std::string log_path =
       testing::TempDir() + "/mate_slow_query_test.jsonl";
   std::remove(log_path.c_str());
   options.slow_query_log_path = log_path;
-  MateServer server(&session, options);
+  ServerTestHooks hooks;
+  hooks.before_dispatch = SleepFor(std::chrono::milliseconds(20));
+  MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
   const Table query = MakeQuery();
@@ -756,9 +766,9 @@ TEST(ServerTest, PartitionConfigureRunsOutsideTheQueueLock) {
   options.tenant_cache_bytes = 1 << 18;
   // Simulate a slow ResultCache resize: pre-hoist this sleep sat inside
   // queue_mu_ and stalled every concurrent admit/shed/stats behind it.
-  options.configure_partition_delay_for_test =
-      std::chrono::milliseconds(400);
-  MateServer server(&session, options);
+  ServerTestHooks hooks;
+  hooks.before_configure_partition = SleepFor(std::chrono::milliseconds(400));
+  MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
   const Table query = MakeQuery();
@@ -846,13 +856,14 @@ TEST(ServerTest, ShedAndDecodeErrorRequestsAreSlowLogged) {
   Session session = OpenLakeSession();
   ServerOptions options;
   options.max_queue_depth = 1;
-  options.dispatch_delay_for_test = std::chrono::milliseconds(400);
   options.slow_query_threshold = std::chrono::milliseconds(1);
   const std::string log_path =
       testing::TempDir() + "/mate_slow_query_shed_test.jsonl";
   std::remove(log_path.c_str());
   options.slow_query_log_path = log_path;
-  MateServer server(&session, options);
+  ServerTestHooks hooks;
+  hooks.before_dispatch = SleepFor(std::chrono::milliseconds(400));
+  MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
   const Table query = MakeQuery();
@@ -986,8 +997,9 @@ TEST(ServerTest, SteeringDegradesToSerialWhenOverSlo) {
   // Every served query takes >= 20ms (dispatch delay) against a 1ms
   // target, so the SLO is blown from the first completion onward.
   options.target_p99 = std::chrono::milliseconds(1);
-  options.dispatch_delay_for_test = std::chrono::milliseconds(20);
-  MateServer server(&session, options);
+  ServerTestHooks hooks;
+  hooks.before_dispatch = SleepFor(std::chrono::milliseconds(20));
+  MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
   const Table query = MakeQuery();
@@ -1019,8 +1031,9 @@ TEST(ServerTest, SteeringDegradesUnderQueuePressureAndStaysBitIdentical) {
   options.steering = SteeringMode::kAuto;
   options.steering_min_items = 0;
   options.max_queue_depth = 4;  // "deep" at backlog >= 2
-  options.dispatch_delay_for_test = std::chrono::milliseconds(150);
-  MateServer server(&session, options);
+  ServerTestHooks hooks;
+  hooks.before_dispatch = SleepFor(std::chrono::milliseconds(150));
+  MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
   const Table query = MakeQuery();

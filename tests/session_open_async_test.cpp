@@ -9,8 +9,9 @@
 // demand, with queries racing the background corpus warmer. Also covers:
 // DiscoverBatch racing the latches, Save draining load + warmer,
 // move/destroy while warming, the eager_load / eager_corpus escape
-// hatches, header-served corpus stats, cold-table residency, v1 corpus
-// compatibility, and cell-blob corruption surfacing from the query paths.
+// hatches, header-served corpus stats, cold-table residency, older corpus
+// versions failing both Open paths, and cell-blob corruption surfacing
+// from the query paths.
 
 #include "core/session.h"
 
@@ -369,7 +370,7 @@ TEST(SessionOpenAsyncTest, CorpusStatsComeFromTheHeaderWithoutAScan) {
   const CorpusStats expected = saved.world.corpus.ComputeStats();
   // Corpus-only session (no index to supply stats), no warmer: any stats
   // scan would have to materialize tables, so zero residency proves the
-  // snapshot came from the v2 header.
+  // snapshot came from the corpus header.
   SessionOptions options;
   options.corpus_path = saved.corpus_path;
   options.warm_corpus = false;
@@ -380,22 +381,33 @@ TEST(SessionOpenAsyncTest, CorpusStatsComeFromTheHeaderWithoutAScan) {
   RemoveWorld(saved);
 }
 
-TEST(SessionOpenAsyncTest, V1CorpusFileLoadsThroughTheLegacyPath) {
-  SavedWorld saved = SaveWorld("v1compat");
-  // Rewrite the corpus file as format v1; the index still matches (same
-  // tables), so cross-validation and discovery must work — just eagerly.
-  std::string v1;
-  SerializeCorpusV1(saved.world.corpus, &v1);
-  ASSERT_TRUE(WriteFileAtomic(saved.corpus_path, v1).ok());
-  Session session = OpenSaved(saved, /*num_threads=*/1, /*eager=*/false);
-  EXPECT_TRUE(session.corpus_resident());  // legacy load has nothing lazy
-  Session reference = OpenSaved(saved, /*num_threads=*/1, /*eager=*/true);
-  for (const QuerySpec& spec : MakeSpecs(saved.world, 1, 0)) {
-    auto a = session.Discover(spec);
-    auto b = reference.Discover(spec);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok());
-    ExpectBitIdentical(*b, *a);
+TEST(SessionOpenAsyncTest, OlderCorpusVersionsFailBothOpenPaths) {
+  SavedWorld saved = SaveWorld("version");
+  auto bytes = ReadFileToString(saved.corpus_path);
+  ASSERT_TRUE(bytes.ok());
+  // Stamp the retired v1/v2 (and an unknown) version over a real image:
+  // the lazy default and eager_corpus both refuse it at Open, naming the
+  // version, the header section and the byte offset.
+  for (const int version : {1, 2, 9}) {
+    std::string stamped = *bytes;
+    stamped[8] = static_cast<char>(version);  // fixed32 LE low byte
+    ASSERT_TRUE(WriteFileAtomic(saved.corpus_path, stamped).ok());
+    const std::string expected =
+        "unsupported version " + std::to_string(version) + " (expected 3)";
+    for (const bool eager : {false, true}) {
+      SCOPED_TRACE(expected + (eager ? ", eager" : ", lazy"));
+      SessionOptions options;
+      options.corpus_path = saved.corpus_path;
+      options.index_path = saved.index_path;
+      options.eager_corpus = eager;
+      auto session = Session::Open(std::move(options));
+      ASSERT_FALSE(session.ok());
+      EXPECT_TRUE(session.status().IsCorruption());
+      const std::string& message = session.status().message();
+      EXPECT_NE(message.find(expected), std::string::npos) << message;
+      EXPECT_NE(message.find("header section, byte offset"), std::string::npos)
+          << message;
+    }
   }
   RemoveWorld(saved);
 }

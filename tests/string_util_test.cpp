@@ -70,6 +70,27 @@ TEST(StringUtilTest, ParseSmallUint) {
   EXPECT_EQ(value, 99u);  // untouched on every failure
 }
 
+TEST(StringUtilTest, ParseUintFlag) {
+  auto threads = ParseUintFlag("threads", "8", 1024);
+  ASSERT_TRUE(threads.ok());
+  EXPECT_EQ(*threads, 8u);
+  auto at_max = ParseUintFlag("port", "65535", 65535);
+  ASSERT_TRUE(at_max.ok());
+  EXPECT_EQ(*at_max, 65535u);
+
+  // Garbage, signs, overflow and out-of-range values are InvalidArgument
+  // naming the flag, the range and the text — never an exception.
+  for (const char* text : {"abc", "-3", "", "1.5", "1025",
+                           "99999999999999999999"}) {
+    auto parsed = ParseUintFlag("k", text, 1024);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument());
+    EXPECT_EQ(parsed.status().message(),
+              "--k must be an integer in [0, 1024], got '" +
+                  std::string(text) + "'");
+  }
+}
+
 TEST(StringUtilTest, NormalizedEqualsMatchesNormalizeValue) {
   const char* raws[] = {"  Muhammad ", "US", "us ", "60k", "", "  ",
                         "Ansel Adams", "a"};

@@ -39,7 +39,7 @@ Corpus MakeCorpus(size_t num_tables, size_t rows_per_table) {
   return corpus;
 }
 
-// Round-trips `corpus` through a v2 file and opens it lazily.
+// Round-trips `corpus` through a corpus file and opens it lazily.
 Corpus OpenLazyCopy(const Corpus& corpus, const std::string& tag) {
   const std::string path =
       testing::TempDir() + "/mate_table_store_" + tag + ".corpus";
@@ -357,6 +357,43 @@ TEST(TableStoreTest, EvictedTableRematerializesByteIdentical) {
   }
   EXPECT_EQ(lazy.residency().rematerializations, 2u);
   EXPECT_TRUE(lazy.load_status().ok());
+}
+
+TEST(TableStoreTest, ColumnsHandedOutSurviveALaterColumnFailure) {
+  // GetColumns callers read the returned table without a lock, so a later
+  // failed parse of another column must neither replace the table nor
+  // touch the columns already handed out.
+  Corpus original = MakeCorpus(2, 4);
+  std::string bytes;
+  SerializeCorpus(original, original.ComputeStats(), &bytes);
+  uint64_t region = 0;
+  for (TableId t = 0; t < original.NumTables(); ++t) {
+    region += TableCellBytes(original.table(t));
+  }
+  const size_t column1 = bytes.size() - static_cast<size_t>(region) +
+                         TableColumnCellBytes(original.table(0), 0);
+  bytes[column1] = '\x7f';  // column 1's first cell claims 127 bytes
+  const std::string path =
+      testing::TempDir() + "/mate_table_store_partial_failure.corpus";
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+  auto lazy = OpenCorpusLazy(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+
+  const Table& partial = lazy->MaterializeColumns(0, {0});
+  ASSERT_TRUE(lazy->load_status().ok());
+  const std::string expected(original.table(0).cell(1, 0));
+  const std::string_view cell = partial.cell(1, 0);
+  EXPECT_EQ(cell, expected);
+  const Status full = lazy->EnsureTable(0);
+  EXPECT_TRUE(full.IsCorruption());
+  EXPECT_NE(full.message().find("column 1"), std::string::npos)
+      << full.message();
+  EXPECT_EQ(&lazy->table(0), &partial);
+  EXPECT_EQ(partial.cell(1, 0), expected);
+  EXPECT_EQ(cell, expected);  // the view into column 0 is still valid
+  EXPECT_EQ(partial.cell(1, 1), "");  // the failed column reads empty
+  EXPECT_EQ(partial.NumRows(), original.table(0).NumRows());
 }
 
 TEST(TableStoreTest, ResidentStoreShapeAccessorsMatchTables) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -61,18 +62,29 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
+// A parallel for over [0, n): one Submit per index, then Wait — the
+// fan-out batch discovery runs on the session pool.
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  for (size_t i = 0; i < n; ++i) pool->Submit([&fn, i] { fn(i); });
+  pool->Wait();
+}
+
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   const size_t n = 300;
   std::vector<std::atomic<int>> hits(n);
-  ThreadPool::ParallelFor(4, n, [&hits](size_t i) { hits[i].fetch_add(1); });
+  ThreadPool pool(4);
+  ParallelFor(&pool, n, [&hits](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyAndSerial) {
-  ThreadPool::ParallelFor(4, 0, [](size_t) { FAIL(); });
+  ThreadPool wide(4);
+  ParallelFor(&wide, 0, [](size_t) { FAIL(); });  // Wait on nothing returns
   std::vector<int> order;
-  // Serial ParallelFor preserves submission order (inline execution).
-  ThreadPool::ParallelFor(1, 5, [&order](size_t i) {
+  // A serial pool preserves submission order (inline execution).
+  ThreadPool serial(1);
+  ParallelFor(&serial, 5, [&order](size_t i) {
     order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));

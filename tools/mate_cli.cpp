@@ -14,7 +14,6 @@
 //                    [--corpus-budget-mb N]
 //   mate_cli dups    --corpus F [--min-overlap 0.85]
 //   mate_cli union   --corpus F --query Q.csv [--k 10]
-//   mate_cli convert-corpus --corpus F [--out G]
 //   mate_cli client  --port N [--host 127.0.0.1]
 //                    [--query Q.csv --key a,b | --batch DIR --key a,b]
 //                    [--k 10] [--tenant T] [--stats] [--ping]
@@ -43,28 +42,28 @@
 // Cold start: search opens the session *phased* — Open returns after the
 // index header, dictionary, and corpus/index validation, while the mmap'd
 // posting region and super keys stream in on the pool; the first query
-// blocks on the readiness latch. The corpus side is *lazy* (format v2/v3):
-// Open parses only the shape header, queries materialize just the tables
-// they evaluate, and a background warmer streams the rest. `--eager`
-// forces the old fully blocking index open, `--eager-corpus` the fully
-// materialized corpus load. Results are identical at every setting.
+// blocks on the readiness latch. The corpus side is *lazy*: Open parses
+// only the shape header, queries materialize just the tables they
+// evaluate, and a background warmer streams the rest. `--eager` forces the
+// old fully blocking index open, `--eager-corpus` the fully materialized
+// corpus load. Results are identical at every setting.
+//
+// Corpus files are format v3, the only corpus format (what `index` writes);
+// any other version fails every command with "unsupported version N".
 //
 // Memory governance: `--corpus-budget-mb N` arms a residency byte budget
 // over the lazy corpus — candidate tables (just their touched columns, for
-// single-column keys over a v3 file) materialize on demand and the
-// least-recently-used tables are evicted back down to the budget between
-// queries. Results stay bit-identical; search and stats report the
-// residency traffic (resident/peak bytes, evictions, re-parses).
-//
-// convert-corpus migrates a v1/v2 corpus file to format v3 (persisted
-// stats + lazy-loadable cell region with per-column extents) in place —
-// atomically via rename, after a round-trip equality check against the
-// original — or to --out.
+// single-column keys) materialize on demand and the least-recently-used
+// tables are evicted back down to the budget between queries. Results stay
+// bit-identical; search and stats report the residency traffic
+// (resident/peak bytes, evictions, re-parses).
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -75,7 +74,6 @@
 #include "obs/trace.h"
 #include "server/client.h"
 #include "hash/xash.h"
-#include "storage/corpus_io.h"
 #include "storage/csv.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -99,10 +97,11 @@ int Usage() {
       " [--corpus-budget-mb N]\n"
       "  mate_cli dups   --corpus F [--min-overlap 0.85]\n"
       "  mate_cli union  --corpus F --query Q.csv [--k N]\n"
-      "  mate_cli convert-corpus --corpus F [--out G]\n"
       "  mate_cli client --port N [--host 127.0.0.1]"
       " [--query Q.csv --key a,b | --batch DIR --key a,b] [--k N]"
-      " [--tenant T] [--stats] [--ping] [--metrics]\n";
+      " [--tenant T] [--stats] [--ping] [--metrics]\n"
+      "corpus files are format v3 (what `index` writes); other versions"
+      " are rejected\n";
   return 2;
 }
 
@@ -141,15 +140,16 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// Strict parse for small numeric flags; rejects garbage and absurd values
-// instead of crashing in stoul or spawning 4 billion threads.
-Result<unsigned> ParseUintFlag(const std::string& flag,
-                               const std::string& text, unsigned max) {
-  unsigned value = 0;
-  if (!ParseSmallUint(text, max, &value)) {
-    return Status::InvalidArgument("--" + flag + " must be an integer in [0, " +
-                                   std::to_string(max) + "], got '" + text +
-                                   "'");
+// Strict parse for fraction flags: a finite number in [0, 1] with nothing
+// left over.
+Result<double> ParseFractionFlag(const std::string& flag,
+                                 const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !(value >= 0.0 && value <= 1.0)) {
+    return Status::InvalidArgument(
+        "--" + flag + " must be a number in [0, 1], got '" + text + "'");
   }
   return value;
 }
@@ -181,9 +181,11 @@ Result<std::vector<ColumnId>> ResolveKeyColumns(const Table& query,
   for (const std::string& part : Split(spec, ',')) {
     if (part.empty()) return Status::InvalidArgument("empty key column");
     ColumnId c = query.FindColumn(part);
-    if (c == kInvalidColumnId && IsAllDigits(part)) {
-      unsigned long idx = std::stoul(part);
-      if (idx < query.NumColumns()) c = static_cast<ColumnId>(idx);
+    unsigned idx = 0;  // parsed bounded: an overflowing one is no column
+    if (c == kInvalidColumnId &&
+        ParseSmallUint(part, std::numeric_limits<unsigned>::max(), &idx) &&
+        idx < query.NumColumns()) {
+      c = static_cast<ColumnId>(idx);
     }
     if (c == kInvalidColumnId) {
       return Status::NotFound("no query column named '" + part + "'");
@@ -472,7 +474,7 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
   if (!budget_bytes.ok()) return Fail(budget_bytes.status());
   auto session = OpenSession(corpus_path, index_path, *budget_bytes);
   if (!session.ok()) return Fail(session.status());
-  // The fast path reports the stored snapshot (corpus v2 header, or the
+  // The fast path reports the stored snapshot (corpus header, or the
   // index file's copy) — no cell is parsed. `--verify-stats` re-runs the
   // full ComputeStats scan and cross-checks the snapshot, the diagnostic
   // to reach for after maintenance edits or a suspect file.
@@ -512,12 +514,15 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
 int CmdDups(const std::map<std::string, std::string>& flags) {
   const std::string corpus_path = FlagOr(flags, "corpus", "");
   if (corpus_path.empty()) return Usage();
+  DuplicateFinderOptions options;
+  auto min_overlap =
+      ParseFractionFlag("min-overlap", FlagOr(flags, "min-overlap", "0.85"));
+  if (!min_overlap.ok()) return Fail(min_overlap.status());
+  options.min_overlap = *min_overlap;
   auto session = OpenSession(corpus_path);
   if (!session.ok()) return Fail(session.status());
   auto hash = Xash::FromCorpusStats(128, session->corpus_stats());
   DuplicateRowFinder finder(&session->corpus(), hash.get());
-  DuplicateFinderOptions options;
-  options.min_overlap = std::stod(FlagOr(flags, "min-overlap", "0.85"));
   auto pairs = finder.FindDuplicates(options);
   std::cout << pairs.size() << " near-duplicate row pairs (overlap >= "
             << options.min_overlap << "):\n";
@@ -535,6 +540,10 @@ int CmdUnion(const std::map<std::string, std::string>& flags) {
   const std::string corpus_path = FlagOr(flags, "corpus", "");
   const std::string query_path = FlagOr(flags, "query", "");
   if (corpus_path.empty() || query_path.empty()) return Usage();
+  UnionSearchOptions options;
+  auto k = ParseUintFlag("k", FlagOr(flags, "k", "10"), 1000000);
+  if (!k.ok()) return Fail(k.status());
+  options.k = static_cast<int>(*k);
   auto session = OpenSession(corpus_path);
   if (!session.ok()) return Fail(session.status());
   auto query = LoadCsvFile(query_path, "query");
@@ -542,8 +551,6 @@ int CmdUnion(const std::map<std::string, std::string>& flags) {
   auto hash = Xash::FromCorpusStats(256, session->corpus_stats());
   UnionIndex union_index =
       UnionIndex::Build(session->corpus(), hash.get(), /*sample_size=*/64);
-  UnionSearchOptions options;
-  options.k = std::stoi(FlagOr(flags, "k", "10"));
   auto results = union_index.Discover(*query, options);
   std::cout << "top-" << options.k << " unionable tables:\n";
   for (const UnionResult& result : results) {
@@ -557,37 +564,6 @@ int CmdUnion(const std::map<std::string, std::string>& flags) {
     }
     std::cout << "\n";
   }
-  return 0;
-}
-
-// Migrates a corpus file to format v3: persisted stats in the header and a
-// size-prefixed cell region (with per-column extents) that later sessions
-// open lazily. Writes to --out, or in place (atomic rename) without it.
-// The rewrite is verified by a round-trip equality check *before* any byte
-// lands on disk.
-int CmdConvertCorpus(const std::map<std::string, std::string>& flags) {
-  const std::string corpus_path = FlagOr(flags, "corpus", "");
-  if (corpus_path.empty()) return Usage();
-  const std::string out_path = FlagOr(flags, "out", corpus_path);
-
-  auto corpus = LoadCorpus(corpus_path);  // eager; reads v1, v2, and v3
-  if (!corpus.ok()) return Fail(corpus.status());
-  const CorpusStats stats = corpus->ComputeStats();
-
-  std::string buffer;
-  SerializeCorpus(*corpus, stats, &buffer);
-  auto reparsed = DeserializeCorpus(buffer);
-  if (!reparsed.ok()) return Fail(reparsed.status());
-  if (!CorporaEqual(*corpus, *reparsed)) {
-    return Fail(Status::Internal(
-        "round-trip check failed: the v3 rewrite does not reproduce the "
-        "original corpus; " + corpus_path + " left untouched"));
-  }
-  if (Status s = WriteFileAtomic(out_path, buffer); !s.ok()) return Fail(s);
-  std::cout << "wrote " << out_path << " (format v3, " << buffer.size()
-            << " bytes, " << corpus->NumTables()
-            << " tables, round-trip verified)\n"
-            << "stats: " << stats.ToString() << "\n";
   return 0;
 }
 
@@ -721,7 +697,6 @@ int Run(int argc, char** argv) {
   if (command == "stats") return CmdStats(flags);
   if (command == "dups") return CmdDups(flags);
   if (command == "union") return CmdUnion(flags);
-  if (command == "convert-corpus") return CmdConvertCorpus(flags);
   if (command == "client") return CmdClient(flags);
   return Usage();
 }

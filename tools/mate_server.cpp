@@ -89,18 +89,6 @@ int Fail(const Status& status) {
   return 1;
 }
 
-Result<unsigned> ParseUintFlag(const std::string& flag,
-                               const std::string& text, unsigned max) {
-  unsigned value = 0;
-  if (!ParseSmallUint(text, max, &value)) {
-    return Status::InvalidArgument("--" + flag +
-                                   " must be an integer in [0, " +
-                                   std::to_string(max) + "], got '" + text +
-                                   "'");
-  }
-  return value;
-}
-
 int Run(int argc, char** argv) {
   std::map<std::string, std::string> flags;
   if (!ParseFlags(argc, argv, 1, &flags)) return Usage();

@@ -3,7 +3,9 @@
 # ephemeral port, round-trip a client PING + QUERY + STATS + METRICS over
 # the wire (asserting the Prometheus page parses and carries the core
 # serving series), then SIGTERM the server and require a clean
-# graceful-drain exit (0).
+# graceful-drain exit (0). Finally, malformed flags and a corpus stamped
+# with a retired format version must fail cleanly: exit 1 with an
+# `error:` line.
 #
 # Usage: tools/server_smoke.sh [BIN_DIR]   (default: build)
 set -euo pipefail
@@ -104,4 +106,33 @@ awk -F' ' '/^mate_steering_decisions_total\{/ { total += $2 }
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 SERVER_PID=""
+# Runs a command that must fail cleanly: exit 1 with an `error:` line
+# matching PATTERN (an uncaught exception would abort with 134).
+expect_error() {
+  local pattern="$1" status=0
+  shift
+  "$@" > "$WORK/error.txt" 2>&1 || status=$?
+  if [[ $status -ne 1 ]] || ! grep -q "^error: .*$pattern" "$WORK/error.txt"; then
+    echo "expected exit 1 with 'error: ...$pattern', got $status from: $*"
+    cat "$WORK/error.txt"; exit 1
+  fi
+}
+CLI="$BIN_DIR/mate_cli"
+CORPUS="$WORK/corpus.mate"
+QUERY="$WORK/query.csv"
+expect_error "--k must be an integer" "$CLI" union --corpus "$CORPUS" --query "$QUERY" --k abc
+expect_error "--k must be an integer" "$CLI" union --corpus "$CORPUS" --query "$QUERY" --k -3
+expect_error "--min-overlap must be a number" "$CLI" dups --corpus "$CORPUS" --min-overlap x
+expect_error "no query column named" "$CLI" search --corpus "$CORPUS" \
+  --index "$WORK/index.mate" --query "$QUERY" --key 99999999999999999999
+
+# Corpus format v3 is the only one: a corpus stamped with version 2 (the
+# u32 after the 8-byte magic) must be refused by name, not misparsed.
+cp "$CORPUS" "$WORK/v2.mate"
+printf '\x02' | dd of="$WORK/v2.mate" bs=1 seek=8 count=1 conv=notrunc 2> /dev/null
+expect_error "unsupported version 2" "$CLI" search --corpus "$WORK/v2.mate" \
+  --index "$WORK/index.mate" --query "$QUERY" --key first,last
+expect_error "unsupported version 2" timeout 60 "$BIN_DIR/mate_server" \
+  --corpus "$WORK/v2.mate" --index "$WORK/index.mate" --port 0
+
 echo "server smoke OK"
