@@ -8,7 +8,8 @@
 // Discover. Under eager load that work queues behind the full index AND
 // corpus reads; under phased+lazy load it overlaps with the background
 // posting/super-key streaming, the corpus contributes only a header parse,
-// and cells materialize per candidate table on demand.
+// and the query reads no cells at all (verification answers from the
+// posting lists).
 //
 // The corpus carries one *giant cold table* stuffed with values no query
 // ever probes — the ROADMAP's motivating case: a small-table query must
@@ -22,9 +23,9 @@
 // Plus the corpus-header-parse time (what lazy Open pays for the corpus).
 //
 // Exit 1 if the first results are not bit-identical across modes, if lazy
-// Open returns with the corpus already fully materialized, or if the
-// on-demand mode materialized the giant cold table for a query that never
-// touches it — CI gates bench-smoke on all three.
+// Open returns with the corpus already fully materialized, or if the lazy
+// mode materialized the giant cold table for a query that never touches
+// it — CI gates bench-smoke on all three.
 
 #include <algorithm>
 #include <cstdio>
@@ -133,7 +134,7 @@ int main(int argc, char** argv) {
     header_parse_s = timer.ElapsedSeconds();
   }
 
-  const auto run_mode = [&](bool eager, bool warm) {
+  const auto run_mode = [&](bool eager) {
     ModeResult best;
     for (int rep = 0; rep < kRepetitions; ++rep) {
       ModeResult mode;
@@ -145,14 +146,13 @@ int main(int argc, char** argv) {
       options.cache_bytes = 0;
       options.eager_load = eager;
       options.eager_corpus = eager;
-      options.warm_corpus = warm;
       auto session = Session::Open(std::move(options));
       if (!session.ok()) Die("Session::Open failed", session.status());
       mode.open_s = total.ElapsedSeconds();
       mode.corpus_resident_at_open = session->corpus_resident();
 
       // The "request": deserialize the query table. Under phased load this
-      // overlaps with the background index streaming + corpus warming.
+      // overlaps with the background index streaming.
       auto query = ParseCsv(query_csv, "q");
       if (!query.ok()) Die("ParseCsv failed", query.status());
       mode.parsed_s = total.ElapsedSeconds();
@@ -173,9 +173,8 @@ int main(int argc, char** argv) {
     return best;
   };
 
-  ModeResult eager = run_mode(/*eager=*/true, /*warm=*/true);
-  ModeResult phased = run_mode(/*eager=*/false, /*warm=*/true);
-  ModeResult on_demand = run_mode(/*eager=*/false, /*warm=*/false);
+  ModeResult eager = run_mode(/*eager=*/true);
+  ModeResult on_demand = run_mode(/*eager=*/false);
 
   std::cout << "== Cold start on one " << set_name << " query (corpus file "
             << FormatBytes(corpus_bytes) << " incl. giant cold table of "
@@ -195,40 +194,34 @@ int main(int argc, char** argv) {
   table.AddRow({"eager", FormatSeconds(eager.open_s),
                 FormatSeconds(eager.parsed_s), FormatSeconds(eager.first_s),
                 resident(eager)});
-  table.AddRow({"phased+warm", FormatSeconds(phased.open_s),
-                FormatSeconds(phased.parsed_s), FormatSeconds(phased.first_s),
-                resident(phased)});
   table.AddRow({"phased+on-demand", FormatSeconds(on_demand.open_s),
                 FormatSeconds(on_demand.parsed_s),
                 FormatSeconds(on_demand.first_s), resident(on_demand)});
   table.Print(std::cout);
 
   const double accept_speedup =
-      phased.open_s > 0 ? eager.open_s / phased.open_s : 0.0;
+      on_demand.open_s > 0 ? eager.open_s / on_demand.open_s : 0.0;
   std::cout << "\nPhased Open returned " << FormatDouble(accept_speedup, 2)
-            << "x sooner (time-to-accept " << FormatSeconds(phased.open_s)
+            << "x sooner (time-to-accept " << FormatSeconds(on_demand.open_s)
             << " vs " << FormatSeconds(eager.open_s)
-            << "); time-to-first-result " << FormatSeconds(phased.first_s)
+            << "); time-to-first-result " << FormatSeconds(on_demand.first_s)
             << " vs " << FormatSeconds(eager.first_s) << " eager.\n";
 
   // The hard gates. First: all modes bit-identical.
-  if (!SameTopK(eager.results, phased.results) ||
-      !SameTopK(eager.results, on_demand.results)) {
+  if (!SameTopK(eager.results, on_demand.results)) {
     std::cerr << "ERROR: lazy/phased open returned different results than "
                  "eager open\n";
     return 1;
   }
   std::cout << "First-query results are bit-identical across modes.\n";
   // Second: lazy Open must return before the corpus is fully materialized
-  // (deterministic in the on-demand mode: nothing materializes without a
-  // query).
+  // (deterministic: nothing materializes it in the background).
   if (on_demand.corpus_resident_at_open) {
     std::cerr << "ERROR: lazy Open returned with the corpus already fully "
                  "materialized\n";
     return 1;
   }
-  // Third: a small-table query must not pay for the giant cold table
-  // (deterministic in the on-demand mode — no warmer races the check).
+  // Third: a small-table query must not pay for the giant cold table.
   if (on_demand.giant_resident_first) {
     std::cerr << "ERROR: the small-table query materialized the giant cold "
                  "table\n";
@@ -248,11 +241,10 @@ int main(int argc, char** argv) {
              static_cast<double>(mode.tables_resident_first), "tables");
   };
   emit_mode("eager", eager);
-  emit_mode("phased+warm", phased);
   emit_mode("phased+on-demand", on_demand);
   if (!json.WriteTo(args.json_path)) return 1;
 
-  if (phased.open_s >= eager.open_s) {
+  if (on_demand.open_s >= eager.open_s) {
     // On a single hardware thread the loader can only time-slice with the
     // corpus read, so the overlap cannot buy wall time — the shape to hold
     // there is work parity (phased within a few % of eager). With real

@@ -2,28 +2,20 @@
 // corpus residency byte budget (SessionOptions::corpus_budget_bytes) vs the
 // classic unlimited run, over a corpus ~4x the budget.
 //
-// The corpus is built so the two governance mechanisms both carry load:
+// Queries verify joins from the index's posting lists and read no corpus
+// cells, so neither session should materialize anything while the stream
+// runs. The corpus still has the shapes that used to make queries parse:
 //
-//   * many small "hot group" tables probed by 2-column-key queries (multi-
-//     column keys verify whole rows, so candidates fully materialize) —
-//     cycling disjoint groups drives residency past the budget, forcing
-//     LRU eviction between queries and re-materialization on the second
-//     cycle;
-//   * one giant wide table probed by a single-column-key query — the
-//     evaluator requests only the touched column (corpus format v3
-//     per-column extents), so the giant table never materializes more than
-//     a sliver of its cell bytes.
+//   * many small "hot group" tables probed by 2-column-key queries,
+//     cycling disjoint groups twice;
+//   * one giant wide table probed by a single-column-key query once per
+//     cycle.
 //
 // Hard gates (exit 1), all over the budgeted session unless noted:
-//   * top-k results bit-identical to the unlimited run, re-touches after
-//     eviction included;
+//   * top-k results bit-identical to the unlimited run;
 //   * peak resident corpus bytes <= 1.1x the budget (the budget is a real
-//     ceiling, not a suggestion — one query's working set of headroom);
-//   * evictions > 0 and re-materializations > 0 (the budget actually
-//     engaged);
-//   * the giant table's resident bytes stay < 25% of its cell bytes after
-//     its single-column query (checked on the unlimited session, where no
-//     eviction can mask a whole-table parse).
+//     ceiling, not a suggestion);
+//   * both query streams, unlimited and budgeted, parse 0 cell bytes.
 //
 // CI runs this in bench-smoke; --json feeds the BENCH_*.json trajectory.
 
@@ -57,8 +49,8 @@ constexpr size_t kGiantCols = 24;
 }
 
 // Group values ("g<g>a<j>", "g<g>b<j>") are disjoint across groups and from
-// the giant's vocabulary, so each query's posting traffic — and therefore
-// its materialization working set — stays confined to its own group.
+// the giant's vocabulary, so each query's posting traffic stays confined to
+// its own group.
 Table MakeHotTable(size_t group, size_t member) {
   Table table("hot_g" + std::to_string(group) + "_" + std::to_string(member));
   table.AddColumn("ka");
@@ -75,8 +67,7 @@ Table MakeHotTable(size_t group, size_t member) {
 }
 
 // One narrow key column of probed values ("giv<j>") plus many fat junk
-// columns no query ever touches: the single-column-key query must pay for
-// ~1/24th of this table's bytes, not the blob.
+// columns no query ever touches.
 Table MakeGiantTable(size_t rows) {
   Table giant("giant_wide");
   giant.AddColumn("gk");
@@ -127,8 +118,7 @@ int main(int argc, char** argv) {
   BenchArgs args = ParseBenchArgs(argc, argv, "memory_budget", defaults);
   if (args.threads == 0) args.threads = 4;
 
-  // Floors keep the working-set-vs-budget geometry sound at tiny scales:
-  // one query must fit in ~10% of the budget for the peak gate to be fair.
+  // Floors keep the corpus-vs-budget geometry sound at tiny scales.
   const size_t num_groups = std::max<size_t>(
       30, static_cast<size_t>(120 * args.scale));
   const size_t giant_rows = std::max<size_t>(
@@ -156,8 +146,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Query stream: two full cycles over the disjoint groups (cycle 2
-  // re-touches tables cycle 1's evictions dropped), with the giant
+  // Query stream: two full cycles over the disjoint groups, with the giant
   // single-column probe once per cycle.
   std::vector<Table> query_tables;
   query_tables.reserve(num_groups + 1);
@@ -179,8 +168,7 @@ int main(int argc, char** argv) {
     options.corpus_path = corpus_path;
     options.index_path = index_path;
     options.num_threads = args.threads;
-    options.cache_bytes = 0;      // every query pays full cost
-    options.warm_corpus = false;  // materialization is what we measure
+    options.cache_bytes = 0;  // every query pays full cost
     options.corpus_budget_bytes = budget_bytes;
     auto session = Session::Open(std::move(options));
     if (!session.ok()) Die("Session::Open failed", session.status());
@@ -214,8 +202,6 @@ int main(int argc, char** argv) {
   }
   std::vector<DiscoveryResult> reference;
   const double unlimited_wall = run_stream(unlimited, &reference);
-  const uint64_t giant_resident =
-      unlimited.corpus().table_resident_bytes(giant_id);
   const uint64_t giant_total = unlimited.corpus().table_cell_bytes(giant_id);
   const ResidencyStats unlimited_res = unlimited.corpus_residency();
 
@@ -231,56 +217,48 @@ int main(int argc, char** argv) {
             << FormatBytes(budget) << " = 1/4, " << stream.size()
             << " queries, k=" << args.k << ", threads=" << args.threads
             << ") ==\n\n";
-  ReportTable table({"Mode", "Wall", "Peak resident", "Evictions",
-                     "Re-parses", "Giant resident"});
-  table.AddRow({"unlimited", FormatSeconds(unlimited_wall),
-                FormatBytes(unlimited_res.peak_resident_bytes), "0", "0",
-                FormatBytes(giant_resident) + "/" + FormatBytes(giant_total)});
-  table.AddRow({"budgeted", FormatSeconds(budgeted_wall),
-                FormatBytes(res.peak_resident_bytes),
-                std::to_string(res.evictions),
-                std::to_string(res.rematerializations),
-                FormatBytes(budgeted.corpus().table_resident_bytes(giant_id)) +
-                    "/" + FormatBytes(giant_total)});
+  ReportTable table({"Mode", "Wall", "Cells parsed", "Peak resident",
+                     "Evictions", "Giant resident"});
+  const auto add_row = [&](const char* name, double wall,
+                           const Session& session) {
+    const ResidencyStats stats = session.corpus_residency();
+    table.AddRow({name, FormatSeconds(wall),
+                  FormatBytes(stats.bytes_materialized),
+                  FormatBytes(stats.peak_resident_bytes),
+                  std::to_string(stats.evictions),
+                  FormatBytes(session.corpus().table_resident_bytes(giant_id)) +
+                      "/" + FormatBytes(giant_total)});
+  };
+  add_row("unlimited", unlimited_wall, unlimited);
+  add_row("budgeted", budgeted_wall, budgeted);
   table.Print(std::cout);
-  std::cout << "\nBudgeted run parsed "
-            << FormatBytes(res.bytes_materialized) << " total ("
-            << res.rematerializations << " tables re-parsed after eviction) "
-            << "and never held more than "
-            << FormatBytes(res.peak_resident_bytes) << " resident.\n";
 
   // ---- hard gates -----------------------------------------------------
   if (!SameTopK(reference, governed)) {
     std::cerr << "ERROR: budgeted results diverged from the unlimited run\n";
     return 1;
   }
-  std::cout << "Results are bit-identical to the unlimited run "
-               "(re-touches after eviction included).\n";
+  std::cout << "Results are bit-identical to the unlimited run.\n";
   if (res.peak_resident_bytes > budget + budget / 10) {
     std::cerr << "ERROR: peak resident " << res.peak_resident_bytes
               << "B exceeded 1.1x the budget (" << budget << "B)\n";
     return 1;
   }
-  if (res.evictions == 0 || res.rematerializations == 0) {
-    std::cerr << "ERROR: the budget never engaged (evictions="
-              << res.evictions << ", re-parses=" << res.rematerializations
-              << ") — corpus too small for the stream?\n";
+  if (unlimited_res.bytes_materialized != 0 || res.bytes_materialized != 0) {
+    std::cerr << "ERROR: the query streams parsed cells (unlimited "
+              << unlimited_res.bytes_materialized << "B, budgeted "
+              << res.bytes_materialized << "B); verification must read "
+              << "only the posting lists\n";
     return 1;
   }
-  if (giant_resident * 4 >= giant_total) {
-    std::cerr << "ERROR: the single-column query materialized "
-              << giant_resident << "B of the giant table's " << giant_total
-              << "B (>= 25%) — columnar materialization regressed\n";
-    return 1;
-  }
-  std::cout << "Single-column probe of the giant table materialized "
-            << FormatBytes(giant_resident) << " of "
-            << FormatBytes(giant_total) << " (< 25%).\n";
+  std::cout << "Neither query stream parsed a cell byte.\n";
 
   BenchJsonWriter json("memory_budget", args.threads);
   json.Add("unlimited", "wall", unlimited_wall, "s");
   json.Add("unlimited", "peak_resident",
            static_cast<double>(unlimited_res.peak_resident_bytes), "bytes");
+  json.Add("unlimited", "bytes_materialized",
+           static_cast<double>(unlimited_res.bytes_materialized), "bytes");
   json.Add("budgeted", "wall", budgeted_wall, "s");
   json.Add("budgeted", "budget", static_cast<double>(budget), "bytes");
   json.Add("budgeted", "peak_resident",
@@ -291,12 +269,6 @@ int main(int argc, char** argv) {
            static_cast<double>(res.rematerializations), "count");
   json.Add("budgeted", "bytes_materialized",
            static_cast<double>(res.bytes_materialized), "bytes");
-  json.Add("giant", "resident_fraction",
-           giant_total > 0
-               ? static_cast<double>(giant_resident) /
-                     static_cast<double>(giant_total)
-               : 0.0,
-           "ratio");
   if (!json.WriteTo(args.json_path)) return 1;
 
   std::remove(corpus_path.c_str());

@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   for (const TraceSpan& span : spans) names.insert(span.name);
   for (const char* phase :
        {"discover", "validate", "readiness_wait", "execute", "prepare",
-        "fetch", "evaluate", "merge", "materialize", "row_loop"}) {
+        "fetch", "evaluate", "merge", "row_loop"}) {
     if (names.count(phase) == 0) {
       std::cerr << "ERROR: traced span tree misses phase '" << phase
                 << "'\n";

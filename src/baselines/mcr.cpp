@@ -1,11 +1,11 @@
 #include "baselines/mcr.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "util/stopwatch.h"
-#include "util/string_util.h"
 
 namespace mate {
 
@@ -31,18 +31,19 @@ DiscoveryResult McrSearch::Discover(const Table& query,
 
   const std::vector<std::vector<std::string>> combos =
       ExtractKeyCombos(query, key_columns);
+  const std::vector<ComboPostings> combo_lists =
+      ResolveComboPostings(*index_, combos);
 
-  // Any key value (at any position) -> combo ids containing it; used to bind
-  // candidate rows to the query combos they must be verified against.
-  std::unordered_map<std::string_view, std::vector<uint32_t>> combos_of_value;
-  // Distinct values per key position, for the per-column PL fetches.
-  std::vector<std::unordered_set<std::string_view>> values_at(m);
+  // First key value -> combo ids starting with it; a row can only match
+  // the combos whose first value it holds. Distinct values per key
+  // position, for the per-column PL fetches.
+  std::unordered_map<std::string_view, std::vector<uint32_t>> combos_of_first;
+  std::vector<std::unordered_map<std::string_view, const PostingList*>>
+      values_at(m);
   for (uint32_t combo_id = 0; combo_id < combos.size(); ++combo_id) {
+    combos_of_first[combos[combo_id][0]].push_back(combo_id);
     for (size_t i = 0; i < m; ++i) {
-      const std::string& v = combos[combo_id][i];
-      values_at[i].insert(v);
-      std::vector<uint32_t>& list = combos_of_value[v];
-      if (list.empty() || list.back() != combo_id) list.push_back(combo_id);
+      values_at[i].emplace(combos[combo_id][i], combo_lists[combo_id][i]);
     }
   }
 
@@ -53,8 +54,7 @@ DiscoveryResult McrSearch::Discover(const Table& query,
       m == 32 ? 0xFFFFFFFFu : ((uint32_t{1} << m) - 1);
   std::unordered_map<uint64_t, uint32_t> row_masks;
   for (size_t i = 0; i < m; ++i) {
-    for (std::string_view v : values_at[i]) {
-      const PostingList* pl = index_->Lookup(v);
+    for (const auto& [v, pl] : values_at[i]) {
       if (pl == nullptr) continue;
       stats.pl_items_fetched += pl->size();
       for (const PostingEntry& entry : *pl) {
@@ -64,7 +64,21 @@ DiscoveryResult McrSearch::Discover(const Table& query,
     }
   }
 
-  // Intersection: rows hit by every key column, grouped per table.
+  // Intersection: rows hit by every key column, grouped per table, each
+  // bound to the combos whose first value it holds (one pass over the
+  // first position's already fetched lists).
+  std::unordered_map<uint64_t, std::vector<uint32_t>> bound;
+  for (const auto& [v, pl] : values_at[0]) {
+    if (pl == nullptr) continue;
+    const std::vector<uint32_t>& ids = combos_of_first.at(v);
+    for (const PostingEntry& entry : *pl) {
+      const uint64_t key = RowKey(entry.table_id, entry.row_id);
+      auto it = row_masks.find(key);
+      if (it == row_masks.end() || it->second != full_mask) continue;
+      std::vector<uint32_t>& list = bound[key];
+      list.insert(list.end(), ids.begin(), ids.end());
+    }
+  }
   std::unordered_map<TableId, std::vector<RowId>> candidate_rows;
   for (const auto& [key, mask] : row_masks) {
     if (mask == full_mask) {
@@ -84,30 +98,23 @@ DiscoveryResult McrSearch::Discover(const Table& query,
   std::unordered_map<TableId, std::vector<ColumnId>> best_mappings;
   MappingAccumulator acc;
   VerifyScratch scratch;
-  std::vector<uint32_t> bound;
 
   for (TableId t : tables) {
     ++stats.tables_evaluated;
-    const Table& table = corpus_->table(t);
     std::vector<RowId>& rows = candidate_rows[t];
     std::sort(rows.begin(), rows.end());
     acc.Clear();
     for (RowId r : rows) {
       ++stats.rows_checked;
       ++stats.rows_sent_to_verification;
-      // Bind the combos sharing at least one value with this row.
-      bound.clear();
-      for (ColumnId c = 0; c < table.NumColumns(); ++c) {
-        auto it = combos_of_value.find(NormalizeValue(table.cell(r, c)));
-        if (it == combos_of_value.end()) continue;
-        bound.insert(bound.end(), it->second.begin(), it->second.end());
-      }
-      std::sort(bound.begin(), bound.end());
-      bound.erase(std::unique(bound.begin(), bound.end()), bound.end());
+      std::vector<uint32_t>& combo_ids = bound[RowKey(t, r)];
+      std::sort(combo_ids.begin(), combo_ids.end());
+      combo_ids.erase(std::unique(combo_ids.begin(), combo_ids.end()),
+                      combo_ids.end());
 
       bool row_matched = false;
-      for (uint32_t combo_id : bound) {
-        if (VerifyComboInRow(table, r, combos[combo_id], combo_id,
+      for (uint32_t combo_id : combo_ids) {
+        if (VerifyComboInRow(combo_lists[combo_id], t, r, combo_id,
                              kInvalidColumnId, 0, &acc,
                              &stats.value_comparisons, &scratch)) {
           row_matched = true;
@@ -115,6 +122,7 @@ DiscoveryResult McrSearch::Discover(const Table& query,
       }
       if (row_matched) ++stats.rows_true_positive;
     }
+    if (acc.recounted()) ++stats.tables_recounted;
     const int64_t j = acc.MaxJoinability();
     if (j > 0 && topk.Add(t, j)) best_mappings[t] = acc.BestMapping();
   }

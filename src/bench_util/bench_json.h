@@ -5,7 +5,7 @@
 //
 // One record:
 //
-//   {"bench": "cold_start", "scenario": "phased+warm", "metric": "open",
+//   {"bench": "cold_start", "scenario": "eager", "metric": "open",
 //    "value": 0.0123, "unit": "s", "threads": 4, "shards": 1}
 //
 // The (bench, scenario, metric, unit) tuple identifies a metric across

@@ -175,10 +175,11 @@ Session OpenOrDie(SessionOptions options) {
               << "\n";
     std::exit(1);
   }
-  // Benches time queries, not warmup: drain the phased index load and the
-  // lazy-corpus warmer (and surface deferred load corruption) before the
-  // first measured Discover. cold_start, which measures exactly this
-  // warmup, opens its sessions by hand.
+  // Benches time queries, not warmup: drain the phased index load and
+  // materialize the lazy corpus for the cell readers (JOSIE, the
+  // brute-force oracle), surfacing deferred load corruption, before the
+  // first measured Discover. cold_start and memory_budget, which measure
+  // residency, open their sessions by hand.
   if (Status ready = session->WaitUntilReady(); !ready.ok()) {
     std::cerr << "Session load failed: " << ready.ToString() << "\n";
     std::exit(1);

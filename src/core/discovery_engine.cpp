@@ -34,8 +34,6 @@ BatchStats AggregateBatchStats(const std::vector<DiscoveryResult>& results,
     }
     stats.max_fanout_threads =
         std::max(stats.max_fanout_threads, r.stats.fanout_threads);
-    stats.tables_materialized += r.stats.tables_materialized;
-    stats.cell_bytes_materialized += r.stats.cell_bytes_materialized;
     latency_us.Record(
         static_cast<uint64_t>(r.stats.runtime_seconds * 1e6));
   }
@@ -63,14 +61,6 @@ std::string BatchStats::ToString() const {
     os << " intra_parallel=" << intra_parallel_queries
        << " shards_total=" << intra_shards_total
        << " max_fanout=" << max_fanout_threads;
-  }
-  if (tables_materialized > 0) {
-    os << " materialized=" << tables_materialized << " ("
-       << cell_bytes_materialized << " bytes)";
-  }
-  if (corpus_evictions > 0) {
-    os << " evictions=" << corpus_evictions << " ("
-       << corpus_evicted_bytes << " bytes)";
   }
   return os.str();
 }

@@ -63,16 +63,6 @@ struct BatchStats {
   uint64_t intra_shards_total = 0;
   uint64_t max_fanout_threads = 1;
 
-  // Corpus residency traffic. tables_materialized / cell_bytes_materialized
-  // sum the queries' materialization work; corpus_evictions /
-  // corpus_evicted_bytes are the budget evictions the batch's idle points
-  // triggered (always 0 outside a budgeted mate::Session, which fills them
-  // from the residency deltas around the batch).
-  uint64_t tables_materialized = 0;
-  uint64_t cell_bytes_materialized = 0;
-  uint64_t corpus_evictions = 0;
-  uint64_t corpus_evicted_bytes = 0;
-
   double QueriesPerSecond() const {
     return wall_seconds > 0.0 ? static_cast<double>(queries) / wall_seconds
                               : 0.0;

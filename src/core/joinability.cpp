@@ -1,7 +1,10 @@
 #include "core/joinability.h"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
 
+#include "index/inverted_index.h"
 #include "util/string_util.h"
 
 namespace mate {
@@ -40,12 +43,76 @@ std::vector<std::vector<std::string>> ExtractKeyCombos(
   return combos;
 }
 
+std::vector<ComboPostings> ResolveComboPostings(
+    const InvertedIndex& index,
+    const std::vector<std::vector<std::string>>& combos) {
+  std::vector<ComboPostings> lists(combos.size());
+  for (size_t combo_id = 0; combo_id < combos.size(); ++combo_id) {
+    lists[combo_id].reserve(combos[combo_id].size());
+    for (const std::string& value : combos[combo_id]) {
+      lists[combo_id].push_back(index.Lookup(value));
+    }
+  }
+  return lists;
+}
+
+namespace {
+
+// Appends to `out` the columns of row (table, row) that hold `list`'s
+// value, in ascending order, leaving out `skip`. Postings sort by (table,
+// row, column), so they are one contiguous run.
+void AppendRowColumns(const PostingList& list, TableId table, RowId row,
+                      ColumnId skip, std::vector<ColumnId>* out) {
+  auto it = std::lower_bound(
+      list.begin(), list.end(), std::pair<TableId, RowId>(table, row),
+      [](const PostingEntry& e, const std::pair<TableId, RowId>& key) {
+        return e.table_id != key.first ? e.table_id < key.first
+                                       : e.row_id < key.second;
+      });
+  for (; it != list.end() && it->table_id == table && it->row_id == row;
+       ++it) {
+    if (it->column_id != skip) out->push_back(it->column_id);
+  }
+}
+
+// Candidate columns of every combo position of one (row, combo) pair into
+// candidates[0, m): the fixed position holds just `fixed_column` (when its
+// list posts it), every other position the row's columns holding its value
+// except `fixed_column`. Returns false as soon as a position has none.
+bool CollectCandidates(const ComboPostings& lists, TableId table, RowId row,
+                       ColumnId fixed_column, size_t fixed_position,
+                       std::vector<std::vector<ColumnId>>* candidates,
+                       uint64_t* probes) {
+  const size_t m = lists.size();
+  if (candidates->size() < m) candidates->resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    std::vector<ColumnId>& columns = (*candidates)[i];
+    columns.clear();
+    if (lists[i] == nullptr) return false;
+    ++*probes;
+    if (fixed_column != kInvalidColumnId && i == fixed_position) {
+      if (!std::binary_search(lists[i]->begin(), lists[i]->end(),
+                              PostingEntry{table, fixed_column, row})) {
+        return false;
+      }
+      columns.push_back(fixed_column);
+      continue;
+    }
+    AppendRowColumns(*lists[i], table, row, fixed_column, &columns);
+    if (columns.empty()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 void MappingAccumulator::AddMatch(const std::vector<ColumnId>& mapping,
                                   uint32_t combo_id) {
   matches_[mapping].insert(combo_id);
 }
 
 int64_t MappingAccumulator::MaxJoinability() const {
+  if (capped_) return Recount().joinability;
   int64_t best = 0;
   for (const auto& [mapping, combos] : matches_) {
     best = std::max(best, static_cast<int64_t>(combos.size()));
@@ -54,6 +121,7 @@ int64_t MappingAccumulator::MaxJoinability() const {
 }
 
 std::vector<ColumnId> MappingAccumulator::BestMapping() const {
+  if (capped_) return Recount().best_mapping;
   std::vector<ColumnId> best;
   int64_t best_count = 0;
   for (const auto& [mapping, combos] : matches_) {
@@ -67,40 +135,108 @@ std::vector<ColumnId> MappingAccumulator::BestMapping() const {
   return best;
 }
 
-bool VerifyComboInRow(const Table& table, RowId row,
-                      const std::vector<std::string>& combo,
+BruteForceResult MappingAccumulator::Recount() const {
+  BruteForceResult best;
+  if (verified_.empty()) return best;
+  const size_t m = verified_.front().lists->size();
+
+  // Every matched pair's candidate columns, flattened: pair p's set for
+  // position i is columns[bounds[p * m + i], bounds[p * m + i + 1]).
+  // Pairs are ordered by combo id, so the distinct combos of any subset
+  // in that order are its combo-id changes.
+  std::vector<size_t> by_combo(verified_.size());
+  for (size_t p = 0; p < by_combo.size(); ++p) by_combo[p] = p;
+  std::stable_sort(by_combo.begin(), by_combo.end(),
+                   [this](size_t a, size_t b) {
+                     return verified_[a].combo_id < verified_[b].combo_id;
+                   });
+  std::vector<ColumnId> columns;
+  std::vector<size_t> bounds;
+  std::vector<uint32_t> combo_of;
+  std::vector<std::vector<ColumnId>> candidates;
+  uint64_t probes = 0;
+  for (size_t p : by_combo) {
+    const VerifiedPair& pair = verified_[p];
+    (void)CollectCandidates(*pair.lists, pair.table, pair.row,
+                            pair.fixed_column, pair.fixed_position,
+                            &candidates, &probes);
+    for (size_t i = 0; i < m; ++i) {
+      bounds.push_back(columns.size());
+      columns.insert(columns.end(), candidates[i].begin(),
+                     candidates[i].end());
+    }
+    combo_of.push_back(pair.combo_id);
+  }
+  bounds.push_back(columns.size());
+  const auto holds = [&](size_t pair, size_t position, ColumnId c) {
+    const auto begin = columns.begin() + bounds[pair * m + position];
+    const auto end = columns.begin() + bounds[pair * m + position + 1];
+    return std::binary_search(begin, end, c);
+  };
+  const auto distinct_combos = [&](const std::vector<size_t>& pairs) {
+    int64_t count = 0;
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      if (k == 0 || combo_of[pairs[k]] != combo_of[pairs[k - 1]]) ++count;
+    }
+    return count;
+  };
+
+  // Depth-first over mappings in lexicographic order, binding position
+  // `depth` to each column some surviving pair can put there. A mapping
+  // only replaces the best on a strictly higher count, so ties keep the
+  // lexicographically smallest mapping, as BestMapping does; a branch
+  // whose surviving pairs cannot beat the best is skipped.
+  std::vector<ColumnId> mapping(m, kInvalidColumnId);
+  std::vector<size_t> all(combo_of.size());
+  for (size_t p = 0; p < all.size(); ++p) all[p] = p;
+  auto search = [&](auto&& self, size_t depth,
+                    const std::vector<size_t>& alive) -> void {
+    if (depth == m) {
+      best.joinability = distinct_combos(alive);
+      best.best_mapping = mapping;
+      return;
+    }
+    std::vector<ColumnId> choices;
+    for (size_t p : alive) {
+      choices.insert(choices.end(), columns.begin() + bounds[p * m + depth],
+                     columns.begin() + bounds[p * m + depth + 1]);
+    }
+    std::sort(choices.begin(), choices.end());
+    choices.erase(std::unique(choices.begin(), choices.end()), choices.end());
+    std::vector<size_t> next;
+    for (ColumnId c : choices) {
+      if (std::find(mapping.begin(), mapping.begin() + depth, c) !=
+          mapping.begin() + depth) {
+        continue;
+      }
+      next.clear();
+      for (size_t p : alive) {
+        if (holds(p, depth, c)) next.push_back(p);
+      }
+      if (distinct_combos(next) <= best.joinability) continue;
+      mapping[depth] = c;
+      self(self, depth + 1, next);
+    }
+    mapping[depth] = kInvalidColumnId;
+  };
+  search(search, 0, all);
+  return best;
+}
+
+bool VerifyComboInRow(const ComboPostings& lists, TableId table, RowId row,
                       uint32_t combo_id, ColumnId fixed_column,
                       size_t fixed_position, MappingAccumulator* acc,
-                      uint64_t* value_comparisons, VerifyScratch* scratch) {
-  const size_t m = combo.size();
-  const size_t n = table.NumColumns();
-  if (m > n) return false;
-
-  // Columns matching each combo position.
+                      uint64_t* probes, VerifyScratch* scratch) {
+  const size_t m = lists.size();
   std::vector<std::vector<ColumnId>>& candidates = scratch->candidates;
-  if (candidates.size() < m) candidates.resize(m);
-  for (size_t i = 0; i < m; ++i) candidates[i].clear();
-  for (size_t i = 0; i < m; ++i) {
-    if (fixed_column != kInvalidColumnId && i == fixed_position) {
-      ++*value_comparisons;
-      if (!NormalizedEquals(combo[i], table.cell(row, fixed_column))) {
-        return false;
-      }
-      candidates[i].push_back(fixed_column);
-      continue;
-    }
-    for (ColumnId c = 0; c < n; ++c) {
-      if (fixed_column != kInvalidColumnId && c == fixed_column) continue;
-      ++*value_comparisons;
-      if (NormalizedEquals(combo[i], table.cell(row, c))) {
-        candidates[i].push_back(c);
-      }
-    }
-    if (candidates[i].empty()) return false;
+  if (!CollectCandidates(lists, table, row, fixed_column, fixed_position,
+                         &candidates, probes)) {
+    return false;
   }
 
   // Enumerate distinct-column assignments (smallest candidate sets first to
-  // fail fast), emitting each complete assignment as a mapping.
+  // fail fast), emitting each complete assignment as a mapping. Once the
+  // accumulator recounts, one assignment settles the match.
   std::vector<size_t>& order = scratch->order;
   order.resize(m);
   for (size_t i = 0; i < m; ++i) order[i] = i;
@@ -108,19 +244,28 @@ bool VerifyComboInRow(const Table& table, RowId row,
     return candidates[a].size() < candidates[b].size();
   });
 
+  ColumnId max_column = 0;
+  for (size_t i = 0; i < m; ++i) {
+    max_column = std::max(max_column, candidates[i].back());
+  }
   std::vector<ColumnId>& mapping = scratch->mapping;
   mapping.assign(m, kInvalidColumnId);
   std::vector<char>& used = scratch->used;
-  used.assign(n, 0);
+  used.assign(static_cast<size_t>(max_column) + 1, 0);
   int emitted = 0;
   bool any = false;
 
   auto backtrack = [&](auto&& self, size_t depth) -> void {
-    if (emitted >= kMaxMappingsPerRowCombo) return;
     if (depth == m) {
+      any = true;
+      if (acc->capped_) return;
+      if (emitted == kMaxMappingsPerRowCombo) {
+        acc->capped_ = true;
+        acc->matches_.clear();
+        return;
+      }
       acc->AddMatch(mapping, combo_id);
       ++emitted;
-      any = true;
       return;
     }
     size_t pos = order[depth];
@@ -131,10 +276,14 @@ bool VerifyComboInRow(const Table& table, RowId row,
       self(self, depth + 1);
       used[c] = 0;
       mapping[pos] = kInvalidColumnId;
-      if (emitted >= kMaxMappingsPerRowCombo) return;
+      if (any && acc->capped_) return;
     }
   };
   backtrack(backtrack, 0);
+  if (any) {
+    acc->verified_.push_back(
+        {&lists, table, row, combo_id, fixed_column, fixed_position});
+  }
   return any;
 }
 

@@ -1,16 +1,17 @@
 // Joinability (§2): j(R,S) = max over size-|Q| column mappings Y' of
 // |pi_Q(R) ∩ pi_Y'(S)| — set semantics over distinct key combinations.
 //
-// Two implementations live here:
+// Two implementations live here, and they share no verification code:
 //   * MappingAccumulator + VerifyComboInRow: the incremental, row-driven
-//     verification MATE and the baselines share (Algorithm 1's calculateJ).
-//   * BruteForceJoinability: the P(|T'|,|Q|)-mapping reference used as
-//     ground truth in tests and as the "Ideal" oracle in benches.
-//
-// Everything here takes `const Table&` — already-materialized tables.
-// Callers holding a lazy corpus resolve candidates through the accessor API
-// (Corpus::table materializes on first touch; shape-only decisions use the
-// table_* accessors) before handing tables down to these kernels.
+//     verification MATE and the baselines run (Algorithm 1's calculateJ).
+//     It reads no corpus cells. The index posts every normalized cell as a
+//     (table, column, row) entry sorted by (table, row, column) (§5,
+//     Eq. 4), so the columns of row r in table t that hold value v are
+//     one equal_range of (t, r) on v's posting list, in ascending column
+//     order. §5.4 maintenance keeps those lists current.
+//   * BruteForceJoinability: the P(|T'|,|Q|)-mapping reference over
+//     materialized cells, the ground truth in tests and the "Ideal" oracle
+//     in benches.
 
 #ifndef MATE_CORE_JOINABILITY_H_
 #define MATE_CORE_JOINABILITY_H_
@@ -21,10 +22,13 @@
 #include <unordered_set>
 #include <vector>
 
+#include "index/posting.h"
 #include "storage/table.h"
 #include "storage/types.h"
 
 namespace mate {
+
+class InvertedIndex;
 
 /// Distinct normalized key combinations of the query's key columns, in
 /// first-appearance order. Combos containing an empty value are dropped
@@ -32,8 +36,42 @@ namespace mate {
 std::vector<std::vector<std::string>> ExtractKeyCombos(
     const Table& query, const std::vector<ColumnId>& key_columns);
 
-/// Aggregates verified (mapping, combo) matches and reports the mapping
-/// with the most distinct matched combos — Equation 2's arg max.
+/// One combo's posting lists, position by position: entry i is the index's
+/// list for the combo's i-th value, or nullptr when the index lacks it.
+using ComboPostings = std::vector<const PostingList*>;
+
+/// The posting lists of every combo (entry combo_id), one index probe per
+/// combo value. Lists point into `index` and stay valid until it is edited.
+std::vector<ComboPostings> ResolveComboPostings(
+    const InvertedIndex& index,
+    const std::vector<std::vector<std::string>>& combos);
+
+struct BruteForceResult {
+  int64_t joinability = 0;
+  std::vector<ColumnId> best_mapping;
+};
+
+/// At most this many column assignments are recorded per (row, combo)
+/// pair. Realistic rows bind each key value to very few columns; a row
+/// that repeats a key value across many columns can have P(n, |Q|). When a
+/// pair would pass the cap, the accumulator stops recording mappings for
+/// the table and recounts it exactly (MappingAccumulator::recounted), so
+/// the cap bounds memory, never the answer.
+inline constexpr int kMaxMappingsPerRowCombo = 128;
+
+/// Working memory VerifyComboInRow reuses from call to call, owned by its
+/// caller so the verification loop allocates nothing per (row, combo). Use
+/// one per verifying thread; nothing in it carries meaning between calls.
+struct VerifyScratch {
+  std::vector<std::vector<ColumnId>> candidates;  // columns per combo value
+  std::vector<size_t> order;                      // combo positions to bind
+  std::vector<ColumnId> mapping;
+  std::vector<char> used;  // per candidate column
+};
+
+/// Aggregates verified (mapping, combo) matches of one candidate table and
+/// reports the mapping with the most distinct matched combos — Equation 2's
+/// arg max.
 class MappingAccumulator {
  public:
   /// Records that query combo `combo_id` matches under `mapping` (mapping[i]
@@ -47,9 +85,38 @@ class MappingAccumulator {
   /// lexicographically smallest mapping for determinism.
   std::vector<ColumnId> BestMapping() const;
 
-  void Clear() { matches_.clear(); }
+  /// True once a (row, combo) pair passed kMaxMappingsPerRowCombo. The two
+  /// getters above then count per mapping over the candidate columns of
+  /// every (row, combo) pair VerifyComboInRow matched since Clear(). That
+  /// costs at most P(n, |Q|) x matched pairs, for n candidate columns.
+  bool recounted() const { return capped_; }
+
+  void Clear() {
+    matches_.clear();
+    verified_.clear();
+    capped_ = false;
+  }
 
  private:
+  friend bool VerifyComboInRow(const ComboPostings& lists, TableId table,
+                               RowId row, uint32_t combo_id,
+                               ColumnId fixed_column, size_t fixed_position,
+                               MappingAccumulator* acc, uint64_t* probes,
+                               VerifyScratch* scratch);
+
+  // A (row, combo) pair VerifyComboInRow matched: enough to probe its
+  // candidate columns again. `lists` points into the caller's storage.
+  struct VerifiedPair {
+    const ComboPostings* lists;
+    TableId table;
+    RowId row;
+    uint32_t combo_id;
+    ColumnId fixed_column;
+    size_t fixed_position;
+  };
+
+  BruteForceResult Recount() const;
+
   struct VectorHash {
     size_t operator()(const std::vector<ColumnId>& v) const {
       size_t h = 0x9E3779B97F4A7C15ULL;
@@ -60,39 +127,22 @@ class MappingAccumulator {
   std::unordered_map<std::vector<ColumnId>, std::unordered_set<uint32_t>,
                      VectorHash>
       matches_;
+  std::vector<VerifiedPair> verified_;
+  bool capped_ = false;
 };
 
-/// Safety valve for pathological rows (many repeated values): at most this
-/// many column assignments are enumerated per (row, combo) pair. Exceeding
-/// it can only under-count joinability on adversarial inputs; realistic
-/// rows bind each key value to very few columns.
-inline constexpr int kMaxMappingsPerRowCombo = 128;
-
-/// Working memory VerifyComboInRow reuses from call to call, owned by its
-/// caller so the verification loop allocates nothing per (row, combo). Use
-/// one per verifying thread; nothing in it carries meaning between calls.
-struct VerifyScratch {
-  std::vector<std::vector<ColumnId>> candidates;  // columns per combo value
-  std::vector<size_t> order;                      // combo positions to bind
-  std::vector<ColumnId> mapping;
-  std::vector<char> used;  // per candidate column
-};
-
-/// Exact containment check of one combo in one candidate row. If every
-/// combo value occurs in the row, records all feasible distinct-column
-/// assignments in `acc` (those where column `fixed_column`, when not
-/// kInvalidColumnId, is assigned to combo position `fixed_position`) and
-/// returns true. `value_comparisons` is incremented per cell comparison.
-bool VerifyComboInRow(const Table& table, RowId row,
-                      const std::vector<std::string>& combo,
+/// Exact containment check of one combo in row `row` of table `table`,
+/// answered from the combo's posting lists (`lists`, one per combo
+/// position; ResolveComboPostings). If every combo value occurs in the row,
+/// records all feasible distinct-column assignments in `acc` (those where
+/// column `fixed_column`, when not kInvalidColumnId, is assigned to combo
+/// position `fixed_position`) and returns true. `lists` must stay valid
+/// until `acc` is read or cleared. `probes` is incremented per posting-list
+/// probe (one per combo position reached).
+bool VerifyComboInRow(const ComboPostings& lists, TableId table, RowId row,
                       uint32_t combo_id, ColumnId fixed_column,
                       size_t fixed_position, MappingAccumulator* acc,
-                      uint64_t* value_comparisons, VerifyScratch* scratch);
-
-struct BruteForceResult {
-  int64_t joinability = 0;
-  std::vector<ColumnId> best_mapping;
-};
+                      uint64_t* probes, VerifyScratch* scratch);
 
 /// Reference joinability: enumerates every ordered selection of |Q| distinct
 /// candidate columns (Equation 3 mappings) and counts distinct matched

@@ -12,6 +12,7 @@
 
 #include "index/index_shards.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace mate {
@@ -37,9 +38,12 @@ struct PreparedQuery {
   std::vector<BitVector> combo_keys;
   std::vector<std::string> init_values;
   std::vector<std::vector<uint32_t>> combos_of_value;
-  /// posting_lists[v] is Lookup(init_values[v]) (nullptr when absent),
-  /// resolved once here so S shard tasks don't repeat the string-keyed
-  /// probes.
+  /// combo_lists[combo_id] holds the posting lists of the combo's values
+  /// (ResolveComboPostings), which the verifier probes instead of cells;
+  /// posting_lists[v] is the list of init_values[v]. Both are resolved once
+  /// here (nullptr when absent), so S shard tasks don't repeat the
+  /// string-keyed probes.
+  std::vector<ComboPostings> combo_lists;
   std::vector<const PostingList*> posting_lists;
   std::unordered_set<TableId> excluded;
   std::unordered_set<TableId> restricted;
@@ -75,9 +79,11 @@ PreparedQuery PrepareQuery(const Table& query,
     }
   }
 
+  prep.combo_lists = ResolveComboPostings(index, prep.combos);
   prep.posting_lists.reserve(prep.init_values.size());
-  for (const std::string& v : prep.init_values) {
-    prep.posting_lists.push_back(index.Lookup(v));
+  for (const std::vector<uint32_t>& combo_ids : prep.combos_of_value) {
+    prep.posting_lists.push_back(
+        prep.combo_lists[combo_ids.front()][prep.init_pos]);
   }
 
   prep.excluded.insert(options.exclude_tables.begin(),
@@ -161,8 +167,7 @@ std::vector<TableCandidates> FetchShardCandidates(const PreparedQuery& prep,
 // list is sorted by item count and thresholds only grow, so the shard is
 // finished for good (the caller accounts for candidates beyond `end`).
 // No floor over the full range is exactly the serial Algorithm 1.
-bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
-                        const PreparedQuery& prep,
+bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
                         const DiscoveryOptions& options,
                         const std::vector<TableCandidates>& candidates,
                         size_t start, size_t end,
@@ -201,56 +206,6 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
     }
 
     ++stats.tables_evaluated;
-    // The lazy corpus's materialization point: cells parse here, on first
-    // touch, for evaluated candidates only. Keeping this access *after* the
-    // rule-1 break above matters — pruned tables never materialize, which
-    // is what lets a small query finish without paying for a cold giant
-    // table it would only have pruned.
-    //
-    // Single-column keys materialize *columnar*: with m == 1 the verifier
-    // only ever reads each PL item's fixed column (joinability.cpp), so
-    // this candidate needs cells for its distinct posting columns alone —
-    // over a lazily opened corpus that is a sliver of a giant table. Multi-
-    // column keys scan whole rows and take the full-table path.
-    MaterializeOutcome mat;
-    const bool single_column_key =
-        !prep.combos.empty() && prep.combos[0].size() == 1;
-    std::vector<ColumnId> touched_columns;
-    if (single_column_key) {
-      // Sorted distinct column set: a wide candidate can carry thousands
-      // of items over a handful of columns, and the former find-per-item
-      // dedup was O(items * columns). The store materializes per column
-      // under done-flags, so the order change is invisible to it.
-      touched_columns.reserve(cand.items.size());
-      for (const FetchedItem& item : cand.items) {
-        touched_columns.push_back(item.entry.column_id);
-      }
-      std::sort(touched_columns.begin(), touched_columns.end());
-      touched_columns.erase(
-          std::unique(touched_columns.begin(), touched_columns.end()),
-          touched_columns.end());
-    }
-    const uint64_t mat_start_us = trace != nullptr ? trace->NowUs() : 0;
-    const Table& table =
-        single_column_key
-            ? corpus.MaterializeColumns(cand.table_id, touched_columns, &mat)
-            : corpus.MaterializeTable(cand.table_id, &mat);
-    if (mat.bytes_parsed > 0) {
-      ++stats.tables_materialized;
-      stats.cell_bytes_materialized += mat.bytes_parsed;
-      if (mat.rematerialized) ++stats.tables_rematerialized;
-    }
-    if (trace != nullptr) {
-      const uint64_t now = trace->NowUs();
-      trace->AddCompleteSpan(
-          "materialize", trace_parent, mat_start_us, now - mat_start_us,
-          trace_tid,
-          "\"table\":" + std::to_string(cand.table_id) +
-              ",\"bytes_parsed\":" + std::to_string(mat.bytes_parsed) +
-              ",\"parse_us\":" +
-              std::to_string(
-                  static_cast<uint64_t>(mat.parse_seconds * 1e6)));
-    }
     const uint64_t rows_start_us = trace != nullptr ? trace->NowUs() : 0;
     acc.Clear();
     int64_t rows_checked_here = 0;
@@ -323,8 +278,8 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
             }
             const uint32_t combo_id = combo_ids[c];
             row_passed_filter = true;
-            if (VerifyComboInRow(table, row, prep.combos[combo_id],
-                                 combo_id, item.entry.column_id,
+            if (VerifyComboInRow(prep.combo_lists[combo_id], cand.table_id,
+                                 row, combo_id, item.entry.column_id,
                                  prep.init_pos, &acc,
                                  &stats.value_comparisons, &scratch)) {
               row_matched = true;
@@ -351,6 +306,7 @@ bool EvaluateCandidates(const Corpus& corpus, const InvertedIndex& index,
               ",\"rows_checked\":" + std::to_string(rows_checked_here));
     }
     if (pruned_mid_table) continue;
+    if (acc.recounted()) ++stats.tables_recounted;
     const int64_t j = acc.MaxJoinability();
     if (j > 0) {
       if (topk.Add(cand.table_id, j)) {
@@ -388,18 +344,23 @@ uint64_t QueryExecutor::EstimatePlItems(
   const size_t init_pos =
       SelectInitColumn(query, key_columns, options.init_strategy, index_);
   // PrepareQuery derives its distinct init values from the distinct key
-  // combos, but the value set is identical to the distinct live values of
-  // the init column itself — every live row's combo is in the combo set and
-  // vice versa — so this skips the tuple hashing and super-key work and
-  // matches EstimatePreparedPlItems(prep) exactly.
+  // combos. That value set is the distinct normalized init-column values
+  // of the live rows whose key values are all non-empty (ExtractKeyCombos
+  // drops the others), so this skips the tuple hashing and super-key work
+  // and matches EstimatePreparedPlItems(prep) exactly.
   const ColumnId init_column = key_columns[init_pos];
-  std::unordered_set<std::string_view> seen;
+  std::unordered_set<std::string> seen;
   uint64_t total = 0;
   for (RowId r = 0; r < query.NumRows(); ++r) {
     if (query.IsRowDeleted(r)) continue;
-    const std::string_view v = query.cell(r, init_column);
-    if (!seen.insert(v).second) continue;
-    const PostingList* pl = index_->Lookup(v);
+    const auto empty = [&](ColumnId c) {
+      return Trim(query.cell(r, c)).empty();
+    };
+    if (std::any_of(key_columns.begin(), key_columns.end(), empty)) continue;
+    const auto [it, inserted] =
+        seen.insert(NormalizeValue(query.cell(r, init_column)));
+    if (!inserted) continue;
+    const PostingList* pl = index_->Lookup(*it);
     if (pl != nullptr) total += pl->size();
   }
   return total;
@@ -481,8 +442,8 @@ DiscoveryResult QueryExecutor::Discover(
   // number); from round two on, rule 1 usually breaks every shard at once.
   ScopedSpan evaluate_span(trace, "evaluate", troot);
   if (num_shards == 1) {
-    EvaluateCandidates(*corpus_, *index_, prep, options, shard_candidates[0],
-                       0, shard_candidates[0].size(), /*floor=*/std::nullopt,
+    EvaluateCandidates(*index_, prep, options, shard_candidates[0], 0,
+                       shard_candidates[0].size(), /*floor=*/std::nullopt,
                        &outcomes[0], trace, evaluate_span.id());
   } else if (num_shards > 1) {
     std::vector<size_t> pos(num_shards, 0);
@@ -511,10 +472,9 @@ DiscoveryResult QueryExecutor::Discover(
                               s + 1);
         const std::vector<TableCandidates>& cands = shard_candidates[s];
         chunk_end[s] = std::min(pos[s] + chunk, cands.size());
-        broke[s] = EvaluateCandidates(*corpus_, *index_, prep, options,
-                                      cands, pos[s], chunk_end[s], floor,
-                                      &outcomes[s], trace, shard_span.id(),
-                                      s + 1)
+        broke[s] = EvaluateCandidates(*index_, prep, options, cands, pos[s],
+                                      chunk_end[s], floor, &outcomes[s],
+                                      trace, shard_span.id(), s + 1)
                        ? 1
                        : 0;
       });

@@ -101,8 +101,9 @@ class QueryExecutor {
 
   /// The auto-parallel gate's PL-traffic estimate, surfaced *before*
   /// execution: the summed size of the posting lists the query's distinct
-  /// init-column values resolve to — exactly the figure Discover's auto
-  /// mode compares against kAutoParallelMinItems. Cheap relative to
+  /// normalized init-column values resolve to, over the rows whose key
+  /// values are all non-empty — exactly the figure Discover's auto mode
+  /// compares against kAutoParallelMinItems. Cheap relative to
   /// execution (one init-column pass plus one index probe per distinct
   /// value; no super-key hashing, no PL scan), so an admission layer can
   /// afford it per dequeue to steer fan-out (src/server/).

@@ -69,24 +69,6 @@ struct Session::PendingLoad {
   std::thread thread;  // set when the pool is serial (inline Submit)
 };
 
-// Background corpus-warmer state. The warmer callable co-owns the table
-// store (Corpus::MakeWarmer), so materialization stays valid across Session
-// moves; the latch + join give QuiesceLoad a reliable drain. Always a
-// dedicated thread: pool Wait() is global, and a query's shard barrier must
-// never absorb a cold giant table's parse.
-struct Session::PendingWarm {
-  explicit PendingWarm(std::function<Status()> warmer_in)
-      : warmer(std::move(warmer_in)) {}
-  ~PendingWarm() {
-    if (thread.joinable()) thread.join();
-  }
-
-  std::function<Status()> warmer;
-  Latch done{1};
-  Status status;
-  std::thread thread;
-};
-
 Session::~Session() { QuiesceLoad(); }
 
 Session::Session(Session&&) noexcept = default;
@@ -104,7 +86,6 @@ Session& Session::operator=(Session&& other) noexcept {
     hash_family_ = other.hash_family_;
     build_report_ = std::move(other.build_report_);
     pending_ = std::move(other.pending_);
-    warm_ = std::move(other.warm_);
   }
   return *this;
 }
@@ -113,10 +94,6 @@ void Session::QuiesceLoad() const {
   if (pending_ != nullptr) {
     pending_->done.Wait();
     if (pending_->thread.joinable()) pending_->thread.join();
-  }
-  if (warm_ != nullptr) {
-    warm_->done.Wait();
-    if (warm_->thread.joinable()) warm_->thread.join();
   }
 }
 
@@ -131,12 +108,6 @@ bool Session::index_ready() const {
 }
 
 Status Session::WaitCorpusResident() const {
-  if (warm_ != nullptr) {
-    warm_->done.Wait();
-    return warm_->status;
-  }
-  // No warmer running (eager/adopted corpora are already resident, this
-  // returns immediately; warm_corpus=false sessions materialize here).
   return corpus_.MaterializeAll();
 }
 
@@ -268,10 +239,9 @@ Result<Session> Session::Open(SessionOptions options) {
   if (!have_stats) session.corpus_stats_ = session.corpus_.ComputeStats();
 
   // ---- corpus residency budget ---------------------------------------
-  // Armed before any query can materialize tables. The immediate evict
-  // covers opens whose setup already materialized cells (an eager load, or
-  // the ComputeStats fallback scan above): the session must not start its
-  // life over budget.
+  // The immediate evict covers opens whose setup already materialized
+  // cells (an eager load, or the ComputeStats fallback scan above): the
+  // session must not start its life over budget.
   if (options.corpus_budget_bytes > 0) {
     session.corpus_.SetBudget(options.corpus_budget_bytes);
     session.corpus_.EvictToBudget();
@@ -281,21 +251,6 @@ Result<Session> Session::Open(SessionOptions options) {
     session.cache_ = std::make_unique<ResultCache>(options.cache_bytes);
   }
 
-  // ---- background corpus warmer (last: no error return may follow) ---
-  // Spawned only when tables are actually cold; built/adopted/eager
-  // corpora (and lazy ones fully drained by a stats scan above) skip it.
-  // A residency budget also skips it: warming the whole lake just to evict
-  // it back down wastes the parse, and on-demand (columnar) materialization
-  // is the budgeted session's whole point.
-  if (options.warm_corpus && options.corpus_budget_bytes == 0 &&
-      !session.corpus_.fully_resident()) {
-    auto warm = std::make_shared<PendingWarm>(session.corpus_.MakeWarmer());
-    session.warm_ = warm;
-    warm->thread = std::thread([state = warm] {
-      state->status = state->warmer();
-      state->done.CountDown();
-    });
-  }
   return session;
 }
 
@@ -427,23 +382,15 @@ Result<DiscoveryResult> Session::Discover(const QuerySpec& spec) {
   }
   // The first query after a phased Open blocks here until postings and
   // super keys are hot (and surfaces any deferred load corruption). It
-  // does NOT wait for corpus residency: candidate tables materialize on
-  // demand, and a malformed cell blob — hit by this query or latched
-  // earlier by the warmer — surfaces as the sticky corpus status instead
-  // of a silently stubbed result.
+  // does NOT wait for corpus residency: queries read no cells, and a
+  // malformed cell blob latched by earlier materialization surfaces as the
+  // sticky corpus status.
   {
     ScopedSpan span(trace, "readiness_wait", discover.id());
     MATE_RETURN_IF_ERROR(WaitUntilReady());
     MATE_RETURN_IF_ERROR(corpus_.load_status());
   }
-  if (cache_ == nullptr) {
-    DiscoveryResult result = RunQuery(spec, /*intra_parallel=*/true);
-    MATE_RETURN_IF_ERROR(corpus_.load_status());
-    // Idle point: the query's shards have drained off the pool, so the
-    // residency budget (no-op when unarmed) may reclaim what it parsed.
-    corpus_.EvictToBudget();
-    return result;
-  }
+  if (cache_ == nullptr) return RunQuery(spec, /*intra_parallel=*/true);
   std::string key;
   DiscoveryResult result;
   bool hit = false;
@@ -454,14 +401,10 @@ Result<DiscoveryResult> Session::Discover(const QuerySpec& spec) {
   }
   if (hit) return result;
   result = RunQuery(spec, /*intra_parallel=*/true);
-  // Re-check before caching: a result computed over a stub table must
-  // neither be returned nor poison future hits.
-  MATE_RETURN_IF_ERROR(corpus_.load_status());
   {
     ScopedSpan span(trace, "cache_insert", discover.id());
     cache_->Insert(spec.tenant, key, result);
   }
-  corpus_.EvictToBudget();
   return result;
 }
 
@@ -494,26 +437,9 @@ Result<BatchResult> Session::DiscoverBatch(
                                       pool_->num_threads());
     return batch;
   };
-  // One idle-point eviction per batch, with the traffic it moved recorded
-  // in the batch's stats (the deltas are this call's alone: the counters
-  // are cumulative across the session).
-  const auto evict_into = [this](BatchStats* stats) {
-    const ResidencyStats before = corpus_.residency();
-    corpus_.EvictToBudget();
-    const ResidencyStats after = corpus_.residency();
-    stats->corpus_evictions = after.evictions - before.evictions;
-    stats->corpus_evicted_bytes = after.bytes_evicted - before.bytes_evicted;
-  };
   if (cache_ == nullptr) {
-    BatchResult batch = specs.size() == 1
-                            ? single_query_batch(specs[0])
-                            : RunBatch(specs.size(), run_serial);
-    // Queries racing the warmer materialize tables on demand; any blob
-    // corruption either side hit is latched — surface it, not a result
-    // computed over a shape stub.
-    MATE_RETURN_IF_ERROR(corpus_.load_status());
-    evict_into(&batch.stats);
-    return batch;
+    return specs.size() == 1 ? single_query_batch(specs[0])
+                             : RunBatch(specs.size(), run_serial);
   }
 
   Stopwatch wall;
@@ -565,9 +491,6 @@ Result<BatchResult> Session::DiscoverBatch(
           leaders.size(), [&](size_t j) { return run_serial(leaders[j]); },
           pool_.get());
     }
-    // Before any result is cached or distributed: results computed over a
-    // corrupt (stubbed) table must not be served or poison the cache.
-    MATE_RETURN_IF_ERROR(corpus_.load_status());
     size_t j = 0;
     for (const std::vector<size_t>& group : groups) {
       const size_t first = group.front();
@@ -584,7 +507,6 @@ Result<BatchResult> Session::DiscoverBatch(
                                     pool_->num_threads());
   batch.stats.cache_hits = hits;
   batch.stats.cache_misses = misses;
-  evict_into(&batch.stats);
   return batch;
 }
 
@@ -650,8 +572,8 @@ Status Session::ResetHash(HashFamily family,
 Status Session::Save(const std::string& corpus_path,
                      const std::string& index_path) const {
   MATE_RETURN_IF_ERROR(WaitUntilReady());
-  // Serialization needs every cell: drain the warmer (or materialize
-  // inline) and refuse to persist a corpus whose blobs failed to parse.
+  // Serialization needs every cell: materialize them and refuse to persist
+  // a corpus whose blobs failed to parse.
   MATE_RETURN_IF_ERROR(WaitCorpusResident());
   // The stats land in the corpus header, so reopening lazily needs no
   // ComputeStats scan. Like the index's stored stats, they snapshot the

@@ -10,12 +10,13 @@
 //     the first Discover blocks on a readiness latch (WaitUntilReady /
 //     SessionOptions::eager_load give explicit control);
 //   * loads the corpus *lazily* from its file: Open parses only the shape
-//     header (stats + table directory) over the mmap'd image, queries
-//     materialize just the candidate tables they evaluate, and a dedicated
-//     background warmer streams the rest (WaitCorpusResident /
-//     SessionOptions::eager_corpus / warm_corpus give explicit control).
-//     Corpus format v3 is the only one: an older image fails Open with
-//     kCorruption "unsupported version N (expected 3)";
+//     header (stats + table directory) over the mmap'd image. Queries
+//     never read cells — join verification answers from the index's
+//     posting lists (core/joinability.h) — so a table's cells parse only
+//     when Save, ResetHash, §5.4 maintenance or a direct corpus() reader
+//     touches it (WaitCorpusResident / SessionOptions::eager_corpus give
+//     explicit control). Corpus format v3 is the only one: an older image
+//     fails Open with kCorruption "unsupported version N (expected 3)";
 //   * owns one long-lived work-stealing ThreadPool reused across batches
 //     and fans a single large query's sharded evaluation out over the same
 //     pool (core/query_executor.h — intra-query parallelism);
@@ -98,8 +99,8 @@ struct QuerySpec {
 
   /// Optional span recorder (src/obs/trace.h): when set, Discover records
   /// its pipeline phases (validate -> readiness wait -> cache lookup ->
-  /// execute [prepare / per-shard fetch / rule-1 prune / materialize /
-  /// row loop / merge]) into it, rooted under the trace's attach parent.
+  /// execute [prepare / per-shard fetch / rule-1 prune / row loop /
+  /// merge]) into it, rooted under the trace's attach parent.
   /// Null — the default — keeps every instrumentation site a single
   /// pointer check. Must outlive the call; execution-only like the knobs
   /// above, so it never enters the cache fingerprint.
@@ -148,33 +149,24 @@ struct SessionOptions {
   bool eager_load = false;
   /// Path-based corpus loads are *lazy* by default: Open mmaps the file,
   /// parses only the stats header and table directory, and cross-validates
-  /// shape against the index with zero cell parsing; each table's cells
-  /// materialize on its first access (queries touch only the candidate
-  /// tables the index surfaces) while a background warmer streams the rest
-  /// in. Results are bit-identical to an eager open — only *when* cells
-  /// parse moves. Set true to materialize every table before Open returns
-  /// (LoadCorpus: the same reader and decoder, drained up front), so every
-  /// corpus error surfaces from Open itself. Either way the file must be
-  /// corpus format v3; other versions fail Open with kCorruption.
+  /// shape against the index with zero cell parsing. Queries never
+  /// materialize cells; a table's cells parse on the first access that
+  /// needs them (Save, ResetHash, maintenance, corpus().table()). Results
+  /// are bit-identical to an eager open. Set true to materialize every
+  /// table before Open returns (LoadCorpus: the same reader and decoder,
+  /// drained up front), so every corpus error surfaces from Open itself.
+  /// Either way the file must be corpus format v3; other versions fail
+  /// Open with kCorruption.
   bool eager_corpus = false;
-  /// Background corpus warmer (lazy corpus only): a dedicated thread
-  /// materializes every table after Open returns, so steady-state queries
-  /// stop paying first-touch parses. It is a *dedicated* thread, not a pool
-  /// task — the pool's Wait() is global, and a query's shard barrier must
-  /// not absorb a giant table's parse. Set false to materialize strictly
-  /// on demand (benches isolating first-touch cost use this).
-  bool warm_corpus = true;
   /// Corpus residency byte budget (0 = unlimited, the classic behavior).
   /// With a budget armed, a lazily opened corpus behaves like a buffer
-  /// pool: candidate tables (or just their touched columns) materialize on
-  /// demand, and at each idle point — between Discover calls, after a
-  /// batch, after Save — the least-recently-touched tables are evicted
-  /// until the resident cell bytes fit the budget again. Results stay
-  /// bit-identical to an unlimited run; only residency changes. The budget
-  /// also disables the background warmer (warming the whole lake would
-  /// just be evicted again) and keeps the corpus mmap alive for re-parses.
-  /// Budgets only govern path-based lazy corpora: adopted/eager/built
-  /// corpora have no backing file to re-parse evicted tables from.
+  /// pool for the work that materializes cells: after Open, Save and
+  /// ResetHash the least-recently-touched tables are evicted until the
+  /// resident cell bytes fit the budget again, and the corpus mmap stays
+  /// alive for re-parses. Queries read no cells, so they neither
+  /// materialize nor evict. Budgets only govern path-based lazy corpora:
+  /// adopted/eager/built corpora have no backing file to re-parse evicted
+  /// tables from.
   uint64_t corpus_budget_bytes = 0;
   /// Result-cache byte budget; 0 disables caching entirely.
   size_t cache_bytes = kDefaultCacheBytes;
@@ -230,12 +222,11 @@ class Session {
   /// which).
   bool index_ready() const;
 
-  /// Blocks until every corpus table is resident — draining the background
-  /// warmer when one is running, materializing inline otherwise — and
-  /// returns the corpus's sticky load status (kCorruption naming the table,
-  /// section, and byte offset on a malformed cell blob). Returns OK
-  /// immediately for eager, adopted, and built corpora. Queries do NOT wait
-  /// on this (on-demand materialization is the point); Save does.
+  /// Materializes every corpus table and returns the corpus's sticky load
+  /// status (kCorruption naming the table, section, and byte offset on a
+  /// malformed cell blob). Returns OK immediately for eager, adopted, and
+  /// built corpora. Queries do NOT wait on this (they read no cells); Save
+  /// and ResetHash do.
   Status WaitCorpusResident() const;
 
   /// Non-blocking probe: true once every corpus table is resident.
@@ -321,7 +312,8 @@ class Session {
 
   const Corpus& corpus() const { return corpus_; }
   /// Residency gauges/counters of the corpus store (budget, resident and
-  /// peak bytes, eviction + rematerialization traffic).
+  /// peak bytes, eviction + rematerialization traffic). Queries leave them
+  /// unchanged.
   ResidencyStats corpus_residency() const { return corpus_.residency(); }
   bool has_index() const { return index_ != nullptr; }
   /// Precondition: has_index() — and, after a phased open, that
@@ -331,16 +323,12 @@ class Session {
 
   /// Mutable access for §5.4 maintenance flows. The cache is NOT
   /// implicitly invalidated — call InvalidateCache() once the edit batch
-  /// is complete (stale entries otherwise serve pre-edit results).
-  /// mutable_corpus() first drains corpus residency (the background warmer
-  /// writes table slots, and the store's mutation contract requires it to
-  /// be idle — AddTable may even reallocate under the warmer otherwise);
+  /// is complete (stale entries otherwise serve pre-edit results). Edit
+  /// the index alongside the corpus: verification trusts the posting
+  /// lists. Corpus::mutable_table materializes and pins the edited table;
   /// a materialization error is latched in corpus().load_status().
   /// mutable_index() has the same WaitUntilReady precondition as index().
-  Corpus* mutable_corpus() {
-    (void)WaitCorpusResident();
-    return &corpus_;
-  }
+  Corpus* mutable_corpus() { return &corpus_; }
   InvertedIndex* mutable_index() { return index_.get(); }
 
   /// Swaps the super-key hash (re-keying on the session pool) and
@@ -399,11 +387,6 @@ class Session {
   // task/thread shares it via shared_ptr, so it survives Session moves.
   struct PendingLoad;
   std::shared_ptr<PendingLoad> pending_;
-  // Background corpus-warmer state (null unless a lazy corpus is warming):
-  // the warmer thread runs a callable that co-owns the table store, so it
-  // survives Session moves; QuiesceLoad drains it before teardown.
-  struct PendingWarm;
-  std::shared_ptr<PendingWarm> warm_;
 };
 
 }  // namespace mate

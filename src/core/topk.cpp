@@ -16,9 +16,7 @@ void DiscoveryStats::Merge(const DiscoveryStats& other) {
   rows_sent_to_verification += other.rows_sent_to_verification;
   rows_true_positive += other.rows_true_positive;
   value_comparisons += other.value_comparisons;
-  tables_materialized += other.tables_materialized;
-  tables_rematerialized += other.tables_rematerialized;
-  cell_bytes_materialized += other.cell_bytes_materialized;
+  tables_recounted += other.tables_recounted;
   // Execution shape is not additive: merging per-shard or per-query stats
   // keeps the widest configuration seen.
   shards_used = std::max(shards_used, other.shards_used);
@@ -36,11 +34,7 @@ std::string DiscoveryStats::ToString() const {
   if (shards_used > 1 || fanout_threads > 1) {
     os << " shards=" << shards_used << " fanout=" << fanout_threads;
   }
-  if (tables_materialized > 0) {
-    os << " materialized=" << tables_materialized << " ("
-       << tables_rematerialized << " re-parsed, " << cell_bytes_materialized
-       << " bytes)";
-  }
+  if (tables_recounted > 0) os << " recounted=" << tables_recounted;
   return os.str();
 }
 

@@ -37,7 +37,16 @@ struct DiscoveryStats {
   uint64_t rows_checked = 0;           // PL items visited in the row loop
   uint64_t rows_sent_to_verification = 0;  // passed the super-key filter
   uint64_t rows_true_positive = 0;     // verified joinable (>= 1 combo)
-  uint64_t value_comparisons = 0;      // cell comparisons during verification
+  /// Posting-list probes during verification: one per combo position of
+  /// each (row, combo) pair checked, until a position misses
+  /// (VerifyComboInRow). Not a cell comparison count: a probe settles a
+  /// value against a whole row, so the same work counts 10-30x lower than
+  /// comparing the value with each cell did.
+  uint64_t value_comparisons = 0;
+  /// Tables whose column assignments passed kMaxMappingsPerRowCombo on
+  /// some (row, combo) pair and were recounted exactly per mapping
+  /// (MappingAccumulator::recounted).
+  uint64_t tables_recounted = 0;
 
   /// Intra-query execution shape (core/query_executor.h): evaluation shards
   /// and resolved fan-out width this query ran with; 1/1 is the serial
@@ -48,10 +57,9 @@ struct DiscoveryStats {
   uint64_t shards_used = 1;
   uint64_t fanout_threads = 1;
 
-  /// Corpus residency work this query triggered (storage/table_store.h):
-  /// candidate tables whose cells (or touched columns) had to parse, how
-  /// many of those were re-parses after an eviction, and the on-disk extent
-  /// bytes parsed. All zero against a fully resident corpus.
+  /// Corpus cells this query parsed. Always 0: verification reads the
+  /// posting lists, so no query touches a cell. Kept for readers that
+  /// still report them.
   uint64_t tables_materialized = 0;
   uint64_t tables_rematerialized = 0;
   uint64_t cell_bytes_materialized = 0;

@@ -5,9 +5,10 @@
 //
 // Residency is delegated to a TableStore (storage/table_store.h): a corpus
 // adopted or built in memory is fully resident, while one opened lazily from
-// a corpus file knows every table's *shape* up front and materializes cells
-// per table (or per column) on first access. Callers that only need shape —
-// shard planners, validators, result printers — should use the table_*
+// a corpus file knows every table's *shape* up front and materializes a
+// table's cells on its first access. Discovery never reads cells (it
+// verifies from the index), so callers that only need shape — shard
+// planners, validators, result printers — should use the table_*
 // accessors, which never trigger materialization.
 
 #ifndef MATE_STORAGE_CORPUS_H_
@@ -15,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,18 +73,6 @@ class Corpus {
   const Table& table(TableId t) const { return store_.Get(t); }
   Table* mutable_table(TableId t) { return store_.Mutable(t); }
 
-  /// table(t) + instrumentation: reports what the access actually parsed.
-  const Table& MaterializeTable(TableId t, MaterializeOutcome* outcome) const {
-    return store_.Get(t, outcome);
-  }
-  /// The table with at least `columns` materialized (a per-column parse for
-  /// lazily opened corpora). Cells of columns never requested read as empty
-  /// strings — callers must only touch the columns they asked for.
-  const Table& MaterializeColumns(TableId t,
-                                  const std::vector<ColumnId>& columns,
-                                  MaterializeOutcome* outcome = nullptr) const {
-    return store_.GetColumns(t, columns, outcome);
-  }
 
   // ---- shape accessors (never materialize) --------------------------
 
@@ -110,15 +98,12 @@ class Corpus {
   Status EnsureTable(TableId t) const { return store_.EnsureTable(t); }
   /// Materializes every table; OK iff every cell blob parsed.
   Status MaterializeAll() const { return store_.MaterializeAll(); }
-  /// Self-contained MaterializeAll callable for a background warmer; stays
-  /// valid even if this corpus is moved while it runs.
-  std::function<Status()> MakeWarmer() const { return store_.MakeWarmer(); }
 
   /// Arms the residency byte budget (0 = unlimited). Set before queries.
   void SetBudget(uint64_t bytes) { store_.SetBudget(bytes); }
   /// Evicts least-recently-touched tables down to the budget. Idle points
-  /// only (mirrors the mutation contract — Session calls it between
-  /// queries).
+  /// only (mirrors the mutation contract — Session calls it after the work
+  /// that materializes: Open, Save, ResetHash).
   void EvictToBudget() const { store_.EvictToBudget(); }
   ResidencyStats residency() const { return store_.residency(); }
   uint64_t table_resident_bytes(TableId t) const {

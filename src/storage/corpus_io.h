@@ -1,13 +1,12 @@
 // Binary corpus persistence. The format is versioned and length-prefixed so
 // readers can detect truncation and corruption.
 //
-// Format v3 is the only corpus format. It is laid out for lazy — and
-// *columnar* — materialization: everything a serving process needs to
-// validate shape and answer "which tables could matter" sits ahead of the
-// bulky cells, the cell region is size-prefixed so its extent is
-// bounds-checked without parsing a single cell, and each directory entry
-// carries its per-column extents so the residency layer can parse one
-// touched column of a giant table.
+// Format v3 is the only corpus format. It is laid out for lazy
+// materialization: everything a serving process needs to validate shape
+// sits ahead of the bulky cells, the cell region is size-prefixed so its
+// extent is bounds-checked without parsing a single cell, and each
+// directory entry carries its per-column extents, from which the residency
+// layer decodes a table column by column.
 //
 //   [magic "MATECORP"] [version u32 = 3]
 //   stats section:    [stats-present u8] [CorpusStats]

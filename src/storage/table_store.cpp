@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/coding.h"
-#include "util/stopwatch.h"
 
 namespace mate {
 
@@ -70,23 +69,17 @@ Status ParseColumnCells(const TableShape& shape, ColumnId column,
 }  // namespace
 
 struct TableStore::Impl {
-  // Residency state of one lazy slot. `state` is published with release
+  // Residency state of one lazy slot. `resident` is published with release
   // order after the slot's table writes; the fast path and the shape
   // accessors acquire-load it to decide between the header and the live
   // table (which Mutable may have reshaped). Everything non-atomic is
   // guarded by `mu`.
   struct Slot {
     std::mutex mu;
-    // cols_done[c] != 0 once column c's cells are parsed (or stubbed).
-    std::vector<unsigned char> cols_done;
     bool pinned = false;
     bool was_evicted = false;
-    // 0 = cold (shape header only), 1 = partial (shape-complete table,
-    // some columns parsed), 2 = fully resident.
-    std::atomic<uint8_t> state{0};
-    // Directory extent bytes this slot holds resident.
-    std::atomic<uint64_t> resident_bytes{0};
-    // LRU clock stamp of the last Get/GetColumns touch.
+    std::atomic<bool> resident{false};
+    // LRU clock stamp of the last Get touch.
     std::atomic<uint64_t> last_touch{0};
   };
 
@@ -107,15 +100,14 @@ struct TableStore::Impl {
   std::atomic<uint64_t> evictions{0};
   std::atomic<uint64_t> rematerializations{0};
   std::atomic<uint64_t> clock{0};
-  std::atomic<size_t> full_count{0};
-  std::atomic<size_t> touched_count{0};
+  std::atomic<size_t> resident_count{0};
   std::atomic<bool> has_error{false};
   mutable std::mutex mu;  // guards `error` and the backing release
   Status error;
 
   bool SlotResident(TableId t) const {
     return t >= num_lazy ||
-           slots[t].state.load(std::memory_order_acquire) != 0;
+           slots[t].resident.load(std::memory_order_acquire);
   }
 
   void Touch(Slot& slot) {
@@ -134,8 +126,7 @@ struct TableStore::Impl {
 
   // Accounts `bytes` of newly resident extent and maintains the honest
   // high-water mark (the memory_budget bench's peak gate reads it).
-  void AddResidentBytes(Slot& slot, uint64_t bytes) {
-    slot.resident_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  void AddResidentBytes(uint64_t bytes) {
     bytes_materialized.fetch_add(bytes, std::memory_order_relaxed);
     const uint64_t now =
         resident_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
@@ -145,121 +136,52 @@ struct TableStore::Impl {
     }
   }
 
-  // The thread whose slot completes the set releases the mapping — but
-  // only without a budget: an armed budget needs the image alive so
-  // evicted tables can re-parse.
-  void OnSlotFull(Slot& slot) {
-    slot.state.store(2, std::memory_order_release);
-    if (full_count.fetch_add(1, std::memory_order_acq_rel) + 1 == num_lazy &&
+  // Under slot.mu: parses every column of cold lazy table `t`, each from
+  // its own extent, into a shape-complete skeleton, and publishes the slot
+  // resident. A failed column latches the sticky status and leaves the
+  // rest of the table as the skeleton or Table::DecodeColumn left it; the
+  // slot is resident either way, so it never re-parses the damage. The
+  // thread whose slot completes the set releases the mapping — but only
+  // without a budget: an armed budget needs the image alive so evicted
+  // tables can re-parse.
+  void MaterializeLocked(TableId t, Slot& slot) {
+    if (slot.resident.load(std::memory_order_relaxed)) return;
+    const TableShape& shape = shapes[t];
+    tables[t] = MakeShapeStub(shape);
+    if (slot.was_evicted) {
+      slot.was_evicted = false;
+      rematerializations.fetch_add(1, std::memory_order_relaxed);
+    }
+    const std::string_view image = backing.view();
+    uint64_t offset = shape.cell_offset;  // column c's slice starts here
+    for (ColumnId c = 0; c < shape.column_names.size(); ++c) {
+      const Status status = ParseColumnCells(
+          shape, c,
+          image.substr(static_cast<size_t>(offset),
+                       static_cast<size_t>(shape.column_bytes[c])),
+          offset, image_size, &tables[t]);
+      if (!status.ok()) {
+        LatchError(status);
+        break;
+      }
+      offset += shape.column_bytes[c];
+    }
+    AddResidentBytes(shape.cell_bytes);
+    slot.resident.store(true, std::memory_order_release);
+    if (resident_count.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            num_lazy &&
         budget.load(std::memory_order_relaxed) == 0) {
       std::lock_guard<std::mutex> lock(mu);
       backing.Release();
     }
   }
 
-  // Under slot.mu: ensures the slot holds a shape-complete Table with its
-  // cols_done ledger sized (state >= 1). Counts the rematerialization when
-  // the slot had been evicted.
-  void EnsureSkeletonLocked(TableId t, Slot& slot,
-                            MaterializeOutcome* outcome) {
-    if (slot.state.load(std::memory_order_relaxed) != 0) return;
-    tables[t] = MakeShapeStub(shapes[t]);
-    slot.cols_done.assign(shapes[t].column_names.size(), 0);
-    if (slot.was_evicted) {
-      slot.was_evicted = false;
-      rematerializations.fetch_add(1, std::memory_order_relaxed);
-      if (outcome != nullptr) outcome->rematerialized = true;
-    }
-    touched_count.fetch_add(1, std::memory_order_relaxed);
-    slot.state.store(1, std::memory_order_release);
-  }
-
-  // Under slot.mu: a column parse failed. Latch the sticky status and mark
-  // every column done (its full extent accounted), so the slot never
-  // re-parses the damage. The table is not replaced: other threads may be
-  // reading the columns parsed before, which keep their cells, and the
-  // rest stay as the skeleton or Table::DecodeColumn left them.
-  void StubAfterFailureLocked(TableId t, Slot& slot, const Status& status) {
-    LatchError(status);
-    slot.cols_done.assign(shapes[t].column_names.size(), 1);
-    const uint64_t held =
-        slot.resident_bytes.load(std::memory_order_relaxed);
-    AddResidentBytes(slot, shapes[t].cell_bytes - held);
-  }
-
-  // Under slot.mu: parses the not-yet-resident columns in `want` (or every
-  // column when `want` is null) of lazy table `t`, each from its own
-  // extent. The slot turns fully resident once every column is done.
-  void MaterializeLocked(TableId t, Slot& slot,
-                         const std::vector<ColumnId>* want,
-                         MaterializeOutcome* outcome) {
-    if (slot.state.load(std::memory_order_relaxed) == 2) return;
-    const TableShape& shape = shapes[t];
-    EnsureSkeletonLocked(t, slot, outcome);
-    const std::string_view image = backing.view();
-    // Column c's slice starts at cell_offset + sum of earlier extents.
-    std::vector<uint64_t> starts(shape.column_bytes.size());
-    uint64_t offset = shape.cell_offset;
-    for (size_t c = 0; c < shape.column_bytes.size(); ++c) {
-      starts[c] = offset;
-      offset += shape.column_bytes[c];
-    }
-    const auto fill_column = [&](ColumnId c) {
-      if (c >= slot.cols_done.size() || slot.cols_done[c]) return true;
-      const Status status = ParseColumnCells(
-          shape, c,
-          image.substr(static_cast<size_t>(starts[c]),
-                       static_cast<size_t>(shape.column_bytes[c])),
-          starts[c], image_size, &tables[t]);
-      if (!status.ok()) {
-        StubAfterFailureLocked(t, slot, status);
-        return false;
-      }
-      slot.cols_done[c] = 1;
-      AddResidentBytes(slot, shape.column_bytes[c]);
-      if (outcome != nullptr) outcome->bytes_parsed += shape.column_bytes[c];
-      return true;
-    };
-    if (want != nullptr) {
-      for (ColumnId c : *want) {
-        if (!fill_column(c)) break;  // stubbed: every column marked done
-      }
-    } else {
-      for (ColumnId c = 0; c < shape.column_names.size(); ++c) {
-        if (!fill_column(c)) break;
-      }
-    }
-    const bool all_done =
-        std::all_of(slot.cols_done.begin(), slot.cols_done.end(),
-                    [](unsigned char done) { return done != 0; });
-    if (all_done) OnSlotFull(slot);
-  }
-
-  void EnsureFull(TableId t, MaterializeOutcome* outcome) {
+  void EnsureResident(TableId t) {
     if (t >= num_lazy) return;
     Slot& slot = slots[t];
-    if (slot.state.load(std::memory_order_acquire) != 2) {
+    if (!slot.resident.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lock(slot.mu);
-      Stopwatch parse_timer;
-      MaterializeLocked(t, slot, nullptr, outcome);
-      if (outcome != nullptr) {
-        outcome->parse_seconds += parse_timer.ElapsedSeconds();
-      }
-    }
-    Touch(slot);
-  }
-
-  void EnsureColumns(TableId t, const std::vector<ColumnId>& columns,
-                     MaterializeOutcome* outcome) {
-    if (t >= num_lazy) return;
-    Slot& slot = slots[t];
-    if (slot.state.load(std::memory_order_acquire) != 2) {
-      std::lock_guard<std::mutex> lock(slot.mu);
-      Stopwatch parse_timer;
-      MaterializeLocked(t, slot, &columns, outcome);
-      if (outcome != nullptr) {
-        outcome->parse_seconds += parse_timer.ElapsedSeconds();
-      }
+      MaterializeLocked(t, slot);
     }
     Touch(slot);
   }
@@ -271,9 +193,7 @@ struct TableStore::Impl {
   }
 
   Status MaterializeAll() {
-    for (TableId t = 0; t < num_lazy; ++t) {
-      EnsureFull(t, /*outcome=*/nullptr);
-    }
+    for (TableId t = 0; t < num_lazy; ++t) EnsureResident(t);
     return LoadStatus();
   }
 
@@ -287,7 +207,7 @@ struct TableStore::Impl {
     // Oldest touch first; table id breaks ties deterministically.
     std::vector<std::pair<uint64_t, TableId>> order;
     for (TableId t = 0; t < num_lazy; ++t) {
-      if (slots[t].state.load(std::memory_order_acquire) != 0) {
+      if (slots[t].resident.load(std::memory_order_acquire)) {
         order.emplace_back(
             slots[t].last_touch.load(std::memory_order_relaxed), t);
       }
@@ -297,28 +217,22 @@ struct TableStore::Impl {
       if (resident_bytes.load(std::memory_order_relaxed) <= limit) break;
       Slot& slot = slots[t];
       std::lock_guard<std::mutex> lock(slot.mu);
-      if (slot.pinned || slot.state.load(std::memory_order_relaxed) == 0) {
+      if (slot.pinned || !slot.resident.load(std::memory_order_relaxed)) {
         continue;
       }
-      if (slot.state.load(std::memory_order_relaxed) == 2) {
-        full_count.fetch_sub(1, std::memory_order_relaxed);
-      }
-      touched_count.fetch_sub(1, std::memory_order_relaxed);
-      const uint64_t held =
-          slot.resident_bytes.load(std::memory_order_relaxed);
+      resident_count.fetch_sub(1, std::memory_order_relaxed);
+      const uint64_t held = shapes[t].cell_bytes;
       resident_bytes.fetch_sub(held, std::memory_order_relaxed);
       bytes_evicted.fetch_add(held, std::memory_order_relaxed);
       evictions.fetch_add(1, std::memory_order_relaxed);
-      slot.resident_bytes.store(0, std::memory_order_relaxed);
-      slot.cols_done.clear();
       slot.was_evicted = true;
       tables[t] = Table();  // shape keeps serving from shapes[t]
-      slot.state.store(0, std::memory_order_release);
+      slot.resident.store(false, std::memory_order_release);
     }
   }
 };
 
-TableStore::TableStore() : impl_(std::make_shared<Impl>()) {}
+TableStore::TableStore() : impl_(std::make_unique<Impl>()) {}
 TableStore::~TableStore() = default;
 TableStore::TableStore(TableStore&&) noexcept = default;
 TableStore& TableStore::operator=(TableStore&&) noexcept = default;
@@ -344,32 +258,20 @@ TableId TableStore::Add(Table table) {
   return static_cast<TableId>(impl_->tables.size() - 1);
 }
 
-const Table& TableStore::Get(TableId t, MaterializeOutcome* outcome) const {
-  impl_->EnsureFull(t, outcome);
-  return impl_->tables[t];
-}
-
-const Table& TableStore::GetColumns(TableId t,
-                                    const std::vector<ColumnId>& columns,
-                                    MaterializeOutcome* outcome) const {
-  impl_->EnsureColumns(t, columns, outcome);
+const Table& TableStore::Get(TableId t) const {
+  impl_->EnsureResident(t);
   return impl_->tables[t];
 }
 
 Status TableStore::EnsureTable(TableId t) const {
-  impl_->EnsureFull(t, /*outcome=*/nullptr);
+  impl_->EnsureResident(t);
   return impl_->LoadStatus();
 }
 
 Status TableStore::MaterializeAll() const { return impl_->MaterializeAll(); }
 
-std::function<Status()> TableStore::MakeWarmer() const {
-  std::shared_ptr<Impl> impl = impl_;
-  return [impl] { return impl->MaterializeAll(); };
-}
-
 Table* TableStore::Mutable(TableId t) {
-  impl_->EnsureFull(t, /*outcome=*/nullptr);
+  impl_->EnsureResident(t);
   if (t < impl_->num_lazy) {
     std::lock_guard<std::mutex> lock(impl_->slots[t].mu);
     impl_->slots[t].pinned = true;
@@ -433,18 +335,13 @@ ResidencyStats TableStore::residency() const {
   stats.rematerializations =
       impl->rematerializations.load(std::memory_order_relaxed);
   stats.tables_resident = tables_resident();
-  for (TableId t = 0; t < impl->num_lazy; ++t) {
-    if (impl->slots[t].state.load(std::memory_order_acquire) == 1) {
-      ++stats.partial_tables;
-    }
-  }
   return stats;
 }
 
 uint64_t TableStore::table_resident_bytes(TableId t) const {
   const Impl* impl = impl_.get();
   if (t < impl->num_lazy) {
-    return impl->slots[t].resident_bytes.load(std::memory_order_relaxed);
+    return impl->SlotResident(t) ? impl->shapes[t].cell_bytes : 0;
   }
   return TableCellBytes(impl->tables[t]);
 }
@@ -461,13 +358,14 @@ bool TableStore::IsResident(TableId t) const {
 
 size_t TableStore::tables_resident() const {
   const Impl* impl = impl_.get();
-  return impl->touched_count.load(std::memory_order_acquire) +
+  return impl->resident_count.load(std::memory_order_acquire) +
          (impl->tables.size() - impl->num_lazy);
 }
 
 bool TableStore::fully_resident() const {
   const Impl* impl = impl_.get();
-  return impl->full_count.load(std::memory_order_acquire) == impl->num_lazy;
+  return impl->resident_count.load(std::memory_order_acquire) ==
+         impl->num_lazy;
 }
 
 Status TableStore::load_status() const { return impl_->LoadStatus(); }

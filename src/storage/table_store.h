@@ -5,37 +5,27 @@
 //     in-memory corpus: built from CSVs or adopted);
 //   * a *lazy* store is built from a corpus-format shape header plus the
 //     file image: names, column names, row counts, and tombstone bitmaps
-//     are known up front, while cells parse on first access — thread-safe
-//     via a per-table latch, so concurrent queries (and the session's
-//     background warmer) race safely and parse each extent once. Eager
-//     corpus loads are lazy stores drained by MaterializeAll, so every
-//     corpus image decodes through this one per-column path.
+//     are known up front, while a table's cells parse on its first access
+//     — thread-safe via a per-table latch, so concurrent readers race
+//     safely and parse each table once. Eager corpus loads are lazy stores
+//     drained by MaterializeAll, so every corpus image decodes through
+//     this one per-column path.
 //
-// Residency is buffer-manager shaped, not monotone:
-//
-//   * *Columnar sub-table materialization* — every directory entry
-//     carries per-column extents, so GetColumns(t, cols) parses just the
-//     touched columns of a table into a shape-complete Table whose
-//     untouched columns stay empty. Single-column-key discovery
-//     (the evaluator reads only each PL item's fixed column) rides this to
-//     touch a sliver of a giant table instead of the whole blob.
-//   * *Byte-budget LRU eviction* — SetBudget(bytes) arms a residency
-//     budget (0 = unlimited, today's behavior); EvictToBudget() drops the
-//     least-recently-touched unpinned tables until the resident extent
-//     bytes fit again. Eviction must only run at idle points (mirroring the
-//     mutation/quiesce contract: never under an in-flight query or the
-//     warmer — mate::Session calls it between queries). An evicted table
-//     re-parses on its next touch under the same per-table latch, so
-//     re-touch is bit-identical. With a budget armed the mmap stays alive
-//     for re-parses; only the unbudgeted store releases it once every
-//     table is resident. Tables handed out via Mutable() are pinned:
-//     in-memory edits are never silently lost to an evict + re-parse.
-//
-// The discovery loop (Algorithm 1, §6) only ever touches the candidate
-// tables the index surfaces, so a lake of thousands of tables pays
-// materialization cost only for the handful a query evaluates — the same
-// access-locality argument storage engines make for lazy page/record
-// materialization.
+// Queries never read cells: join verification answers from the index's
+// posting lists (core/joinability.h). What materializes cells is the work
+// that needs every cell — Save, ResetHash, the ComputeStats fallback, §5.4
+// maintenance edits through Mutable — and the baselines and tools that
+// read tables directly. For those, residency is buffer-manager shaped:
+// SetBudget(bytes) arms a residency budget (0 = unlimited); EvictToBudget()
+// drops the least-recently-touched unpinned tables until the resident
+// extent bytes fit again. Eviction must only run at idle points (mirroring
+// the mutation/quiesce contract: never under an in-flight reader —
+// mate::Session calls it after Open, Save and ResetHash). An evicted table
+// re-parses on its next touch under the same per-table latch, so re-touch
+// is bit-identical. With a budget armed the mmap stays alive for
+// re-parses; only the unbudgeted store releases it once every table is
+// resident. Tables handed out via Mutable() are pinned: in-memory edits
+// are never silently lost to an evict + re-parse.
 //
 // Failure model: a table whose cell blob is corrupt materializes as a
 // *shape-complete stub* (declared columns and row count, the header's
@@ -43,19 +33,17 @@
 // indexes out of bounds, and the first error is latched into load_status()
 // with the section and byte offset — a corrupt table is therefore never
 // silently empty: the sticky status names it, and Session surfaces it from
-// every query path. The table object is never replaced on failure: columns
-// already handed out keep their cells.
+// every query path.
 //
-// Thread-safety: Get/GetColumns/EnsureTable/MaterializeAll/shape accessors
-// and the warmer may run concurrently. Add/Mutable/EvictToBudget (and
-// moving the store) require the store to be otherwise idle, mirroring
-// Session's mutation contract.
+// Thread-safety: Get/EnsureTable/MaterializeAll and the shape accessors
+// may run concurrently. Add/Mutable/EvictToBudget (and moving the store)
+// require the store to be otherwise idle, mirroring Session's mutation
+// contract.
 
 #ifndef MATE_STORAGE_TABLE_STORE_H_
 #define MATE_STORAGE_TABLE_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,19 +74,6 @@ struct TableShape {
   std::vector<uint64_t> column_bytes;
 };
 
-/// What one Get/GetColumns call actually did: the on-disk extent bytes it
-/// parsed (0 on a residency hit) and whether the table had been evicted
-/// before — the evaluator folds these into DiscoveryStats.
-struct MaterializeOutcome {
-  uint64_t bytes_parsed = 0;
-  bool rematerialized = false;
-  /// Wall time this call spent inside the cell parsers (0.0 on a residency
-  /// hit or when the call waited on another thread's parse — waiting shows
-  /// up in bytes_parsed == 0 too). Query tracing splits "materialize" span
-  /// time into parse work vs. latch waits with this.
-  double parse_seconds = 0.0;
-};
-
 /// Residency gauges + cumulative counters for the memory-governance layer
 /// (surfaced through `mate_cli stats` and the memory_budget bench). Byte
 /// figures are on-disk directory extents, so they are deterministic for a
@@ -111,8 +86,7 @@ struct ResidencyStats {
   uint64_t bytes_evicted = 0;        // cumulative extent bytes evicted
   uint64_t evictions = 0;            // tables evicted
   uint64_t rematerializations = 0;   // tables re-parsed after an eviction
-  uint64_t tables_resident = 0;      // partially or fully resident
-  uint64_t partial_tables = 0;       // resident with only some columns
+  uint64_t tables_resident = 0;
 };
 
 class TableStore {
@@ -129,8 +103,8 @@ class TableStore {
   /// A lazy store over `backing`: the shapes come from a parsed table
   /// directory whose cell extents — per table and per column — the parser
   /// has already bounds-checked against the image. Cells materialize per
-  /// table (or per column) on first access; without a budget the mapping
-  /// is released once every table is fully resident.
+  /// table on first access; without a budget the mapping is released once
+  /// every table is resident.
   static TableStore Lazy(std::vector<TableShape> shapes, MappedFile backing);
 
   size_t NumTables() const;
@@ -143,29 +117,17 @@ class TableStore {
   /// The table, fully materializing its cells on first access (blocking;
   /// other threads asking for the same table wait on the per-table latch).
   /// A failed parse yields a shape-complete stub and latches load_status().
-  const Table& Get(TableId t, MaterializeOutcome* outcome = nullptr) const;
-
-  /// The table with at least `columns` materialized: only the missing
-  /// requested columns parse, each from its own extent; cells of columns
-  /// never requested read as empty strings. Safe to mix with Get(): a later
-  /// full access parses exactly the remaining columns.
-  const Table& GetColumns(TableId t, const std::vector<ColumnId>& columns,
-                          MaterializeOutcome* outcome = nullptr) const;
+  const Table& Get(TableId t) const;
 
   /// Get + error channel: fully materializes `t` and returns the store's
   /// sticky status, so callers that can propagate errors see the parse
   /// failure (with section + byte offset) instead of a stub.
   Status EnsureTable(TableId t) const;
 
-  /// Materializes every table (the warmer's body; also what Save uses).
-  /// Returns the sticky status — OK iff every cell blob parsed. Ignores
-  /// the budget; Session re-evicts afterwards when one is armed.
+  /// Materializes every table (what Save and ResetHash use). Returns the
+  /// sticky status — OK iff every cell blob parsed. Ignores the budget;
+  /// Session re-evicts afterwards when one is armed.
   Status MaterializeAll() const;
-
-  /// A self-contained callable running MaterializeAll: it shares ownership
-  /// of the store's state, so a background warmer stays valid even if the
-  /// store (or its owning Corpus/Session) is moved while it runs.
-  std::function<Status()> MakeWarmer() const;
 
   /// Mutable access materializes first (§5.4 maintenance edits need the
   /// cells) and *pins* the table: a pinned table is never evicted, so
@@ -190,20 +152,20 @@ class TableStore {
 
   /// Drops least-recently-touched unpinned tables until resident extent
   /// bytes fit the budget. No-op when the budget is 0 (or the backing is
-  /// gone). MUST only be called at an idle point: no in-flight Get /
-  /// GetColumns / warmer (mirrors the mutation contract).
+  /// gone). MUST only be called at an idle point: no in-flight Get
+  /// (mirrors the mutation contract).
   void EvictToBudget() const;
 
   ResidencyStats residency() const;
 
-  /// Directory extent bytes of `t` currently resident (0 when cold; the
-  /// full cell_bytes when fully materialized). Resident (non-lazy) tables
-  /// report their serialized cell size.
+  /// Directory extent bytes of `t` currently resident (0 when cold, its
+  /// cell_bytes when materialized). Resident (non-lazy) tables report their
+  /// serialized cell size.
   uint64_t table_resident_bytes(TableId t) const;
   /// Total directory extent bytes of `t` (its serialized cell size).
   uint64_t table_cell_bytes(TableId t) const;
 
-  /// True once `t` holds any materialized cells (partial counts).
+  /// True once `t`'s cells are materialized.
   bool IsResident(TableId t) const;
   size_t tables_resident() const;
   bool fully_resident() const;
@@ -214,8 +176,7 @@ class TableStore {
 
  private:
   struct Impl;
-  // Shared with warmers so background materialization survives moves.
-  std::shared_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Serializes `table`'s cells as one corpus-format cell blob: cells

@@ -135,27 +135,5 @@ TEST(CorpusIoTest, LazyOpenRoundTripsAndServesStats) {
   std::remove(path.c_str());
 }
 
-TEST(CorpusIoTest, V3LazyColumnarParsesOnlyTheRequestedColumn) {
-  // The per-column extents round-trip: a lazy open of the current format
-  // serves one column of a table for exactly that column's bytes, and a
-  // later full access completes the remaining columns bit-identically.
-  Corpus corpus = MakeCorpus();
-  const std::string path = testing::TempDir() + "/mate_corpus_io_v3col.bin";
-  ASSERT_TRUE(SaveCorpus(corpus, corpus.ComputeStats(), path).ok());
-  auto lazy = OpenCorpusLazy(path);
-  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-  MaterializeOutcome outcome;
-  const Table& partial = lazy->MaterializeColumns(0, {1}, &outcome);
-  EXPECT_EQ(outcome.bytes_parsed, TableColumnCellBytes(corpus.table(0), 1));
-  EXPECT_LT(outcome.bytes_parsed, lazy->table_cell_bytes(0));
-  EXPECT_EQ(lazy->residency().partial_tables, 1u);
-  for (RowId r = 0; r < partial.NumRows(); ++r) {
-    EXPECT_EQ(partial.cell(r, 1), corpus.table(0).cell(r, 1));
-  }
-  ExpectCorporaEqual(corpus, *lazy);  // full access completes the rest
-  EXPECT_EQ(lazy->residency().partial_tables, 0u);
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace mate

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
+#include "index/index_builder.h"
 #include "util/rng.h"
 #include "workload/vocabulary.h"
 
@@ -128,71 +132,96 @@ TEST(MappingAccumulatorTest, MaxOverMappings) {
   EXPECT_TRUE(acc.BestMapping().empty());
 }
 
+// A candidate table indexed as table 0 of a one-table corpus: the verifier
+// answers from its posting lists, never from its cells.
+struct IndexedTable {
+  explicit IndexedTable(Table table) {
+    corpus.AddTable(std::move(table));
+    auto built = BuildIndex(corpus, IndexBuildOptions{});
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    index = std::move(*built);
+  }
+
+  // The combo's posting lists; they must outlive every read of the
+  // accumulator they are verified into.
+  ComboPostings Lists(const std::vector<std::string>& combo) const {
+    return std::move(ResolveComboPostings(*index, {combo}).front());
+  }
+
+  Corpus corpus;
+  std::unique_ptr<InvertedIndex> index;
+};
+
 TEST(VerifyComboInRowTest, FindsMatchAndMapping) {
-  Table t = MakeCandidateT1();
+  IndexedTable t(MakeCandidateT1());
+  const auto lists = t.Lists({"muhammad", "lee", "us"});
   MappingAccumulator acc;
   uint64_t cmp = 0;
   VerifyScratch scratch;
-  EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"}, 0,
-                               kInvalidColumnId, 0, &acc, &cmp, &scratch));
+  EXPECT_TRUE(VerifyComboInRow(lists, 0, 1, 0, kInvalidColumnId, 0, &acc,
+                               &cmp, &scratch));
   EXPECT_EQ(acc.MaxJoinability(), 1);
   EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 1, 2}));
   EXPECT_GT(cmp, 0u);
 }
 
 TEST(VerifyComboInRowTest, RejectsPartialMatch) {
-  Table t = MakeCandidateT1();
+  IndexedTable t(MakeCandidateT1());
+  const auto lists = t.Lists({"muhammad", "lee", "us"});
   MappingAccumulator acc;
   uint64_t cmp = 0;
   VerifyScratch scratch;
   // Row 4 is (Muhammad, Ali, US, Boxer): "lee" missing.
-  EXPECT_FALSE(VerifyComboInRow(t, 4, {"muhammad", "lee", "us"}, 0,
-                                kInvalidColumnId, 0, &acc, &cmp, &scratch));
+  EXPECT_FALSE(VerifyComboInRow(lists, 0, 4, 0, kInvalidColumnId, 0, &acc,
+                                &cmp, &scratch));
   EXPECT_EQ(acc.MaxJoinability(), 0);
 }
 
 TEST(VerifyComboInRowTest, HonorsFixedColumn) {
-  Table t = MakeCandidateT1();
+  IndexedTable t(MakeCandidateT1());
+  const auto lists = t.Lists({"muhammad", "lee", "us"});
   MappingAccumulator acc;
   uint64_t cmp = 0;
   VerifyScratch scratch;
   // Fixing "us" (combo position 2) to column 2 works for row 1...
-  EXPECT_TRUE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"}, 0,
-                               /*fixed_column=*/2, /*fixed_position=*/2, &acc,
-                               &cmp, &scratch));
+  EXPECT_TRUE(VerifyComboInRow(lists, 0, 1, 0, /*fixed_column=*/2,
+                               /*fixed_position=*/2, &acc, &cmp, &scratch));
   // ...but fixing it to column 3 ("Dancer") must fail.
   MappingAccumulator acc2;
-  EXPECT_FALSE(VerifyComboInRow(t, 1, {"muhammad", "lee", "us"}, 0,
-                                /*fixed_column=*/3, /*fixed_position=*/2,
-                                &acc2, &cmp, &scratch));
+  EXPECT_FALSE(VerifyComboInRow(lists, 0, 1, 0, /*fixed_column=*/3,
+                                /*fixed_position=*/2, &acc2, &cmp, &scratch));
 }
 
 TEST(VerifyComboInRowTest, RequiresDistinctColumns) {
-  Table t("t");
-  t.AddColumn("a");
-  t.AddColumn("b");
-  (void)t.AppendRow({"x", "z"});
+  Table table("t");
+  table.AddColumn("a");
+  table.AddColumn("b");
+  (void)table.AppendRow({"x", "z"});
+  IndexedTable t(std::move(table));
+  const auto lists = t.Lists({"x", "x"});
   MappingAccumulator acc;
   uint64_t cmp = 0;
   VerifyScratch scratch;
   // Both key values are "x" but the row has only one "x" column: the two
   // positions cannot map to distinct columns.
-  EXPECT_FALSE(VerifyComboInRow(t, 0, {"x", "x"}, 0, kInvalidColumnId, 0,
-                                &acc, &cmp, &scratch));
+  EXPECT_FALSE(VerifyComboInRow(lists, 0, 0, 0, kInvalidColumnId, 0, &acc,
+                                &cmp, &scratch));
 }
 
 TEST(VerifyComboInRowTest, EnumeratesAlternativeMappings) {
-  Table t("t");
-  t.AddColumn("a");
-  t.AddColumn("b");
-  t.AddColumn("c");
-  (void)t.AppendRow({"x", "x", "y"});
+  Table table("t");
+  table.AddColumn("a");
+  table.AddColumn("b");
+  table.AddColumn("c");
+  (void)table.AppendRow({"x", "x", "y"});
+  IndexedTable t(std::move(table));
+  const auto lists = t.Lists({"x", "y"});
   MappingAccumulator acc;
   uint64_t cmp = 0;
   VerifyScratch scratch;
   // "x" can map to column 0 or 1: both assignments must be recorded.
-  EXPECT_TRUE(VerifyComboInRow(t, 0, {"x", "y"}, 0, kInvalidColumnId, 0,
-                               &acc, &cmp, &scratch));
+  EXPECT_TRUE(VerifyComboInRow(lists, 0, 0, 0, kInvalidColumnId, 0, &acc,
+                               &cmp, &scratch));
   acc.AddMatch({0, 2}, 1);  // a second combo under one of the mappings
   EXPECT_EQ(acc.MaxJoinability(), 2);
 }
@@ -223,11 +252,13 @@ TEST(VerifyComboInRowTest, RandomAgreementWithBruteForce) {
     }
     (void)query.AppendRow(std::vector<std::string>(combo));
 
+    int64_t brute = BruteForceJoinability(query, key_cols, cand).joinability;
+    IndexedTable indexed(std::move(cand));
+    const auto lists = indexed.Lists(combo);
     MappingAccumulator acc;
     uint64_t cmp = 0;
-    bool verified = VerifyComboInRow(cand, 0, combo, 0, kInvalidColumnId, 0,
+    bool verified = VerifyComboInRow(lists, 0, 0, 0, kInvalidColumnId, 0,
                                      &acc, &cmp, &scratch);
-    int64_t brute = BruteForceJoinability(query, key_cols, cand).joinability;
     EXPECT_EQ(verified, brute > 0) << trial;
     EXPECT_EQ(acc.MaxJoinability(), brute) << trial;
   }

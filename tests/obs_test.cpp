@@ -326,8 +326,8 @@ TEST(TracedDiscoverTest, SpanTreeCoversEveryPipelinePhase) {
   for (const TraceSpan& span : spans) names.insert(span.name);
   for (const char* phase :
        {"discover", "validate", "readiness_wait", "cache_lookup", "execute",
-        "prepare", "fetch", "fetch_shard", "evaluate", "merge",
-        "materialize", "row_loop", "cache_insert"}) {
+        "prepare", "fetch", "fetch_shard", "evaluate", "merge", "row_loop",
+        "cache_insert"}) {
     EXPECT_TRUE(names.count(phase)) << "missing phase span: " << phase;
   }
 

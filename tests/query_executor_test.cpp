@@ -329,6 +329,33 @@ TEST(QueryExecutorTest, EstimatePlItemsMatchesFetchTraffic) {
   }
   EXPECT_EQ(executor.EstimatePlItems(doubled, keys, options), estimate);
 
+  // Raw init cells probe the index normalized, and a row with an empty key
+  // value probes nothing — PrepareQuery never sees its combo.
+  Corpus cities;
+  Table lake("lake");
+  lake.AddColumn("city");
+  lake.AddColumn("code");
+  for (int r = 0; r < 50; ++r) {
+    (void)lake.AppendRow({"berlin", "de" + std::to_string(r)});
+  }
+  for (int r = 0; r < 30; ++r) {
+    (void)lake.AppendRow({"paris", "fr" + std::to_string(r)});
+  }
+  cities.AddTable(std::move(lake));
+  const auto city_index = Build(cities);
+  QueryExecutor city_executor(&cities, city_index.get());
+  Table mixed("mixed");
+  mixed.AddColumn("city");
+  mixed.AddColumn("code");
+  (void)mixed.AppendRow({"Berlin", "DE0"});
+  (void)mixed.AppendRow({" berlin", "de1"});
+  (void)mixed.AppendRow({"paris", ""});
+  const DiscoveryResult mixed_run =
+      city_executor.Discover(mixed, keys, options, exec, nullptr);
+  EXPECT_EQ(mixed_run.stats.pl_items_fetched, 50u);
+  EXPECT_EQ(city_executor.EstimatePlItems(mixed, keys, options),
+            mixed_run.stats.pl_items_fetched);
+
   // Degenerate shapes estimate zero, mirroring Discover's early return.
   DiscoveryOptions zero_k = options;
   zero_k.k = 0;

@@ -1,10 +1,9 @@
-// Corpus memory governance at the Session level: a byte-budgeted session
-// behaves like a buffer pool — candidate tables (or just their touched
-// columns) materialize on demand, the least-recently-touched tables are
-// evicted at the idle points between queries, and every result stays
-// bit-identical to an unlimited run. Also covers: eviction traffic
-// surfacing in BatchStats, per-column materialization for single-column
-// keys, and the budget disabling the background warmer.
+// Corpus memory governance at the Session level. Queries verify joins from
+// the posting lists, so a lazily opened session — budgeted or not — must
+// answer bit-identically to an unlimited run while parsing no cells at all:
+// Discover, DiscoverBatch and the MCR baseline all leave the corpus cold,
+// for single- and multi-column keys alike. The budget still governs the
+// work that does materialize (Save).
 
 #include "core/session.h"
 
@@ -15,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/mcr.h"
 #include "storage/table_store.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
@@ -83,16 +83,14 @@ void RemoveWorld(const SavedWorld& saved) {
   std::remove(saved.index_path.c_str());
 }
 
-// Budget 0 = unlimited. The cache is always off (every query must pay its
-// materialization cost) and the warmer is explicit per test.
+// Budget 0 = unlimited. The cache is always off: every query runs.
 Session OpenGoverned(const SavedWorld& saved, uint64_t budget_bytes,
-                     bool warm_corpus = false, unsigned num_threads = 2) {
+                     unsigned num_threads = 2) {
   SessionOptions options;
   options.corpus_path = saved.corpus_path;
   options.index_path = saved.index_path;
   options.num_threads = num_threads;
   options.cache_bytes = 0;
-  options.warm_corpus = warm_corpus;
   options.corpus_budget_bytes = budget_bytes;
   auto session = Session::Open(std::move(options));
   EXPECT_TRUE(session.ok()) << session.status().ToString();
@@ -155,177 +153,69 @@ TEST(SessionBudgetTest, BudgetedDiscoverIsBitIdenticalAndEvictsAtIdle) {
   const uint64_t budget = total / 4;
   ASSERT_GT(budget, 0u);
   Session governed = OpenGoverned(saved, budget);
-  // Two passes: the second re-touches tables the first pass's idle points
-  // evicted, so re-parses must reproduce the cells exactly.
+  // Two passes over the same stream: neither may parse a cell, so there is
+  // nothing for an idle point to evict.
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t q = 0; q < specs.size(); ++q) {
       auto result = governed.Discover(specs[q]);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ExpectBitIdentical(reference[q], *result);
-      // Each Discover return is an idle point: evicted back under budget.
-      EXPECT_LE(governed.corpus_residency().resident_bytes, budget);
+      EXPECT_EQ(governed.corpus().tables_resident(), 0u);
     }
   }
   const ResidencyStats res = governed.corpus_residency();
   EXPECT_EQ(res.budget_bytes, budget);
-  EXPECT_GT(res.evictions, 0u);
-  EXPECT_GT(res.rematerializations, 0u);
-  EXPECT_GT(res.bytes_evicted, 0u);
+  EXPECT_EQ(res.resident_bytes, 0u);
+  EXPECT_EQ(res.bytes_materialized, 0u);
+  EXPECT_EQ(res.evictions, 0u);
+  EXPECT_EQ(unlimited.corpus_residency().bytes_materialized, 0u);
   RemoveWorld(saved);
 }
 
-TEST(SessionBudgetTest, BatchStatsSurfaceEvictionTraffic) {
-  SavedWorld saved = SaveWorld("batch", /*key_size=*/2);
-  Session eager = OpenGoverned(saved, /*budget_bytes=*/0);
-  ASSERT_TRUE(eager.WaitCorpusResident().ok());
-  std::vector<QuerySpec> specs = MakeSpecs(saved.world);
-  auto reference = eager.DiscoverBatch(specs);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  Session governed = OpenGoverned(saved, TotalCellBytes(eager) / 4);
-  // Two batches: the first materializes and evicts, the second re-touches
-  // what the first evicted. Both must match the unlimited batch.
-  for (int pass = 0; pass < 2; ++pass) {
-    auto batch = governed.DiscoverBatch(specs);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(batch->results.size(), reference->results.size());
-    for (size_t q = 0; q < batch->results.size(); ++q) {
-      ExpectBitIdentical(reference->results[q], batch->results[q]);
+TEST(SessionBudgetTest, QueryStreamsLeaveTheLazyCorpusCold) {
+  for (const size_t key_size : {size_t{1}, size_t{2}}) {
+    SavedWorld saved = SaveWorld("cold" + std::to_string(key_size), key_size);
+    const std::vector<QuerySpec> specs = MakeSpecs(saved.world);
+    Session probe = OpenGoverned(saved, /*budget_bytes=*/0);
+    const uint64_t quarter = TotalCellBytes(probe) / 4;
+    for (const uint64_t budget : {uint64_t{0}, quarter}) {
+      SCOPED_TRACE("key_size=" + std::to_string(key_size) +
+                   " budget=" + std::to_string(budget));
+      Session session = OpenGoverned(saved, budget);
+      for (const QuerySpec& spec : specs) {
+        ASSERT_TRUE(session.Discover(spec).ok());
+      }
+      EXPECT_EQ(session.corpus().tables_resident(), 0u);
+      ASSERT_TRUE(session.DiscoverBatch(specs).ok());
+      EXPECT_EQ(session.corpus().tables_resident(), 0u);
+      ASSERT_TRUE(session.WaitUntilReady().ok());
+      McrSearch mcr(&session.corpus(), &session.index());
+      for (const QuerySpec& spec : specs) {
+        (void)mcr.Discover(*spec.table, spec.key_columns, spec.options);
+      }
+      EXPECT_EQ(session.corpus().tables_resident(), 0u);
+      EXPECT_EQ(session.corpus_residency().bytes_materialized, 0u);
     }
-    EXPECT_GT(batch->stats.tables_materialized, 0u);
-    EXPECT_GT(batch->stats.cell_bytes_materialized, 0u);
-    EXPECT_GT(batch->stats.corpus_evictions, 0u);
-    EXPECT_GT(batch->stats.corpus_evicted_bytes, 0u);
+    RemoveWorld(saved);
   }
-  // The unlimited batch over a resident corpus reports zero traffic.
-  EXPECT_EQ(reference->stats.corpus_evictions, 0u);
-  EXPECT_EQ(reference->stats.corpus_evicted_bytes, 0u);
-  RemoveWorld(saved);
 }
 
-TEST(SessionBudgetTest, SingleColumnKeysMaterializeColumnsNotWholeTables) {
-  // Single-column keys hit the evaluator's columnar path: candidates that
-  // survive to row verification parse only the posting columns, so total
-  // bytes materialized stay strictly below the whole-corpus figure — with
-  // results bit-identical to a fully resident session.
-  SavedWorld saved = SaveWorld("columnar", /*key_size=*/1);
-  Session eager = OpenGoverned(saved, /*budget_bytes=*/0);
-  ASSERT_TRUE(eager.WaitCorpusResident().ok());
-  std::vector<QuerySpec> specs = MakeSpecs(saved.world);
-  auto reference = eager.DiscoverBatch(specs);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  Session lazy = OpenGoverned(saved, /*budget_bytes=*/0);
-  auto batch = lazy.DiscoverBatch(specs);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  for (size_t q = 0; q < batch->results.size(); ++q) {
-    ExpectBitIdentical(reference->results[q], batch->results[q]);
-  }
-  const ResidencyStats res = lazy.corpus_residency();
-  EXPECT_GT(res.bytes_materialized, 0u);
-  EXPECT_LT(res.bytes_materialized, TotalCellBytes(lazy));
-  EXPECT_FALSE(lazy.corpus_resident());
-  RemoveWorld(saved);
-}
-
-TEST(SessionBudgetTest, ColumnarPathMaterializesExactlyThePostingColumns) {
-  // Pins the evaluator's touched-column set: the posting items of this
-  // query land in columns 0 and 2 of the target table — interleaved and
-  // heavily duplicated across rows, so the evaluator's dedup (sort +
-  // unique) sees an unsorted, repeat-laden input. A lazy Discover must
-  // leave the target with exactly the bytes an explicit
-  // MaterializeColumns(t, {0, 2}) produces: no column dropped, none extra.
-  Corpus corpus;
-  Table target("target");
-  for (size_t c = 0; c < 5; ++c) target.AddColumn("c" + std::to_string(c));
-  for (int r = 0; r < 8; ++r) {
-    // Key values v0..v3 alternate between column 0 (even rows) and column
-    // 2 (odd rows); every other cell is unique filler.
-    std::vector<std::string> cells(5);
-    const std::string key = "v" + std::to_string(r % 4);
-    for (size_t c = 0; c < 5; ++c) {
-      cells[c] = "f" + std::to_string(r) + "_" + std::to_string(c);
-    }
-    cells[r % 2 == 0 ? 0 : 2] = key;
-    (void)target.AppendRow(std::move(cells));
-  }
-  corpus.AddTable(std::move(target));
-  Table decoy("decoy");
-  decoy.AddColumn("a");
-  decoy.AddColumn("b");
-  (void)decoy.AppendRow({"v0", "x"});
-  (void)decoy.AppendRow({"y", "z"});
-  corpus.AddTable(std::move(decoy));
-
-  const std::string corpus_path = testing::TempDir() + "/mate_pin.corpus";
-  const std::string index_path = testing::TempDir() + "/mate_pin.index";
-  {
-    SessionOptions build;
-    build.corpus = std::move(corpus);
-    build.build_index = true;
-    auto builder = Session::Open(std::move(build));
-    ASSERT_TRUE(builder.ok()) << builder.status().ToString();
-    ASSERT_TRUE(builder->Save(corpus_path, index_path).ok());
-  }
-  auto open_lazy = [&]() {
-    SessionOptions options;
-    options.corpus_path = corpus_path;
-    options.index_path = index_path;
-    options.cache_bytes = 0;
-    options.warm_corpus = false;
-    auto session = Session::Open(std::move(options));
-    EXPECT_TRUE(session.ok()) << session.status().ToString();
-    return std::move(*session);
-  };
-
-  Table query("q");
-  query.AddColumn("key");
-  for (int i = 0; i < 4; ++i) {
-    (void)query.AppendRow({"v" + std::to_string(i)});
-  }
-  QuerySpec spec;
-  spec.table = &query;
-  spec.key_columns = {0};
-  spec.options.k = 5;
-
-  Session discovered = open_lazy();
-  const TableId target_id = 0;
-  ASSERT_EQ(discovered.corpus().table_name(target_id), "target");
-  auto result = discovered.Discover(spec);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_FALSE(result->top_k.empty());
-  EXPECT_EQ(result->top_k[0].table_id, target_id);
-  // col0 holds {v0, v2}, col2 holds {v1, v3}: best single mapping joins 2.
-  EXPECT_EQ(result->top_k[0].joinability, 2);
-
-  Session explicit_cols = open_lazy();
-  (void)explicit_cols.corpus().MaterializeColumns(target_id, {0, 2});
-  const uint64_t expected_bytes =
-      explicit_cols.corpus().table_resident_bytes(target_id);
-  EXPECT_GT(expected_bytes, 0u);
-  EXPECT_LT(expected_bytes, discovered.corpus().table_cell_bytes(target_id));
-  EXPECT_EQ(discovered.corpus().table_resident_bytes(target_id),
-            expected_bytes);
-
-  std::remove(corpus_path.c_str());
-  std::remove(index_path.c_str());
-}
-
-TEST(SessionBudgetTest, BudgetDisablesTheBackgroundWarmer) {
-  // warm_corpus stays at its default (true) but a budget is armed: warming
-  // the whole lake just to evict it again is pointless, so no warmer runs
-  // and residency stays governed by the queries alone.
-  SavedWorld saved = SaveWorld("nowarm", /*key_size=*/2);
+TEST(SessionBudgetTest, SaveShedsBackToTheBudget) {
+  // Save is the work that still materializes every cell; the budget brings
+  // residency back under it afterwards.
+  SavedWorld saved = SaveWorld("save", /*key_size=*/2);
   Session probe = OpenGoverned(saved, /*budget_bytes=*/0);
   const uint64_t budget = TotalCellBytes(probe) / 4;
-
-  Session governed = OpenGoverned(saved, budget, /*warm_corpus=*/true);
-  std::vector<QuerySpec> specs = MakeSpecs(saved.world);
-  for (const QuerySpec& spec : specs) {
-    ASSERT_TRUE(governed.Discover(spec).ok());
-  }
-  EXPECT_FALSE(governed.corpus_resident());
-  EXPECT_LE(governed.corpus_residency().resident_bytes, budget);
+  Session governed = OpenGoverned(saved, budget);
+  const std::string corpus_copy = saved.corpus_path + ".copy";
+  const std::string index_copy = saved.index_path + ".copy";
+  ASSERT_TRUE(governed.Save(corpus_copy, index_copy).ok());
+  const ResidencyStats res = governed.corpus_residency();
+  EXPECT_EQ(res.bytes_materialized, TotalCellBytes(governed));
+  EXPECT_LE(res.resident_bytes, budget);
+  EXPECT_GT(res.evictions, 0u);
+  std::remove(corpus_copy.c_str());
+  std::remove(index_copy.c_str());
   RemoveWorld(saved);
 }
 

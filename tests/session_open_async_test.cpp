@@ -5,11 +5,11 @@
 // across threads {1,4} and shards {1,8} (the serial-pool case exercises the
 // dedicated loader thread, the 4-thread case the pool task; TSan guards the
 // latch discipline). Lazy sessions here are lazy on BOTH axes: the index
-// streams behind the readiness latch while corpus tables materialize on
-// demand, with queries racing the background corpus warmer. Also covers:
-// DiscoverBatch racing the latches, Save draining load + warmer,
-// move/destroy while warming, the eager_load / eager_corpus escape
-// hatches, header-served corpus stats, cold-table residency, older corpus
+// streams behind the readiness latch while the corpus stays cold — queries
+// verify from the posting lists and parse no cells. Also covers:
+// DiscoverBatch racing the latch, Save draining the load, move/destroy
+// while the index streams, the eager_load / eager_corpus escape hatches,
+// header-served corpus stats, zero query-time residency, older corpus
 // versions failing both Open paths, and cell-blob corruption surfacing
 // from the query paths.
 
@@ -93,7 +93,7 @@ void RemoveWorld(const SavedWorld& saved) {
 
 Session OpenPaths(const std::string& corpus_path,
                   const std::string& index_path, unsigned num_threads,
-                  bool eager, bool warm_corpus = true) {
+                  bool eager) {
   SessionOptions options;
   options.corpus_path = corpus_path;
   options.index_path = index_path;
@@ -103,16 +103,14 @@ Session OpenPaths(const std::string& corpus_path,
   // materialized corpus — the pre-lazy reference behavior.
   options.eager_load = eager;
   options.eager_corpus = eager;
-  options.warm_corpus = warm_corpus;
   auto session = Session::Open(std::move(options));
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   return std::move(*session);
 }
 
-Session OpenSaved(const SavedWorld& saved, unsigned num_threads, bool eager,
-                  bool warm_corpus = true) {
-  return OpenPaths(saved.corpus_path, saved.index_path, num_threads, eager,
-                   warm_corpus);
+Session OpenSaved(const SavedWorld& saved, unsigned num_threads,
+                  bool eager) {
+  return OpenPaths(saved.corpus_path, saved.index_path, num_threads, eager);
 }
 
 std::vector<QuerySpec> MakeSpecs(const World& world, unsigned threads,
@@ -288,8 +286,8 @@ TEST(SessionOpenAsyncTest, EagerLoadEscapeHatchIsReadyAtOpenReturn) {
 
 // ---- corpus-side laziness ------------------------------------------
 
-// A table stuffed with values no generated query ever probes: candidates
-// come from the index, so nothing should ever materialize it.
+// A table stuffed with values no generated query ever probes: no query
+// reads it.
 Table MakeColdTable(size_t rows) {
   Table cold("zz_cold");
   for (int c = 0; c < 4; ++c) cold.AddColumn("cc" + std::to_string(c));
@@ -332,10 +330,7 @@ ColdWorld SaveColdWorld(const std::string& tag) {
 TEST(SessionOpenAsyncTest, QueriesLeaveUntouchedTablesCold) {
   ColdWorld cold = SaveColdWorld("cold");
   Session reference = OpenSaved(cold.saved, /*num_threads=*/1, /*eager=*/true);
-  // No warmer: residency is driven by queries alone, so the check below is
-  // deterministic.
-  Session lazy = OpenSaved(cold.saved, /*num_threads=*/4, /*eager=*/false,
-                           /*warm_corpus=*/false);
+  Session lazy = OpenSaved(cold.saved, /*num_threads=*/4, /*eager=*/false);
   EXPECT_EQ(lazy.corpus().tables_resident(), 0u);
   for (const QuerySpec& spec : MakeSpecs(cold.saved.world, 1, 0)) {
     auto result = lazy.Discover(spec);
@@ -344,8 +339,9 @@ TEST(SessionOpenAsyncTest, QueriesLeaveUntouchedTablesCold) {
     ASSERT_TRUE(expected.ok());
     ExpectBitIdentical(*expected, *result);
   }
-  // Candidate tables materialized on demand; the cold table did not.
-  EXPECT_GT(lazy.corpus().tables_resident(), 0u);
+  // Queries verify from the posting lists: no table materialized, the
+  // candidates included.
+  EXPECT_EQ(lazy.corpus().tables_resident(), 0u);
   EXPECT_FALSE(lazy.corpus().table_resident(cold.cold_id));
   EXPECT_FALSE(lazy.corpus_resident());
   // Draining residency afterwards changes no answers.
@@ -368,12 +364,11 @@ TEST(SessionOpenAsyncTest, WaitCorpusResidentDrainsTheWarmer) {
 TEST(SessionOpenAsyncTest, CorpusStatsComeFromTheHeaderWithoutAScan) {
   SavedWorld saved = SaveWorld("stats");
   const CorpusStats expected = saved.world.corpus.ComputeStats();
-  // Corpus-only session (no index to supply stats), no warmer: any stats
-  // scan would have to materialize tables, so zero residency proves the
-  // snapshot came from the corpus header.
+  // Corpus-only session (no index to supply stats): any stats scan would
+  // have to materialize tables, so zero residency proves the snapshot came
+  // from the corpus header.
   SessionOptions options;
   options.corpus_path = saved.corpus_path;
-  options.warm_corpus = false;
   auto session = Session::Open(std::move(options));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(session->corpus().tables_resident(), 0u);

@@ -1,9 +1,8 @@
 // TableStore (storage/table_store.h): lazy per-table materialization under
 // a corpus. Shape must be fully answerable with zero cells parsed, Get must
 // materialize each table exactly once under concurrency (TSan guards the
-// once-latch discipline), the warmer callable must survive moves of the
-// owning Corpus, and a corrupt blob must latch a sticky status while
-// leaving a shape-complete stub.
+// once-latch discipline), and a corrupt blob must latch a sticky status
+// while leaving a shape-complete stub.
 
 #include "storage/table_store.h"
 
@@ -120,33 +119,6 @@ TEST(TableStoreTest, ConcurrentGetsMaterializeOnceAndRaceFree) {
   EXPECT_TRUE(CorporaEqual(original, lazy));
 }
 
-TEST(TableStoreTest, WarmerRacesOnDemandReadersSafely) {
-  Corpus original = MakeCorpus(24, 10);
-  Corpus lazy = OpenLazyCopy(original, "warmrace");
-  std::function<Status()> warmer = lazy.MakeWarmer();
-  std::thread warm_thread([&warmer] { EXPECT_TRUE(warmer().ok()); });
-  for (TableId t = 0; t < lazy.NumTables(); ++t) {
-    EXPECT_EQ(lazy.table(t).name(), "table_" + std::to_string(t));
-  }
-  warm_thread.join();
-  EXPECT_TRUE(lazy.fully_resident());
-  EXPECT_TRUE(CorporaEqual(original, lazy));
-}
-
-TEST(TableStoreTest, WarmerSurvivesAMoveOfTheOwningCorpus) {
-  Corpus original = MakeCorpus(32, 12);
-  Corpus lazy = OpenLazyCopy(original, "move");
-  std::function<Status()> warmer = lazy.MakeWarmer();
-  std::thread warm_thread([&warmer] { EXPECT_TRUE(warmer().ok()); });
-  // The warmer co-owns the store's state: moving the corpus handle while
-  // it streams must stay safe (ASan/TSan turn a lifetime bug into a hard
-  // failure).
-  Corpus moved = std::move(lazy);
-  warm_thread.join();
-  EXPECT_TRUE(moved.fully_resident());
-  EXPECT_TRUE(CorporaEqual(original, moved));
-}
-
 TEST(TableStoreTest, MutableAccessMaterializesAndShapeTracksEdits) {
   Corpus original = MakeCorpus(3, 4);
   Corpus lazy = OpenLazyCopy(original, "mutate");
@@ -183,7 +155,7 @@ TEST(TableStoreTest, EmptyCorpusIsTriviallyResident) {
   EXPECT_TRUE(lazy.MaterializeAll().ok());
 }
 
-// ---- residency budget: LRU eviction + columnar materialization --------
+// ---- residency budget: LRU eviction -----------------------------------
 
 TEST(TableStoreTest, BudgetEvictsOldestTouchFirstAndRetouchReparses) {
   Corpus original = MakeCorpus(6, 8);
@@ -203,10 +175,9 @@ TEST(TableStoreTest, BudgetEvictsOldestTouchFirstAndRetouchReparses) {
   EXPECT_EQ(stats.resident_bytes, keep_two);
   // Re-touching an evicted table re-parses it bit-identically and counts
   // the rematerialization.
-  MaterializeOutcome outcome;
-  const Table& t0 = lazy.MaterializeTable(0, &outcome);
-  EXPECT_TRUE(outcome.rematerialized);
-  EXPECT_GT(outcome.bytes_parsed, 0u);
+  const uint64_t parsed_before = lazy.residency().bytes_materialized;
+  const Table& t0 = lazy.table(0);
+  EXPECT_GT(lazy.residency().bytes_materialized, parsed_before);
   EXPECT_TRUE(TablesEqual(original.table(0), t0));
   EXPECT_EQ(lazy.residency().rematerializations, 1u);
 }
@@ -228,32 +199,6 @@ TEST(TableStoreTest, TinyBudgetThrashStaysCorrect) {
   EXPECT_TRUE(lazy.load_status().ok());
 }
 
-TEST(TableStoreTest, GetColumnsMaterializesOnlyThoseColumns) {
-  Corpus original = MakeCorpus(3, 7);
-  Corpus lazy = OpenLazyCopy(original, "columnar");
-  MaterializeOutcome outcome;
-  const Table& partial = lazy.MaterializeColumns(1, {1}, &outcome);
-  // Only column 1's extent parsed; the untouched columns are skeleton cells.
-  EXPECT_EQ(outcome.bytes_parsed,
-            TableColumnCellBytes(original.table(1), 1));
-  EXPECT_EQ(lazy.table_resident_bytes(1), outcome.bytes_parsed);
-  EXPECT_LT(lazy.table_resident_bytes(1), lazy.table_cell_bytes(1));
-  for (RowId r = 0; r < partial.NumRows(); ++r) {
-    EXPECT_EQ(partial.cell(r, 1), original.table(1).cell(r, 1));
-    EXPECT_EQ(partial.cell(r, 0), "");
-  }
-  EXPECT_EQ(lazy.residency().partial_tables, 1u);
-  // Requesting an already-parsed column is free; tombstones carried over.
-  MaterializeOutcome again;
-  (void)lazy.MaterializeColumns(1, {1}, &again);
-  EXPECT_EQ(again.bytes_parsed, 0u);
-  EXPECT_EQ(partial.NumLiveRows(), original.table(1).NumLiveRows());
-  // A full Get completes the remaining columns — equal to eager.
-  EXPECT_TRUE(TablesEqual(original.table(1), lazy.table(1)));
-  EXPECT_EQ(lazy.table_resident_bytes(1), lazy.table_cell_bytes(1));
-  EXPECT_EQ(lazy.residency().partial_tables, 0u);
-}
-
 TEST(TableStoreTest, PinnedTableSurvivesEviction) {
   Corpus original = MakeCorpus(4, 6);
   Corpus lazy = OpenLazyCopy(original, "pin");
@@ -272,16 +217,16 @@ TEST(TableStoreTest, PinnedTableSurvivesEviction) {
 }
 
 TEST(TableStoreTest, EvictionAtIdlePointsBetweenReaderWavesIsSafe) {
-  // The mutation/quiesce contract under TSan: warmer and on-demand readers
-  // (full and columnar) race each other freely within a wave; eviction runs
+  // The mutation/quiesce contract under TSan: a MaterializeAll sweep and
+  // on-demand readers race each other freely within a wave; eviction runs
   // only at the idle point after every thread joined. Contents must stay
   // bit-identical through evict + re-parse cycles.
   Corpus original = MakeCorpus(16, 8);
   Corpus lazy = OpenLazyCopy(original, "evictwaves");
   lazy.SetBudget(1);
   for (int wave = 0; wave < 3; ++wave) {
-    std::function<Status()> warmer = lazy.MakeWarmer();
-    std::thread warm_thread([&warmer] { EXPECT_TRUE(warmer().ok()); });
+    std::thread warm_thread(
+        [&lazy] { EXPECT_TRUE(lazy.MaterializeAll().ok()); });
     std::vector<std::thread> readers;
     for (int w = 0; w < 4; ++w) {
       readers.emplace_back([&lazy, &original, w] {
@@ -291,8 +236,8 @@ TEST(TableStoreTest, EvictionAtIdlePointsBetweenReaderWavesIsSafe) {
           if (w % 2 == 0) {
             EXPECT_EQ(lazy.table(t).cell(1, 1), original.table(t).cell(1, 1));
           } else {
-            const Table& partial = lazy.MaterializeColumns(t, {1});
-            EXPECT_EQ(partial.cell(1, 1), original.table(t).cell(1, 1));
+            const Table& table = lazy.table(t);
+            EXPECT_EQ(table.cell(1, 1), original.table(t).cell(1, 1));
           }
         }
       });
@@ -343,10 +288,9 @@ TEST(TableStoreTest, EvictedTableRematerializesByteIdentical) {
   for (int cycle = 0; cycle < 2; ++cycle) {
     lazy.EvictToBudget();
     ASSERT_FALSE(lazy.table_resident(1));
-    // The columnar path first, then the whole-table path over an evicted
-    // slot: both must decode the same bytes as the first pass.
-    const Table& table =
-        cycle == 0 ? lazy.MaterializeColumns(1, {1}) : lazy.table(1);
+    // Each re-parse over an evicted slot must decode the same bytes as the
+    // first pass.
+    const Table& table = lazy.table(1);
     ASSERT_EQ(table.NumRows(), first.size());
     for (RowId r = 0; r < table.NumRows(); ++r) {
       EXPECT_EQ(table.cell(r, 1), first[r][1]) << cycle << " row " << r;
@@ -357,43 +301,6 @@ TEST(TableStoreTest, EvictedTableRematerializesByteIdentical) {
   }
   EXPECT_EQ(lazy.residency().rematerializations, 2u);
   EXPECT_TRUE(lazy.load_status().ok());
-}
-
-TEST(TableStoreTest, ColumnsHandedOutSurviveALaterColumnFailure) {
-  // GetColumns callers read the returned table without a lock, so a later
-  // failed parse of another column must neither replace the table nor
-  // touch the columns already handed out.
-  Corpus original = MakeCorpus(2, 4);
-  std::string bytes;
-  SerializeCorpus(original, original.ComputeStats(), &bytes);
-  uint64_t region = 0;
-  for (TableId t = 0; t < original.NumTables(); ++t) {
-    region += TableCellBytes(original.table(t));
-  }
-  const size_t column1 = bytes.size() - static_cast<size_t>(region) +
-                         TableColumnCellBytes(original.table(0), 0);
-  bytes[column1] = '\x7f';  // column 1's first cell claims 127 bytes
-  const std::string path =
-      testing::TempDir() + "/mate_table_store_partial_failure.corpus";
-  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
-  auto lazy = OpenCorpusLazy(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-
-  const Table& partial = lazy->MaterializeColumns(0, {0});
-  ASSERT_TRUE(lazy->load_status().ok());
-  const std::string expected(original.table(0).cell(1, 0));
-  const std::string_view cell = partial.cell(1, 0);
-  EXPECT_EQ(cell, expected);
-  const Status full = lazy->EnsureTable(0);
-  EXPECT_TRUE(full.IsCorruption());
-  EXPECT_NE(full.message().find("column 1"), std::string::npos)
-      << full.message();
-  EXPECT_EQ(&lazy->table(0), &partial);
-  EXPECT_EQ(partial.cell(1, 0), expected);
-  EXPECT_EQ(cell, expected);  // the view into column 0 is still valid
-  EXPECT_EQ(partial.cell(1, 1), "");  // the failed column reads empty
-  EXPECT_EQ(partial.NumRows(), original.table(0).NumRows());
 }
 
 TEST(TableStoreTest, ResidentStoreShapeAccessorsMatchTables) {

@@ -43,20 +43,20 @@
 // index header, dictionary, and corpus/index validation, while the mmap'd
 // posting region and super keys stream in on the pool; the first query
 // blocks on the readiness latch. The corpus side is *lazy*: Open parses
-// only the shape header, queries materialize just the tables they
-// evaluate, and a background warmer streams the rest. `--eager` forces the
-// old fully blocking index open, `--eager-corpus` the fully materialized
-// corpus load. Results are identical at every setting.
+// only the shape header, and queries read no cells (verification answers
+// from the posting lists), so tables materialize only for printing or
+// stats. `--eager` forces the old fully blocking index open,
+// `--eager-corpus` the fully materialized corpus load. Results are
+// identical at every setting.
 //
 // Corpus files are format v3, the only corpus format (what `index` writes);
 // any other version fails every command with "unsupported version N".
 //
 // Memory governance: `--corpus-budget-mb N` arms a residency byte budget
-// over the lazy corpus — candidate tables (just their touched columns, for
-// single-column keys) materialize on demand and the least-recently-used
-// tables are evicted back down to the budget between queries. Results stay
-// bit-identical; search and stats report the residency traffic
-// (resident/peak bytes, evictions, re-parses).
+// over the lazy corpus — after work that materializes cells (a stats scan,
+// Save) the least-recently-used tables are evicted back down to the
+// budget. Results stay bit-identical; search and stats report the
+// residency traffic (resident/peak bytes, evictions, re-parses).
 
 #include <algorithm>
 #include <charconv>
@@ -172,7 +172,7 @@ void PrintResidency(const ResidencyStats& r) {
             << "B materialized=" << r.bytes_materialized << "B evictions="
             << r.evictions << " (" << r.bytes_evicted << "B) re-parses="
             << r.rematerializations << " tables=" << r.tables_resident
-            << " (" << r.partial_tables << " partial)\n";
+            << "\n";
 }
 
 Result<std::vector<ColumnId>> ResolveKeyColumns(const Table& query,
@@ -298,8 +298,7 @@ int CmdSearch(const std::map<std::string, std::string>& flags) {
   if (!session->index_ready()) std::cerr << " (index warming in background)";
   if (!session->corpus_resident()) {
     std::cerr << " (corpus " << session->corpus().tables_resident() << "/"
-              << session->corpus().NumTables()
-              << " tables resident, warming in background)";
+              << session->corpus().NumTables() << " tables resident)";
   }
   std::cerr << "\n";
 
@@ -458,10 +457,7 @@ Result<Session> OpenSession(const std::string& corpus_path,
   SessionOptions options;
   options.corpus_path = corpus_path;
   options.index_path = index_path;
-  options.cache_bytes = 0;   // no discovery happens in these commands
-  options.warm_corpus = false;  // one-shot commands: materialize strictly
-                                // on demand — stats' fast path must not
-                                // stall process exit behind a warmer
+  options.cache_bytes = 0;  // no discovery happens in these commands
   options.corpus_budget_bytes = corpus_budget_bytes;
   return Session::Open(std::move(options));
 }
