@@ -38,8 +38,7 @@ DiscoveryResult McrSearch::Discover(const Table& query,
   // the combos whose first value it holds. Distinct values per key
   // position, for the per-column PL fetches.
   std::unordered_map<std::string_view, std::vector<uint32_t>> combos_of_first;
-  std::vector<std::unordered_map<std::string_view, const PostingList*>>
-      values_at(m);
+  std::vector<std::unordered_map<std::string_view, PostingSpan>> values_at(m);
   for (uint32_t combo_id = 0; combo_id < combos.size(); ++combo_id) {
     combos_of_first[combos[combo_id][0]].push_back(combo_id);
     for (size_t i = 0; i < m; ++i) {
@@ -55,9 +54,8 @@ DiscoveryResult McrSearch::Discover(const Table& query,
   std::unordered_map<uint64_t, uint32_t> row_masks;
   for (size_t i = 0; i < m; ++i) {
     for (const auto& [v, pl] : values_at[i]) {
-      if (pl == nullptr) continue;
-      stats.pl_items_fetched += pl->size();
-      for (const PostingEntry& entry : *pl) {
+      stats.pl_items_fetched += pl.size();
+      for (const PostingEntry& entry : pl) {
         if (excluded.count(entry.table_id)) continue;
         row_masks[RowKey(entry.table_id, entry.row_id)] |= uint32_t{1} << i;
       }
@@ -69,9 +67,9 @@ DiscoveryResult McrSearch::Discover(const Table& query,
   // first position's already fetched lists).
   std::unordered_map<uint64_t, std::vector<uint32_t>> bound;
   for (const auto& [v, pl] : values_at[0]) {
-    if (pl == nullptr) continue;
+    if (pl.empty()) continue;
     const std::vector<uint32_t>& ids = combos_of_first.at(v);
-    for (const PostingEntry& entry : *pl) {
+    for (const PostingEntry& entry : pl) {
       const uint64_t key = RowKey(entry.table_id, entry.row_id);
       auto it = row_masks.find(key);
       if (it == row_masks.end() || it->second != full_mask) continue;

@@ -28,8 +28,7 @@ uint64_t CountPlItemsForColumn(const Table& query, ColumnId c,
   uint64_t total = 0;
   for (const std::string& value : distinct) {
     if (value.empty()) continue;
-    const PostingList* pl = index.Lookup(value);
-    if (pl != nullptr) total += pl->size();
+    total += index.Lookup(value).size();
   }
   return total;
 }
@@ -44,7 +43,7 @@ uint64_t CountPostingListsForColumn(const Table& query, ColumnId c,
   uint64_t lists = 0;
   for (const std::string& value : distinct) {
     if (value.empty()) continue;
-    if (index.Lookup(value) != nullptr) ++lists;
+    if (!index.Lookup(value).empty()) ++lists;
   }
   return lists;
 }

@@ -61,7 +61,7 @@ namespace {
 // Appends to `out` the columns of row (table, row) that hold `list`'s
 // value, in ascending order, leaving out `skip`. Postings sort by (table,
 // row, column), so they are one contiguous run.
-void AppendRowColumns(const PostingList& list, TableId table, RowId row,
+void AppendRowColumns(PostingSpan list, TableId table, RowId row,
                       ColumnId skip, std::vector<ColumnId>* out) {
   auto it = std::lower_bound(
       list.begin(), list.end(), std::pair<TableId, RowId>(table, row),
@@ -88,17 +88,17 @@ bool CollectCandidates(const ComboPostings& lists, TableId table, RowId row,
   for (size_t i = 0; i < m; ++i) {
     std::vector<ColumnId>& columns = (*candidates)[i];
     columns.clear();
-    if (lists[i] == nullptr) return false;
+    if (lists[i].empty()) return false;
     ++*probes;
     if (fixed_column != kInvalidColumnId && i == fixed_position) {
-      if (!std::binary_search(lists[i]->begin(), lists[i]->end(),
+      if (!std::binary_search(lists[i].begin(), lists[i].end(),
                               PostingEntry{table, fixed_column, row})) {
         return false;
       }
       columns.push_back(fixed_column);
       continue;
     }
-    AppendRowColumns(*lists[i], table, row, fixed_column, &columns);
+    AppendRowColumns(lists[i], table, row, fixed_column, &columns);
     if (columns.empty()) return false;
   }
   return true;

@@ -37,8 +37,8 @@ std::vector<std::vector<std::string>> ExtractKeyCombos(
     const Table& query, const std::vector<ColumnId>& key_columns);
 
 /// One combo's posting lists, position by position: entry i is the index's
-/// list for the combo's i-th value, or nullptr when the index lacks it.
-using ComboPostings = std::vector<const PostingList*>;
+/// list for the combo's i-th value, empty when the index lacks it.
+using ComboPostings = std::vector<PostingSpan>;
 
 /// The posting lists of every combo (entry combo_id), one index probe per
 /// combo value. Lists point into `index` and stay valid until it is edited.

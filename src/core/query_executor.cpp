@@ -41,10 +41,10 @@ struct PreparedQuery {
   /// combo_lists[combo_id] holds the posting lists of the combo's values
   /// (ResolveComboPostings), which the verifier probes instead of cells;
   /// posting_lists[v] is the list of init_values[v]. Both are resolved once
-  /// here (nullptr when absent), so S shard tasks don't repeat the
+  /// here (empty when absent), so S shard tasks don't repeat the
   /// string-keyed probes.
   std::vector<ComboPostings> combo_lists;
-  std::vector<const PostingList*> posting_lists;
+  std::vector<PostingSpan> posting_lists;
   std::unordered_set<TableId> excluded;
   std::unordered_set<TableId> restricted;
 };
@@ -97,9 +97,7 @@ PreparedQuery PrepareQuery(const Table& query,
 // gate. List sizes only, no PL scan.
 uint64_t EstimatePreparedPlItems(const PreparedQuery& prep) {
   uint64_t total = 0;
-  for (const PostingList* pl : prep.posting_lists) {
-    if (pl != nullptr) total += pl->size();
-  }
+  for (const PostingSpan& pl : prep.posting_lists) total += pl.size();
   return total;
 }
 
@@ -126,11 +124,10 @@ std::vector<TableCandidates> FetchShardCandidates(const PreparedQuery& prep,
   };
   std::unordered_map<TableId, std::vector<FetchedItem>> by_table;
   for (uint32_t v = 0; v < prep.init_values.size(); ++v) {
-    const PostingList* pl = prep.posting_lists[v];
-    if (pl == nullptr) continue;
+    const PostingSpan pl = prep.posting_lists[v];
     const auto lo =
-        std::lower_bound(pl->begin(), pl->end(), range.begin, by_table_id);
-    const auto hi = std::lower_bound(lo, pl->end(), range.end, by_table_id);
+        std::lower_bound(pl.begin(), pl.end(), range.begin, by_table_id);
+    const auto hi = std::lower_bound(lo, pl.end(), range.end, by_table_id);
     stats->pl_items_fetched += static_cast<uint64_t>(hi - lo);
     for (auto it = lo; it != hi; ++it) {
       if (prep.excluded.count(it->table_id)) continue;
@@ -360,8 +357,7 @@ uint64_t QueryExecutor::EstimatePlItems(
     const auto [it, inserted] =
         seen.insert(NormalizeValue(query.cell(r, init_column)));
     if (!inserted) continue;
-    const PostingList* pl = index_->Lookup(*it);
-    if (pl != nullptr) total += pl->size();
+    total += index_->Lookup(*it).size();
   }
   return total;
 }

@@ -23,9 +23,12 @@ namespace {
 // Open instead of as an out-of-bounds probe mid-query. `rows_per_table`
 // comes from the super keys for in-memory indexes and from the file's
 // shape header for phased loads (where the super keys are not resident
-// yet).
+// yet). A loaded image's shape also bounds the column ids each table
+// posts (`column_bounds`, null for in-memory indexes): none may name a
+// column past the corpus table's width.
 Status ValidateShapeMatchesCorpus(const Corpus& corpus,
-                                  const std::vector<uint64_t>& rows_per_table) {
+                                  const std::vector<uint64_t>& rows_per_table,
+                                  const std::vector<uint64_t>* column_bounds) {
   if (rows_per_table.size() != corpus.NumTables()) {
     return Status::Corruption(
         "index covers " + std::to_string(rows_per_table.size()) +
@@ -40,13 +43,21 @@ Status ValidateShapeMatchesCorpus(const Corpus& corpus,
           std::to_string(rows_per_table[t]) + " super keys but the corpus "
           "table has " + std::to_string(corpus.table_num_rows(t)) + " rows");
     }
+    if (column_bounds != nullptr &&
+        (*column_bounds)[t] > corpus.table_num_columns(t)) {
+      return Status::Corruption(
+          "index table " + std::to_string(t) + " posts column ids up to " +
+          std::to_string((*column_bounds)[t] - 1) + " but the corpus table "
+          "has " + std::to_string(corpus.table_num_columns(t)) + " columns");
+    }
   }
   return Status::OK();
 }
 
 Status ValidateIndexMatchesCorpus(const Corpus& corpus,
                                   const InvertedIndex& index) {
-  return ValidateShapeMatchesCorpus(corpus, index.superkeys().RowCounts());
+  return ValidateShapeMatchesCorpus(corpus, index.superkeys().RowCounts(),
+                                    nullptr);
 }
 
 }  // namespace
@@ -147,9 +158,13 @@ Result<Session> Session::Open(SessionOptions options) {
   // before touching the index, and QuiesceLoad covers teardown (including
   // the early error returns further down: ~Session waits the latch).
   bool have_stats = false;
+  std::vector<uint64_t> image_rows;  // the loaded image's shape header
+  std::vector<uint64_t> image_column_bounds;
   if (!options.index_path.empty()) {
     MATE_ASSIGN_OR_RETURN(PhasedIndexLoad load,
                           PhasedIndexLoad::Begin(options.index_path));
+    image_rows = load.rows_per_table();
+    image_column_bounds = load.column_bounds();
     session.hash_family_ = load.hash_family();
     session.corpus_stats_ = load.corpus_stats();
     have_stats = session.corpus_stats_.num_cells > 0;
@@ -208,12 +223,8 @@ Result<Session> Session::Open(SessionOptions options) {
     if (options.validate) {
       // Against the shape header parsed in phase 1 — the super keys may
       // still be streaming.
-      const std::vector<uint64_t>& rows_per_table =
-          session.pending_ != nullptr
-              ? session.pending_->load.rows_per_table()
-              : session.index_->superkeys().RowCounts();
-      MATE_RETURN_IF_ERROR(
-          ValidateShapeMatchesCorpus(session.corpus_, rows_per_table));
+      MATE_RETURN_IF_ERROR(ValidateShapeMatchesCorpus(
+          session.corpus_, image_rows, &image_column_bounds));
     }
   } else if (options.build_index) {
     MATE_ASSIGN_OR_RETURN(
@@ -557,15 +568,11 @@ Status Session::ResetHash(HashFamily family,
     return Status::InvalidArgument("session has no index to re-key");
   }
   MATE_RETURN_IF_ERROR(WaitUntilReady());
-  // Re-keying scans every cell: make the corpus resident first and refuse
-  // to hash shape stubs left behind by a corrupt blob.
-  MATE_RETURN_IF_ERROR(WaitCorpusResident());
+  // Re-keying reads the posting lists, not the corpus.
   MATE_RETURN_IF_ERROR(
-      index_->ResetHash(corpus_, std::move(hash), pool_->num_threads()));
+      index_->ResetHash(std::move(hash), pool_->num_threads()));
   hash_family_ = family;
   InvalidateCache();
-  // The re-key scan materialized every cell; shed back to the budget.
-  corpus_.EvictToBudget();
   return Status::OK();
 }
 

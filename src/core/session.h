@@ -12,11 +12,12 @@
 //   * loads the corpus *lazily* from its file: Open parses only the shape
 //     header (stats + table directory) over the mmap'd image. Queries
 //     never read cells — join verification answers from the index's
-//     posting lists (core/joinability.h) — so a table's cells parse only
-//     when Save, ResetHash, §5.4 maintenance or a direct corpus() reader
-//     touches it (WaitCorpusResident / SessionOptions::eager_corpus give
-//     explicit control). Corpus format v3 is the only one: an older image
-//     fails Open with kCorruption "unsupported version N (expected 3)";
+//     posting lists (core/joinability.h), and so does re-keying
+//     (ResetHash) — so a table's cells parse only when Save, §5.4
+//     maintenance or a direct corpus() reader touches it
+//     (WaitCorpusResident / SessionOptions::eager_corpus give explicit
+//     control). Corpus format v3 is the only one: an older image fails
+//     Open with kCorruption "unsupported version N (expected 3)";
 //   * owns one long-lived work-stealing ThreadPool reused across batches
 //     and fans a single large query's sharded evaluation out over the same
 //     pool (core/query_executor.h — intra-query parallelism);
@@ -151,7 +152,7 @@ struct SessionOptions {
   /// parses only the stats header and table directory, and cross-validates
   /// shape against the index with zero cell parsing. Queries never
   /// materialize cells; a table's cells parse on the first access that
-  /// needs them (Save, ResetHash, maintenance, corpus().table()). Results
+  /// needs them (Save, maintenance, corpus().table()). Results
   /// are bit-identical to an eager open. Set true to materialize every
   /// table before Open returns (LoadCorpus: the same reader and decoder,
   /// drained up front), so every corpus error surfaces from Open itself.
@@ -160,10 +161,10 @@ struct SessionOptions {
   bool eager_corpus = false;
   /// Corpus residency byte budget (0 = unlimited, the classic behavior).
   /// With a budget armed, a lazily opened corpus behaves like a buffer
-  /// pool for the work that materializes cells: after Open, Save and
-  /// ResetHash the least-recently-touched tables are evicted until the
-  /// resident cell bytes fit the budget again, and the corpus mmap stays
-  /// alive for re-parses. Queries read no cells, so they neither
+  /// pool for the work that materializes cells: after Open and Save the
+  /// least-recently-touched tables are evicted until the resident cell
+  /// bytes fit the budget again, and the corpus mmap stays alive for
+  /// re-parses. Queries and ResetHash read no cells, so they neither
   /// materialize nor evict. Budgets only govern path-based lazy corpora:
   /// adopted/eager/built corpora have no backing file to re-parse evicted
   /// tables from.
@@ -225,8 +226,8 @@ class Session {
   /// Materializes every corpus table and returns the corpus's sticky load
   /// status (kCorruption naming the table, section, and byte offset on a
   /// malformed cell blob). Returns OK immediately for eager, adopted, and
-  /// built corpora. Queries do NOT wait on this (they read no cells); Save
-  /// and ResetHash do.
+  /// built corpora. Queries and ResetHash do NOT wait on this (they read
+  /// no cells); Save does.
   Status WaitCorpusResident() const;
 
   /// Non-blocking probe: true once every corpus table is resident.
@@ -331,11 +332,13 @@ class Session {
   Corpus* mutable_corpus() { return &corpus_; }
   InvertedIndex* mutable_index() { return index_.get(); }
 
-  /// Swaps the super-key hash (re-keying on the session pool) and
+  /// Swaps the super-key hash (re-keying on the session pool's width) and
   /// invalidates the cache — every tenant partition, not just the shared
   /// one: re-keying changes what the index computes for all tenants alike.
-  /// The registry overload parameterizes the hash from the session's
-  /// corpus stats, like the index builder does.
+  /// Re-keying reads the posting lists only, so it neither materializes
+  /// the corpus nor evicts from it. The registry overload parameterizes
+  /// the hash from the session's corpus stats, like the index builder
+  /// does.
   Status ResetHash(HashFamily family, size_t hash_bits);
   Status ResetHash(HashFamily family, std::unique_ptr<RowHashFunction> hash);
 

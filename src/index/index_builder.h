@@ -1,6 +1,13 @@
 // Offline indexing (Figure 2, left): scans a corpus, builds the inverted
 // index and per-row super keys, and reports build cost and size — the
 // quantities behind the §7.1 "Index generation" discussion.
+//
+// The build reads the corpus once. That scan normalizes and interns every
+// live cell a single time, in (table, row, column) order, so dictionary ids
+// are first-appearance ids, and it counts every CorpusStats field on the
+// way. A counting sort on value id then lays the postings out in the CSR
+// arena (inverted_index.h), and the super keys come from hashing each
+// distinct value once (InvertedIndex::RebuildSuperKeys).
 
 #ifndef MATE_INDEX_INDEX_BUILDER_H_
 #define MATE_INDEX_INDEX_BUILDER_H_
@@ -24,16 +31,22 @@ struct IndexBuildOptions {
   /// average column count V.
   bool use_corpus_stats = true;
 
-  /// Worker threads for the super-key hashing pass (the dominant build
-  /// cost; posting-list insertion stays single-threaded for determinism).
-  /// 0 uses the hardware concurrency; 1 builds fully serially. The built
-  /// index is bit-identical regardless of thread count.
+  /// Worker threads for the super-key pass, which hashes each distinct
+  /// value once and ORs its signature into the rows its list names; the
+  /// workers split the values. The corpus scan and the posting layout stay
+  /// serial, which keeps dictionary ids deterministic. 0 uses the hardware
+  /// concurrency; 1 builds fully serially. The built index is bit-identical
+  /// regardless of thread count.
   unsigned num_threads = 1;
 };
 
 struct IndexBuildReport {
+  /// The scan's statistics; left empty when use_corpus_stats is false.
   CorpusStats corpus_stats;
+  /// The one corpus scan: normalizing, interning and counting every cell.
   double stats_scan_seconds = 0.0;
+  /// The rest of the build: the posting layout and the super keys. The two
+  /// times add up to the whole build.
   double build_seconds = 0.0;
   size_t posting_entries = 0;
   size_t posting_bytes = 0;

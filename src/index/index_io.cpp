@@ -15,8 +15,27 @@ namespace mate {
 namespace {
 constexpr char kMagic[] = "MATEINDX";
 constexpr size_t kMagicLen = 8;
-// v2: shape section ahead of the dictionary, size-prefixed posting region.
-constexpr uint32_t kVersion = 2;
+// v3: dense lists in value-id order with delta-coded table and row ids, a
+// total entry count, and per-table column bounds in the shape section.
+constexpr uint32_t kVersion = 3;
+// Every shape count becomes an id bound, and ids are 32-bit.
+constexpr uint64_t kMaxIdBound = uint64_t{1} << 32;
+
+// Calls fn(table_delta, row_code, entry) for each entry of `list`, in
+// order: the table id as a delta from the previous entry's, the row id as
+// a delta from the previous entry's within one table and absolute at a
+// table change. The first entry codes against table 0, row 0.
+template <typename Fn>
+void ForEachCodedEntry(PostingSpan list, Fn&& fn) {
+  TableId table = 0;
+  RowId row = 0;
+  for (const PostingEntry& entry : list) {
+    if (entry.table_id != table) row = 0;
+    fn(uint64_t{entry.table_id} - table, uint64_t{entry.row_id} - row, entry);
+    table = entry.table_id;
+    row = entry.row_id;
+  }
+}
 
 }  // namespace
 
@@ -29,8 +48,9 @@ struct PhasedIndexLoad::Impl {
   HashFamily family = HashFamily::kXash;
   CorpusStats stats;
   std::vector<uint64_t> rows_per_table;
+  std::vector<uint64_t> column_bounds;
   uint64_t dict_size = 0;
-  uint64_t num_lists = 0;
+  uint64_t total_entries = 0;
   std::string_view posting_region;
   std::string_view superkey_region;
   std::unique_ptr<InvertedIndex> owned;
@@ -61,8 +81,11 @@ class IndexLoader {
     if (!GetLengthPrefixed(data, &family_name)) {
       return cursor.Corrupt("bad hash family");
     }
+    // The width the builder accepts: the hashes and the super-key store
+    // assume whole 64-bit words.
     uint64_t hash_bits = 0;
-    if (!GetVarint64(data, &hash_bits)) {
+    if (!GetVarint64(data, &hash_bits) || hash_bits == 0 ||
+        hash_bits % 64 != 0 || hash_bits > BitVector::kMaxBits) {
       return cursor.Corrupt("bad hash width");
     }
     if (data->empty()) return cursor.Corrupt("truncated stats flag");
@@ -74,7 +97,9 @@ class IndexLoader {
       return cursor.Corrupt("bad corpus stats");
     }
 
-    MATE_ASSIGN_OR_RETURN(impl->family, ParseHashFamily(family_name));
+    Result<HashFamily> family = ParseHashFamily(family_name);
+    if (!family.ok()) return cursor.Corrupt(family.status().message());
+    impl->family = *family;
     std::unique_ptr<RowHashFunction> hash =
         MakeRowHash(impl->family, static_cast<size_t>(hash_bits),
                     used_stats ? &impl->stats : nullptr);
@@ -82,22 +107,30 @@ class IndexLoader {
     impl->owned = std::make_unique<InvertedIndex>(std::move(hash));
     impl->target = impl->owned.get();
 
-    // Shape: per-table row counts, ahead of the bulky sections so loading
-    // can cross-validate against a corpus before postings exist in memory.
-    // Counts are bounds-checked against the bytes left (>= 1 byte each) so
-    // a corrupt value fails the parse instead of driving a huge allocation.
+    // Shape: per-table row counts and column bounds, ahead of the bulky
+    // sections so loading can cross-validate against a corpus before
+    // postings exist in memory. The table count is bounds-checked against
+    // the bytes left (>= 2 bytes per table) so a corrupt value fails the
+    // parse instead of driving a huge allocation.
     cursor.section = "shape";
     uint64_t num_tables = 0;
-    if (!GetVarint64(data, &num_tables) || num_tables > data->size()) {
+    if (!GetVarint64(data, &num_tables) || num_tables > data->size() / 2) {
       return cursor.Corrupt("bad table count");
     }
     impl->rows_per_table.reserve(static_cast<size_t>(num_tables));
+    impl->column_bounds.reserve(static_cast<size_t>(num_tables));
     for (uint64_t t = 0; t < num_tables; ++t) {
       uint64_t rows = 0;
-      if (!GetVarint64(data, &rows)) {
-        return cursor.Corrupt("truncated row counts");
+      uint64_t columns = 0;
+      if (!GetVarint64(data, &rows) || !GetVarint64(data, &columns)) {
+        return cursor.Corrupt("truncated table shape");
+      }
+      if (rows > kMaxIdBound || columns > kMaxIdBound) {
+        return cursor.Corrupt("table " + std::to_string(t) +
+                              " shape exceeds the 32-bit id range");
       }
       impl->rows_per_table.push_back(rows);
+      impl->column_bounds.push_back(columns);
     }
 
     // Dictionary, in id order.
@@ -115,12 +148,12 @@ class IndexLoader {
       if (id != i) return cursor.Corrupt("dictionary id skew");
     }
 
-    // Posting region header: list count + byte extent, so the contiguous
+    // Posting region header: entry count + byte extent, so the contiguous
     // region can be bounds-checked (and the super keys located) without
     // parsing a single list.
     cursor.section = "postings";
-    if (!GetVarint64(data, &impl->num_lists)) {
-      return cursor.Corrupt("bad posting list count");
+    if (!GetVarint64(data, &impl->total_entries)) {
+      return cursor.Corrupt("bad posting entry count");
     }
     uint64_t posting_bytes = 0;
     if (!GetVarint64(data, &posting_bytes)) {
@@ -133,11 +166,14 @@ class IndexLoader {
                             " bytes declared, " +
                             std::to_string(data->size()) + " available)");
     }
-    // Every list costs >= 2 bytes (value id + length varints), so a
-    // corrupt count fails here instead of driving a huge map reserve.
-    if (impl->num_lists > posting_bytes / 2 &&
-        !(impl->num_lists == 0 && posting_bytes == 0)) {
+    // One list per dictionary value, each >= 1 byte (its length varint),
+    // and every entry >= 3 bytes (three varints): corrupt counts fail here
+    // instead of driving a huge arena allocation.
+    if (impl->dict_size > posting_bytes) {
       return cursor.Corrupt("posting list count exceeds the region size");
+    }
+    if (impl->total_entries > (posting_bytes - impl->dict_size) / 3) {
+      return cursor.Corrupt("posting entry count exceeds the region size");
     }
     impl->posting_region = data->substr(0, posting_bytes);
     impl->superkey_region = data->substr(posting_bytes);
@@ -150,41 +186,96 @@ class IndexLoader {
     ParseCursor cursor{impl->posting_region, impl->cursor.base,
                        impl->cursor.image_size, "index", "postings"};
     std::string_view* data = &cursor.remaining;
-    index->postings_.reserve(static_cast<size_t>(impl->num_lists));
-    for (uint64_t i = 0; i < impl->num_lists; ++i) {
-      uint64_t value_id = 0, list_len = 0;
-      if (!GetVarint64(data, &value_id) || !GetVarint64(data, &list_len)) {
-        return cursor.Corrupt("bad posting list header");
+    // Errors about an entry name the offset where the entry starts.
+    const auto corrupt_at = [&cursor](std::string_view at,
+                                      const std::string& what) {
+      ParseCursor entry_cursor = cursor;
+      entry_cursor.remaining = at;
+      return entry_cursor.Corrupt(what);
+    };
+    const std::vector<uint64_t>& rows = impl->rows_per_table;
+    const std::vector<uint64_t>& columns = impl->column_bounds;
+    const uint64_t num_tables = rows.size();
+    PostingArena& arena = index->arena_;
+    arena.offsets.assign(static_cast<size_t>(impl->dict_size) + 1, 0);
+    arena.entries.reserve(static_cast<size_t>(impl->total_entries));
+    for (uint64_t id = 0; id < impl->dict_size; ++id) {
+      const uint64_t filled = arena.entries.size();
+      arena.offsets[id] = filled;
+      uint64_t length = 0;
+      if (!GetVarint64(data, &length)) {
+        return cursor.Corrupt("bad posting list length");
       }
-      if (value_id >= impl->dict_size) {
-        return cursor.Corrupt("posting for unknown value " +
-                              std::to_string(value_id));
+      if (length > impl->total_entries - filled) {
+        return cursor.Corrupt("posting list " + std::to_string(id) +
+                              " overruns the declared " +
+                              std::to_string(impl->total_entries) +
+                              " entries");
       }
-      // Every entry costs >= 3 bytes (three varints); reject before
-      // reserving so a flipped-byte length cannot drive a reserve an
-      // order of magnitude past the region size.
-      if (list_len > data->size() / 3) {
-        return cursor.Corrupt("bad posting list length " +
-                              std::to_string(list_len));
-      }
-      PostingList list;
-      list.reserve(static_cast<size_t>(list_len));
-      for (uint64_t e = 0; e < list_len; ++e) {
-        uint32_t t = 0, c = 0, r = 0;
-        if (!GetVarint32(data, &t) || !GetVarint32(data, &c) ||
-            !GetVarint32(data, &r)) {
-          return cursor.Corrupt("truncated posting entry");
+      uint64_t t = 0;
+      uint64_t r = 0;
+      int64_t last_column = -1;  // within the current (table, row)
+      for (uint64_t e = 0; e < length; ++e) {
+        const std::string_view at = *data;
+        uint64_t table_delta = 0, row_code = 0, c = 0;
+        if (!GetVarint64(data, &table_delta) || !GetVarint64(data, &row_code) ||
+            !GetVarint64(data, &c)) {
+          return corrupt_at(at, "truncated posting entry");
         }
-        list.push_back(PostingEntry{t, c, r});
+        if (table_delta >= num_tables - t) {
+          return corrupt_at(
+              at, "posting entry names table " +
+                      std::to_string(t + table_delta) +
+                      " but the shape header declares " +
+                      std::to_string(num_tables) + " tables");
+        }
+        if (table_delta > 0) {
+          t += table_delta;
+          r = 0;
+          last_column = -1;
+        }
+        if (row_code >= rows[t] - r) {
+          return corrupt_at(
+              at, "posting entry names row " + std::to_string(r + row_code) +
+                      " of table " + std::to_string(t) +
+                      ", which the shape header gives " +
+                      std::to_string(rows[t]) + " rows");
+        }
+        if (row_code > 0) {
+          r += row_code;
+          last_column = -1;
+        }
+        if (c >= columns[t]) {
+          return corrupt_at(
+              at, "posting entry names column " + std::to_string(c) +
+                      " of table " + std::to_string(t) +
+                      ", past its column bound " +
+                      std::to_string(columns[t]));
+        }
+        if (static_cast<int64_t>(c) <= last_column) {
+          return corrupt_at(at, "posting list " + std::to_string(id) +
+                                    " is not strictly ascending at entry " +
+                                    std::to_string(e));
+        }
+        last_column = static_cast<int64_t>(c);
+        arena.entries.push_back(PostingEntry{static_cast<TableId>(t),
+                                             static_cast<ColumnId>(c),
+                                             static_cast<RowId>(r)});
       }
-      index->num_posting_entries_ += list.size();
-      index->postings_.emplace(static_cast<ValueId>(value_id),
-                               std::move(list));
+    }
+    const uint64_t filled = arena.entries.size();
+    arena.offsets[impl->dict_size] = filled;
+    if (filled != impl->total_entries) {
+      return cursor.Corrupt("posting entry count skew: the lists hold " +
+                            std::to_string(filled) + " entries, " +
+                            std::to_string(impl->total_entries) +
+                            " declared");
     }
     if (!data->empty()) {
       return cursor.Corrupt("posting region size skew: " +
                             std::to_string(data->size()) + " bytes left over");
     }
+    index->num_posting_entries_ = filled;
 
     // Super keys.
     cursor = ParseCursor{impl->superkey_region, impl->cursor.base,
@@ -268,6 +359,9 @@ const CorpusStats& PhasedIndexLoad::corpus_stats() const {
 const std::vector<uint64_t>& PhasedIndexLoad::rows_per_table() const {
   return impl_->rows_per_table;
 }
+const std::vector<uint64_t>& PhasedIndexLoad::column_bounds() const {
+  return impl_->column_bounds;
+}
 size_t PhasedIndexLoad::posting_region_bytes() const {
   return impl_->posting_region.size();
 }
@@ -303,10 +397,32 @@ void SerializeIndex(const InvertedIndex& index, HashFamily family,
   out->push_back(stats.num_cells > 0 ? '\x01' : '\x00');
   AppendCorpusStats(out, stats);
 
-  // Shape section (v2): per-table super-key row counts.
+  // One pass over the lists sizes the posting region, counts its entries
+  // and finds each table's column bound, so the region streams straight
+  // into `out` without a second full-size buffer.
   const std::vector<uint64_t> rows_per_table = index.superkeys().RowCounts();
+  std::vector<uint64_t> column_bounds(rows_per_table.size(), 0);
+  const size_t num_lists = index.NumPostingLists();
+  uint64_t total_entries = 0;
+  uint64_t region_bytes = 0;
+  for (ValueId id = 0; id < num_lists; ++id) {
+    const PostingSpan list = index.List(id);
+    total_entries += list.size();
+    region_bytes += VarintLength(list.size());
+    ForEachCodedEntry(list, [&](uint64_t table_delta, uint64_t row_code,
+                                const PostingEntry& entry) {
+      region_bytes += VarintLength(table_delta) + VarintLength(row_code) +
+                      VarintLength(entry.column_id);
+      uint64_t& bound = column_bounds[entry.table_id];
+      bound = std::max<uint64_t>(bound, uint64_t{entry.column_id} + 1);
+    });
+  }
+
   PutVarint64(out, rows_per_table.size());
-  for (uint64_t rows : rows_per_table) PutVarint64(out, rows);
+  for (size_t t = 0; t < rows_per_table.size(); ++t) {
+    PutVarint64(out, rows_per_table[t]);
+    PutVarint64(out, column_bounds[t]);
+  }
 
   const ValueDictionary& dict = index.dictionary();
   PutVarint64(out, dict.size());
@@ -314,35 +430,18 @@ void SerializeIndex(const InvertedIndex& index, HashFamily family,
     PutLengthPrefixed(out, dict.ValueOf(id));
   }
 
-  // Posting lists in value-id order for deterministic bytes. The region is
-  // size-prefixed; a cheap varint-length pre-pass computes the prefix so
-  // the lists stream straight into `out` without a second full-size buffer.
-  std::vector<std::pair<ValueId, const PostingList*>> lists;
-  index.ForEachPostingList([&](ValueId id, const PostingList& list) {
-    lists.emplace_back(id, &list);
-  });
-  std::sort(lists.begin(), lists.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  uint64_t region_bytes = 0;
-  for (const auto& [id, list] : lists) {
-    region_bytes += VarintLength(id) + VarintLength(list->size());
-    for (const PostingEntry& entry : *list) {
-      region_bytes += VarintLength(entry.table_id) +
-                      VarintLength(entry.column_id) +
-                      VarintLength(entry.row_id);
-    }
-  }
-  PutVarint64(out, lists.size());
+  PutVarint64(out, total_entries);
   PutVarint64(out, region_bytes);
   const size_t region_start = out->size();
-  for (const auto& [id, list] : lists) {
-    PutVarint64(out, id);
-    PutVarint64(out, list->size());
-    for (const PostingEntry& entry : *list) {
-      PutVarint32(out, entry.table_id);
+  for (ValueId id = 0; id < num_lists; ++id) {
+    const PostingSpan list = index.List(id);
+    PutVarint64(out, list.size());
+    ForEachCodedEntry(list, [out](uint64_t table_delta, uint64_t row_code,
+                                  const PostingEntry& entry) {
+      PutVarint64(out, table_delta);
+      PutVarint64(out, row_code);
       PutVarint32(out, entry.column_id);
-      PutVarint32(out, entry.row_id);
-    }
+    });
   }
   assert(out->size() - region_start == region_bytes);
   (void)region_start;

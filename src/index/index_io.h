@@ -1,14 +1,34 @@
 // Index persistence. The on-disk image carries the hash configuration
 // (family, width, corpus statistics) so a loaded index reconstructs a
 // bit-identical hash function, plus the dictionary, posting lists, and the
-// per-row super keys (which are the expensive part to recompute).
+// per-row super keys.
 //
-// Format v2 is laid out for phased loading: a small *shape* section
-// (per-table row counts) sits ahead of the bulky data so a loader can
+// Format v3 is the only format; an image of any other version fails every
+// loader with kCorruption "unsupported version N (expected 3)". It is laid
+// out for phased loading:
+//
+//   [magic "MATEINDX"] [version u32 = 3]
+//   header:     [hash family] [hash bits] [stats-present u8] [CorpusStats]
+//   shape:      [num_tables] per table: [rows] [column bound]
+//   dictionary: [num_values] per value, in id order: [length-prefixed]
+//   postings:   [total entries] [region bytes]
+//               per value id, dense: [list length] per entry:
+//               [table delta] [row] [column]
+//   super keys: SuperKeyStore::AppendToString
+//
+// The small shape section sits ahead of the bulky data so a loader can
 // cross-validate the index against its corpus before postings exist in
-// memory, and the posting region is size-prefixed and contiguous so its
-// extent can be bounds-checked — and the super-key section located —
-// without parsing a single list.
+// memory. A table's column bound is one past the largest column id it
+// posts. The posting region is size-prefixed and contiguous, so its extent
+// is bounds-checked, and the super keys located, without parsing a list.
+// Lists carry no value id: list i belongs to dictionary value i. Within a
+// list, the table id is a delta from the previous entry's, and the row id
+// is a delta from the previous entry's within one table, absolute at a
+// table change. The total entry count lets phase 2 size the arena once.
+// Every decoded entry is checked against the shape: its table below the
+// table count, its row below that table's row count, its column below that
+// table's column bound, and each list strictly ascending in (table, row,
+// column).
 //
 // Load errors are section- and offset-aware: a truncated or corrupt image
 // names the section ("dictionary", "postings", ...) and the byte offset
@@ -79,6 +99,9 @@ class PhasedIndexLoad {
   /// Per-table row counts from the shape header; phase-1 corpus/index
   /// cross-validation happens against these, not the super keys.
   const std::vector<uint64_t>& rows_per_table() const;
+  /// Per-table column bounds from the shape header (one past the largest
+  /// column id the table posts; at most the corpus table's width).
+  const std::vector<uint64_t>& column_bounds() const;
   /// Byte size of the contiguous posting region (reporting).
   size_t posting_region_bytes() const;
   /// True when the image is served by an mmap (phase 2 faults pages in

@@ -10,45 +10,83 @@ namespace mate {
 InvertedIndex::InvertedIndex(std::unique_ptr<RowHashFunction> hash)
     : hash_(std::move(hash)), superkeys_(hash_->hash_bits()) {}
 
-const PostingList* InvertedIndex::Lookup(std::string_view normalized) const {
-  ValueId id = dictionary_.Find(normalized);
-  if (id == kInvalidValueId) return nullptr;
-  auto it = postings_.find(id);
-  if (it == postings_.end() || it->second.empty()) return nullptr;
-  return &it->second;
+InvertedIndex::InvertedIndex(std::unique_ptr<RowHashFunction> hash,
+                             ValueDictionary dictionary, PostingArena postings,
+                             const std::vector<uint64_t>& rows_per_table)
+    : hash_(std::move(hash)),
+      dictionary_(std::move(dictionary)),
+      arena_(std::move(postings)),
+      superkeys_(hash_->hash_bits()),
+      num_posting_entries_(arena_.entries.size()) {
+  for (TableId t = 0; t < rows_per_table.size(); ++t) {
+    superkeys_.EnsureTable(t, rows_per_table[t]);
+  }
+}
+
+PostingSpan InvertedIndex::Lookup(std::string_view normalized) const {
+  const ValueId id = dictionary_.Find(normalized);
+  return id == kInvalidValueId ? PostingSpan() : List(id);
+}
+
+PostingSpan InvertedIndex::List(ValueId id) const {
+  if (!overflow_.empty()) {
+    auto it = overflow_.find(id);
+    if (it != overflow_.end()) {
+      return PostingSpan(it->second.data(), it->second.size());
+    }
+  }
+  if (id + 1 >= arena_.offsets.size()) return PostingSpan();
+  const uint64_t begin = arena_.offsets[id];
+  return PostingSpan(arena_.entries.data() + begin,
+                     arena_.offsets[id + 1] - begin);
 }
 
 size_t InvertedIndex::MemoryBytes() const {
   return PostingBytes() + dictionary_.MemoryBytes() + SuperKeyBytes();
 }
 
+size_t InvertedIndex::PostingBytes() const {
+  size_t bytes = arena_.entries.size() * sizeof(PostingEntry) +
+                 arena_.offsets.size() * sizeof(uint64_t);
+  for (const auto& [id, list] : overflow_) {
+    (void)id;
+    bytes += list.size() * sizeof(PostingEntry);
+  }
+  return bytes;
+}
+
+std::vector<PostingEntry>* InvertedIndex::MutableList(ValueId id) {
+  auto [it, inserted] = overflow_.try_emplace(id);
+  if (inserted && id + 1 < arena_.offsets.size()) {
+    it->second.assign(arena_.entries.begin() + arena_.offsets[id],
+                      arena_.entries.begin() + arena_.offsets[id + 1]);
+  }
+  return &it->second;
+}
+
 void InvertedIndex::AddPosting(std::string_view normalized,
                                PostingEntry entry) {
-  ValueId id = dictionary_.GetOrAdd(normalized);
-  PostingList& list = postings_[id];
-  auto pos = std::lower_bound(list.begin(), list.end(), entry);
-  if (pos != list.end() && *pos == entry) return;  // duplicates collapse
-  list.insert(pos, entry);
+  const ValueId id = dictionary_.GetOrAdd(normalized);
+  std::vector<PostingEntry>* list = MutableList(id);
+  auto pos = std::lower_bound(list->begin(), list->end(), entry);
+  if (pos != list->end() && *pos == entry) return;  // duplicates collapse
+  list->insert(pos, entry);
   ++num_posting_entries_;
 }
 
 void InvertedIndex::RemovePosting(std::string_view normalized,
                                   const PostingEntry& entry) {
-  ValueId id = dictionary_.Find(normalized);
+  const ValueId id = dictionary_.Find(normalized);
   if (id == kInvalidValueId) return;
-  auto it = postings_.find(id);
-  if (it == postings_.end()) return;
-  PostingList& list = it->second;
-  auto pos = std::lower_bound(list.begin(), list.end(), entry);
-  if (pos != list.end() && *pos == entry) {
-    list.erase(pos);
-    --num_posting_entries_;
-  }
+  const PostingSpan current = List(id);
+  if (!std::binary_search(current.begin(), current.end(), entry)) return;
+  std::vector<PostingEntry>* list = MutableList(id);
+  list->erase(std::lower_bound(list->begin(), list->end(), entry));
+  --num_posting_entries_;
 }
 
 void InvertedIndex::RehashRow(const Corpus& corpus, TableId t, RowId r) {
   const Table& table = corpus.table(t);
-  superkeys_.Reset(t, r);
   BitVector key(hash_->hash_bits());
   for (ColumnId c = 0; c < table.NumColumns(); ++c) {
     hash_->AddValue(NormalizeValue(table.cell(r, c)), &key);
@@ -56,61 +94,48 @@ void InvertedIndex::RehashRow(const Corpus& corpus, TableId t, RowId r) {
   superkeys_.Set(t, r, key);
 }
 
-void InvertedIndex::RehashTableRange(const Corpus& corpus, TableId begin,
-                                     TableId end) {
-  for (TableId t = begin; t < end && t < corpus.NumTables(); ++t) {
-    const Table& table = corpus.table(t);
-    for (RowId r = 0; r < table.NumRows(); ++r) {
-      if (table.IsRowDeleted(r)) continue;
-      RehashRow(corpus, t, r);
+void InvertedIndex::OrSignatures(ValueId begin, ValueId end,
+                                 bool concurrent) {
+  BitVector signature(hash_->hash_bits());
+  for (ValueId id = begin; id < end; ++id) {
+    const PostingSpan list = List(id);
+    if (list.empty()) continue;
+    signature.Clear();
+    hash_->AddValue(dictionary_.ValueOf(id), &signature);
+    for (const PostingEntry& entry : list) {
+      if (concurrent) {
+        superkeys_.AtomicOrInto(entry.table_id, entry.row_id, signature);
+      } else {
+        superkeys_.OrInto(entry.table_id, entry.row_id, signature);
+      }
     }
   }
 }
 
-Status InvertedIndex::RebuildSuperKeys(const Corpus& corpus,
-                                       unsigned num_threads) {
-  superkeys_ = SuperKeyStore(hash_->hash_bits());
-  // Pre-size every table so worker threads touch disjoint, stable storage.
-  for (TableId t = 0; t < corpus.NumTables(); ++t) {
-    superkeys_.EnsureTable(t, corpus.table(t).NumRows());
-  }
+void InvertedIndex::RebuildSuperKeys(unsigned num_threads) {
+  superkeys_.ClearKeys(hash_->hash_bits());
+  const ValueId total = dictionary_.size();
   if (num_threads == 0) num_threads = std::thread::hardware_concurrency();
-  if (num_threads <= 1 || corpus.NumTables() < 2) {
-    RehashTableRange(corpus, 0, static_cast<TableId>(corpus.NumTables()));
-    return Status::OK();
+  if (num_threads <= 1 || total < 2) {
+    OrSignatures(0, total, /*concurrent=*/false);
+    return;
   }
-  const TableId total = static_cast<TableId>(corpus.NumTables());
-  const TableId stride = (total + num_threads - 1) / num_threads;
+  const ValueId stride = (total + num_threads - 1) / num_threads;
   std::vector<std::thread> workers;
-  for (unsigned w = 0; w < num_threads; ++w) {
-    TableId begin = static_cast<TableId>(w) * stride;
-    if (begin >= total) break;
-    TableId end = std::min<TableId>(total, begin + stride);
-    workers.emplace_back(
-        [this, &corpus, begin, end] { RehashTableRange(corpus, begin, end); });
+  for (ValueId begin = 0; begin < total; begin += stride) {
+    const ValueId end = std::min(total, begin + stride);
+    workers.emplace_back([this, begin, end] {
+      OrSignatures(begin, end, /*concurrent=*/true);
+    });
   }
   for (std::thread& worker : workers) worker.join();
-  return Status::OK();
 }
 
-Status InvertedIndex::ResetHash(const Corpus& corpus,
-                                std::unique_ptr<RowHashFunction> new_hash,
+Status InvertedIndex::ResetHash(std::unique_ptr<RowHashFunction> new_hash,
                                 unsigned num_threads) {
   if (new_hash == nullptr) return Status::InvalidArgument("null hash");
   hash_ = std::move(new_hash);
-  return RebuildSuperKeys(corpus, num_threads);
-}
-
-Status InvertedIndex::InsertTablePostingsOnly(const Corpus& corpus,
-                                              TableId t) {
-  if (t >= corpus.NumTables()) return Status::OutOfRange("no such table");
-  const Table& table = corpus.table(t);
-  for (RowId r = 0; r < table.NumRows(); ++r) {
-    if (table.IsRowDeleted(r)) continue;
-    for (ColumnId c = 0; c < table.NumColumns(); ++c) {
-      AddPosting(NormalizeValue(table.cell(r, c)), PostingEntry{t, c, r});
-    }
-  }
+  RebuildSuperKeys(num_threads);
   return Status::OK();
 }
 
@@ -170,6 +195,11 @@ Status InvertedIndex::UpdateCell(const Corpus& corpus, TableId t, RowId r,
     return Status::OutOfRange("no such cell");
   }
   RemovePosting(old_normalized, PostingEntry{t, c, r});
+  if (table.IsRowDeleted(r)) {
+    // A rebuild posts nothing for a tombstoned row and leaves its key zero.
+    superkeys_.Reset(t, r);
+    return Status::OK();
+  }
   AddPosting(NormalizeValue(table.cell(r, c)), PostingEntry{t, c, r});
   // §5.4: a cell update requires a complete re-hash of the row's super key
   // (bits of the old value cannot be un-ORed).

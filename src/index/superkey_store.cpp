@@ -1,5 +1,6 @@
 #include "index/superkey_store.h"
 
+#include <atomic>
 #include <cassert>
 
 #include "util/coding.h"
@@ -37,9 +38,29 @@ void SuperKeyStore::OrInto(TableId t, RowId r, const BitVector& signature) {
   for (size_t w = 0; w < words_per_key_; ++w) row[w] |= signature.word(w);
 }
 
+void SuperKeyStore::AtomicOrInto(TableId t, RowId r,
+                                 const BitVector& signature) {
+  assert(signature.num_bits() == hash_bits_);
+  uint64_t* row = tables_[t].data() + static_cast<size_t>(r) * words_per_key_;
+  for (size_t w = 0; w < words_per_key_; ++w) {
+    std::atomic_ref<uint64_t>(row[w]).fetch_or(signature.word(w),
+                                               std::memory_order_relaxed);
+  }
+}
+
 void SuperKeyStore::Reset(TableId t, RowId r) {
   uint64_t* row = tables_[t].data() + static_cast<size_t>(r) * words_per_key_;
   for (size_t w = 0; w < words_per_key_; ++w) row[w] = 0;
+}
+
+void SuperKeyStore::ClearKeys(size_t hash_bits) {
+  assert(hash_bits > 0 && hash_bits % 64 == 0);
+  const size_t words_per_key = hash_bits / 64;
+  for (std::vector<uint64_t>& table : tables_) {
+    table.assign(table.size() / words_per_key_ * words_per_key, 0);
+  }
+  hash_bits_ = hash_bits;
+  words_per_key_ = words_per_key;
 }
 
 BitVector SuperKeyStore::Get(TableId t, RowId r) const {

@@ -41,8 +41,17 @@ class SuperKeyStore {
   /// update path.
   void OrInto(TableId t, RowId r, const BitVector& signature);
 
+  /// OrInto for writers that share rows: each word is ORed atomically, and
+  /// OR is order-independent, so the keys do not depend on the schedule.
+  void AtomicOrInto(TableId t, RowId r, const BitVector& signature);
+
   /// Zeroes the key of (t, r) (used before a §5.4 rehash).
   void Reset(TableId t, RowId r);
+
+  /// Zeroes every key and sets the key width to `hash_bits` (same
+  /// precondition as the constructor), keeping every table's row count.
+  /// Re-keying starts here; the storage is reused in place.
+  void ClearKeys(size_t hash_bits);
 
   /// Borrowed pointer to the words of (t, r)'s key; valid until the table
   /// is resized.

@@ -103,7 +103,7 @@ class Corpus {
   void SetBudget(uint64_t bytes) { store_.SetBudget(bytes); }
   /// Evicts least-recently-touched tables down to the budget. Idle points
   /// only (mirrors the mutation contract — Session calls it after the work
-  /// that materializes: Open, Save, ResetHash).
+  /// that materializes: Open, Save).
   void EvictToBudget() const { store_.EvictToBudget(); }
   ResidencyStats residency() const { return store_.residency(); }
   uint64_t table_resident_bytes(TableId t) const {

@@ -12,20 +12,20 @@
 //     this one per-column path.
 //
 // Queries never read cells: join verification answers from the index's
-// posting lists (core/joinability.h). What materializes cells is the work
-// that needs every cell — Save, ResetHash, the ComputeStats fallback, §5.4
-// maintenance edits through Mutable — and the baselines and tools that
-// read tables directly. For those, residency is buffer-manager shaped:
-// SetBudget(bytes) arms a residency budget (0 = unlimited); EvictToBudget()
-// drops the least-recently-touched unpinned tables until the resident
-// extent bytes fit again. Eviction must only run at idle points (mirroring
-// the mutation/quiesce contract: never under an in-flight reader —
-// mate::Session calls it after Open, Save and ResetHash). An evicted table
-// re-parses on its next touch under the same per-table latch, so re-touch
-// is bit-identical. With a budget armed the mmap stays alive for
-// re-parses; only the unbudgeted store releases it once every table is
-// resident. Tables handed out via Mutable() are pinned: in-memory edits
-// are never silently lost to an evict + re-parse.
+// posting lists (core/joinability.h), and so does re-keying. What
+// materializes cells is the work that needs every cell — Save, the
+// ComputeStats fallback, §5.4 maintenance edits through Mutable — and the
+// baselines and tools that read tables directly. For those, residency is
+// buffer-manager shaped: SetBudget(bytes) arms a residency budget (0 =
+// unlimited); EvictToBudget() drops the least-recently-touched unpinned
+// tables until the resident extent bytes fit again. Eviction must only run
+// at idle points (mirroring the mutation/quiesce contract: never under an
+// in-flight reader — mate::Session calls it after Open and Save). An
+// evicted table re-parses on its next touch under the same per-table
+// latch, so re-touch is bit-identical. With a budget armed the mmap stays
+// alive for re-parses; only the unbudgeted store releases it once every
+// table is resident. Tables handed out via Mutable() are pinned: in-memory
+// edits are never silently lost to an evict + re-parse.
 //
 // Failure model: a table whose cell blob is corrupt materializes as a
 // *shape-complete stub* (declared columns and row count, the header's
@@ -124,7 +124,7 @@ class TableStore {
   /// failure (with section + byte offset) instead of a stub.
   Status EnsureTable(TableId t) const;
 
-  /// Materializes every table (what Save and ResetHash use). Returns the
+  /// Materializes every table (what Save uses). Returns the
   /// sticky status — OK iff every cell blob parsed. Ignores the budget;
   /// Session re-evicts afterwards when one is armed.
   Status MaterializeAll() const;

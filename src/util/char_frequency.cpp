@@ -69,8 +69,9 @@ CharFrequencyTable CharFrequencyTable::FromCounts(
 }
 
 void CharFrequencyTable::CountCharacters(
-    std::string_view value, std::array<uint64_t, kAlphabetSize>* counts) {
-  for (char c : value) ++(*counts)[NormalizeChar(c)];
+    std::string_view value, std::array<uint64_t, kAlphabetSize>* counts,
+    uint64_t weight) {
+  for (char c : value) (*counts)[NormalizeChar(c)] += weight;
 }
 
 }  // namespace mate

@@ -39,9 +39,11 @@ class CharFrequencyTable {
   static CharFrequencyTable FromCounts(
       const std::array<uint64_t, kAlphabetSize>& counts);
 
-  /// Accumulates the characters of `value` into `counts` (normalized ids).
+  /// Accumulates the characters of `value` into `counts` (normalized ids),
+  /// `weight` times each: a value occurring n times counts once with n.
   static void CountCharacters(std::string_view value,
-                              std::array<uint64_t, kAlphabetSize>* counts);
+                              std::array<uint64_t, kAlphabetSize>* counts,
+                              uint64_t weight = 1);
 
   double frequency(int id) const { return freq_[id]; }
 

@@ -11,7 +11,16 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
-std::string NormalizeValue(std::string_view raw) { return ToLower(Trim(raw)); }
+std::string NormalizeValue(std::string_view raw) {
+  std::string out;
+  NormalizeValueInto(raw, &out);
+  return out;
+}
+
+void NormalizeValueInto(std::string_view raw, std::string* out) {
+  out->assign(Trim(raw));
+  for (char& c : *out) c = AsciiToLower(c);
+}
 
 std::vector<std::string> Split(std::string_view s, char sep) {
   std::vector<std::string> parts;

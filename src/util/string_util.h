@@ -42,6 +42,9 @@ inline std::string_view Trim(std::string_view s) {
 /// ASCII-lowercased (the paper's corpora are case-folded the same way).
 std::string NormalizeValue(std::string_view raw);
 
+/// NormalizeValue into `*out`, reusing its buffer (bulk scans).
+void NormalizeValueInto(std::string_view raw, std::string* out);
+
 /// Splits on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
 

@@ -4,14 +4,17 @@
 // from the readiness check (WaitUntilReady / the first Discover) when it
 // hides in the streamed sections. Never a crash, and never a silently
 // empty or partial index. Includes a fuzz-style loop over random
-// truncation offsets and checks the section/offset-bearing error messages.
+// truncation offsets, a seeded single-byte mutation sweep, and checks the
+// section/offset-bearing error messages.
 
 #include "index/index_io.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session.h"
@@ -42,9 +45,9 @@ struct Fixture {
   size_t superkey_offset = 0;
 };
 
-Fixture MakeFixture(const std::string& tag) {
+Fixture MakeFixture(const std::string& tag, Corpus corpus = MakeCorpus()) {
   Fixture f;
-  f.corpus = MakeCorpus();
+  f.corpus = std::move(corpus);
   IndexBuildOptions options;
   IndexBuildReport report;
   auto index = BuildIndexWithReport(f.corpus, options, &report);
@@ -87,6 +90,65 @@ Status PhasedOpenVerdict(const Fixture& f) {
   return session->WaitUntilReady();
 }
 
+// PhasedOpenVerdict followed by one Discover of `query` on its first two
+// columns: OK only if the query returned too.
+Status PhasedDiscoverVerdict(const Fixture& f, const Table& query) {
+  SessionOptions options;
+  options.corpus_path = f.corpus_path;
+  options.index_path = f.index_path;
+  options.num_threads = 1;
+  options.cache_bytes = 0;
+  auto session = Session::Open(std::move(options));
+  if (!session.ok()) return session.status();
+  MATE_RETURN_IF_ERROR(session->WaitUntilReady());
+  QuerySpec spec;
+  spec.table = &query;
+  spec.key_columns = {0, 1};
+  spec.options.k = 5;
+  return session->Discover(spec).status();
+}
+
+// A one-table lake whose single row holds `cells`.
+Corpus OneRowCorpus(const std::vector<std::string>& cells) {
+  Table table("one");
+  for (size_t c = 0; c < cells.size(); ++c) {
+    table.AddColumn("c" + std::to_string(c));
+  }
+  (void)table.AppendRow(cells);
+  Corpus corpus;
+  corpus.AddTable(std::move(table));
+  return corpus;
+}
+
+// The image with byte `offset` set to `value` must fail the blocking
+// loader and the phased session with kCorruption naming the postings
+// section, its byte offset, and `what`.
+void ExpectPostingRejected(const Fixture& f, size_t offset, char value,
+                           const std::string& what) {
+  std::string bytes = f.index_bytes;
+  bytes[offset] = value;
+  auto direct = DeserializeIndex(bytes);
+  ASSERT_FALSE(direct.ok());
+  const Status& status = direct.status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find("postings section"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("byte offset"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find(what), std::string::npos)
+      << status.ToString();
+
+  OverwriteIndex(f, bytes);
+  Table query("q");
+  query.AddColumn("a");
+  query.AddColumn("b");
+  (void)query.AppendRow({"x", "x"});
+  const Status verdict = PhasedDiscoverVerdict(f, query);
+  EXPECT_TRUE(verdict.IsCorruption()) << verdict.ToString();
+  EXPECT_NE(verdict.message().find(what), std::string::npos)
+      << verdict.ToString();
+}
+
 // ---- phase-1 failures ----------------------------------------------
 
 TEST(IndexIoCorruptionTest, BadMagicFailsPhaseOne) {
@@ -114,6 +176,27 @@ TEST(IndexIoCorruptionTest, UnsupportedVersionNamesTheVersion) {
   EXPECT_TRUE(loaded.status().IsCorruption());
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos)
       << loaded.status().ToString();
+  RemoveFixture(f);
+}
+
+TEST(IndexIoCorruptionTest, RetiredVersionTwoIsRefusedByEveryLoader) {
+  // v3 is the only index format: a v2 stamp fails every loader by name.
+  Fixture f = MakeFixture("v2");
+  std::string bytes = f.index_bytes;
+  ASSERT_EQ(bytes[8], 3);
+  bytes[8] = 2;
+  OverwriteIndex(f, bytes);
+  const std::string expected = "unsupported version 2 (expected 3)";
+  auto direct = DeserializeIndex(bytes);
+  auto loaded = LoadIndex(f.index_path);
+  auto begin = PhasedIndexLoad::Begin(f.index_path);
+  for (const Status& status :
+       {direct.status(), loaded.status(), begin.status(),
+        PhasedOpenVerdict(f)}) {
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_NE(status.message().find(expected), std::string::npos)
+        << status.ToString();
+  }
   RemoveFixture(f);
 }
 
@@ -168,6 +251,25 @@ TEST(IndexIoCorruptionTest, TableAndRowCountSkewFailPhaseOne) {
   RemoveFixture(f);
 }
 
+TEST(IndexIoCorruptionTest, ColumnBoundPastTheCorpusWidthFailsPhaseOne) {
+  // Same tables and rows, one column fewer in table 0: the image's column
+  // bound for that table no longer fits the corpus.
+  Fixture f = MakeFixture("colskew");
+  Corpus narrower = MakeCorpus();
+  ASSERT_GT(narrower.table(0).NumColumns(), 1u);
+  ASSERT_TRUE(narrower.mutable_table(0)->DropColumn(0).ok());
+  ASSERT_TRUE(SaveCorpus(narrower, f.corpus_path).ok());
+  SessionOptions options;
+  options.corpus_path = f.corpus_path;
+  options.index_path = f.index_path;
+  auto session = Session::Open(std::move(options));
+  ASSERT_FALSE(session.ok());
+  EXPECT_TRUE(session.status().IsCorruption()) << session.status().ToString();
+  EXPECT_NE(session.status().message().find("column"), std::string::npos)
+      << session.status().ToString();
+  RemoveFixture(f);
+}
+
 // ---- deferred (readiness-check) failures ---------------------------
 
 TEST(IndexIoCorruptionTest, TruncatedSuperKeysFailAtReadinessNotOpen) {
@@ -219,6 +321,49 @@ TEST(IndexIoCorruptionTest, TrailingGarbageFailsAtReadiness) {
   RemoveFixture(f);
 }
 
+// ---- posting entries checked against the shape ---------------------
+// In a one-row lake's image the posting region ends where the super-key
+// section starts: per list [length], per entry [table delta] [row]
+// [column].
+
+TEST(IndexIoCorruptionTest, EntryTablePastTheShapeIsRejected) {
+  Fixture f = MakeFixture("entrytable", OneRowCorpus({"x"}));
+  const size_t table_byte = f.superkey_offset - 3;  // [1] [0] [0] [0]
+  ASSERT_EQ(f.index_bytes.substr(table_byte - 1, 4),
+            std::string("\x01\x00\x00\x00", 4));
+  ExpectPostingRejected(f, table_byte, 127, "table 127");
+  RemoveFixture(f);
+}
+
+TEST(IndexIoCorruptionTest, EntryRowPastItsTableIsRejected) {
+  // Without the check, the first Discover probes row 127's super key, past
+  // the one-row table's slab.
+  Fixture f = MakeFixture("entryrow", OneRowCorpus({"x"}));
+  const size_t row_byte = f.superkey_offset - 2;
+  ASSERT_EQ(f.index_bytes[row_byte], 0);
+  ExpectPostingRejected(f, row_byte, 127, "row 127");
+  RemoveFixture(f);
+}
+
+TEST(IndexIoCorruptionTest, EntryColumnPastItsTableIsRejected) {
+  Fixture f = MakeFixture("entrycolumn", OneRowCorpus({"x"}));
+  const size_t column_byte = f.superkey_offset - 1;
+  ASSERT_EQ(f.index_bytes[column_byte], 0);
+  ExpectPostingRejected(f, column_byte, 5, "column 5");
+  RemoveFixture(f);
+}
+
+TEST(IndexIoCorruptionTest, ListOutOfOrderIsRejected) {
+  // "x" sits in both columns: one list [2] [0 0 0] [0 0 1]. Coding the
+  // second entry as column 0 repeats the first.
+  Fixture f = MakeFixture("entryorder", OneRowCorpus({"x", "x"}));
+  const size_t column_byte = f.superkey_offset - 1;
+  ASSERT_EQ(f.index_bytes.substr(column_byte - 6, 7),
+            std::string("\x02\x00\x00\x00\x00\x00\x01", 7));
+  ExpectPostingRejected(f, column_byte, 0, "not strictly ascending");
+  RemoveFixture(f);
+}
+
 // ---- fuzz-style truncation sweep -----------------------------------
 
 TEST(IndexIoCorruptionTest, RandomTruncationsNeverCrashOrPassSilently) {
@@ -248,6 +393,94 @@ TEST(IndexIoCorruptionTest, RandomTruncationsNeverCrashOrPassSilently) {
       EXPECT_TRUE(verdict.IsCorruption()) << verdict.ToString();
     }
   }
+  RemoveFixture(f);
+}
+
+// ---- deterministic mutation sweep ----------------------------------
+
+// A small lake with the cells loaders and verifiers trip on: tombstoned
+// rows, empty, whitespace-padded and case-variant cells, and a value
+// repeated across columns.
+Corpus SweepCorpus() {
+  Corpus corpus;
+  Table people("people");
+  people.AddColumn("first");
+  people.AddColumn("last");
+  people.AddColumn("country");
+  (void)people.AppendRow({"Muhammad", "Lee", "US"});
+  (void)people.AppendRow({"  helmut ", "Newton", "Germany"});
+  (void)people.AppendRow({"ANSEL", "adams", ""});
+  (void)people.AppendRow({"lee", "Lee", "lee"});
+  (void)people.AppendRow({"Gretchen", "Lee", "Germany"});
+  (void)people.DeleteRow(4);
+  corpus.AddTable(std::move(people));
+  Table pets("pets");
+  pets.AddColumn("owner");
+  pets.AddColumn("pet");
+  (void)pets.AppendRow({"muhammad", "LEE"});
+  (void)pets.AppendRow({"Helmut", "newton "});
+  (void)pets.AppendRow({"x", "x"});
+  corpus.AddTable(std::move(pets));
+  Table tiny("tiny");
+  tiny.AddColumn("a");
+  (void)tiny.AppendRow({"us"});
+  (void)tiny.AppendRow({"zz"});
+  (void)tiny.DeleteRow(1);
+  corpus.AddTable(std::move(tiny));
+  return corpus;
+}
+
+TEST(IndexIoCorruptionTest, SeededByteFlipsEndInCorruptionOrAnAnswer) {
+  // Single-byte flips of every byte of the header, shape, dictionary and
+  // posting region (the low bit, the varint continuation bit and two
+  // seeded masks each), plus one seeded flip of each of a sample of
+  // super-key bytes. Each mutant goes through the blocking loader and a
+  // phased open + readiness + Discover: it must end in kCorruption or in
+  // an answer (and, under the sanitizer legs, without a report).
+  Fixture f = MakeFixture("sweep", SweepCorpus());
+  Table query("q");
+  query.AddColumn("first");
+  query.AddColumn("last");
+  (void)query.AppendRow({"Muhammad", "Lee"});
+  (void)query.AppendRow({"helmut", "NEWTON"});
+  (void)query.AppendRow({"lee", "lee"});
+  ASSERT_TRUE(PhasedDiscoverVerdict(f, query).ok());
+
+  Rng rng(2026);
+  const auto seeded_mask = [&rng] {
+    return static_cast<uint8_t>(1 + rng.Uniform(255));
+  };
+  std::vector<std::pair<size_t, uint8_t>> flips;  // (offset, xor mask)
+  for (size_t i = 0; i < f.superkey_offset; ++i) {
+    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, seeded_mask(),
+                         seeded_mask()}) {
+      flips.emplace_back(i, mask);
+    }
+  }
+  const size_t superkey_bytes = f.index_bytes.size() - f.superkey_offset;
+  for (int i = 0; i < 64; ++i) {
+    flips.emplace_back(f.superkey_offset + rng.Uniform(superkey_bytes),
+                       seeded_mask());
+  }
+  size_t rejected = 0;
+  size_t answered = 0;
+  for (const auto& [offset, mask] : flips) {
+    std::string bytes = f.index_bytes;
+    bytes[offset] = static_cast<char>(bytes[offset] ^ mask);
+    SCOPED_TRACE("offset=" + std::to_string(offset) +
+                 " mask=" + std::to_string(mask));
+    auto direct = DeserializeIndex(bytes);
+    EXPECT_TRUE(direct.ok() || direct.status().IsCorruption())
+        << direct.status().ToString();
+    OverwriteIndex(f, bytes);
+    const Status verdict = PhasedDiscoverVerdict(f, query);
+    EXPECT_TRUE(verdict.ok() || verdict.IsCorruption()) << verdict.ToString();
+    ++(verdict.ok() ? answered : rejected);
+  }
+  // Most flips break the image; flips inside dictionary strings, stats
+  // and super-key words leave a well-formed one.
+  EXPECT_GT(rejected, flips.size() / 2);
+  EXPECT_GT(answered, 0u);
   RemoveFixture(f);
 }
 

@@ -20,7 +20,8 @@ std::unique_ptr<InvertedIndex> Build(const Corpus& corpus) {
   return std::move(*index);
 }
 
-// Compares postings and super keys of `updated` against a fresh rebuild.
+// Compares postings and super keys of `updated` against a fresh rebuild,
+// the super keys of deleted rows (zero in a rebuild) included.
 void ExpectEquivalentToRebuild(const Corpus& corpus,
                                const InvertedIndex& updated) {
   std::unique_ptr<InvertedIndex> fresh = Build(corpus);
@@ -29,17 +30,17 @@ void ExpectEquivalentToRebuild(const Corpus& corpus,
   for (TableId t = 0; t < corpus.NumTables(); ++t) {
     const Table& table = corpus.table(t);
     for (RowId r = 0; r < table.NumRows(); ++r) {
+      EXPECT_EQ(updated.superkeys().Get(t, r), fresh->superkeys().Get(t, r))
+          << "t=" << t << " r=" << r;
       if (table.IsRowDeleted(r)) continue;
       for (ColumnId c = 0; c < table.NumColumns(); ++c) {
         std::string norm = NormalizeValue(table.cell(r, c));
-        const PostingList* a = updated.Lookup(norm);
-        const PostingList* b = fresh->Lookup(norm);
-        ASSERT_NE(a, nullptr) << norm;
-        ASSERT_NE(b, nullptr) << norm;
-        EXPECT_EQ(*a, *b) << norm;
+        const PostingSpan a = updated.Lookup(norm);
+        const PostingSpan b = fresh->Lookup(norm);
+        ASSERT_FALSE(a.empty()) << norm;
+        ASSERT_FALSE(b.empty()) << norm;
+        EXPECT_EQ(a, b) << norm;
       }
-      EXPECT_EQ(updated.superkeys().Get(t, r), fresh->superkeys().Get(t, r))
-          << "t=" << t << " r=" << r;
     }
   }
 }
@@ -67,7 +68,7 @@ TEST(IndexUpdatesTest, InsertTable) {
   TableId t = corpus.AddTable(std::move(extra));
   ASSERT_TRUE(index->InsertTable(corpus, t).ok());
   ExpectEquivalentToRebuild(corpus, *index);
-  EXPECT_EQ(index->Lookup("red")->size(), 3u);
+  EXPECT_EQ(index->Lookup("red").size(), 3u);
 }
 
 TEST(IndexUpdatesTest, InsertRow) {
@@ -90,7 +91,7 @@ TEST(IndexUpdatesTest, AddAppendedColumn) {
   ExpectEquivalentToRebuild(corpus, *index);
   // §5.4: the new column ORs into the super key, so the old key is a subset.
   EXPECT_TRUE(key_before.IsSubsetOf(index->superkeys().Get(0, 0)));
-  EXPECT_EQ(index->Lookup("alpha")->size(), 1u);
+  EXPECT_EQ(index->Lookup("alpha").size(), 1u);
 }
 
 TEST(IndexUpdatesTest, UpdateCellRehashesRow) {
@@ -100,8 +101,8 @@ TEST(IndexUpdatesTest, UpdateCellRehashesRow) {
   ASSERT_TRUE(corpus.mutable_table(0)->SetCell(0, 1, "ellipse").ok());
   ASSERT_TRUE(index->UpdateCell(corpus, 0, 0, 1, old_norm).ok());
   ExpectEquivalentToRebuild(corpus, *index);
-  EXPECT_EQ(index->Lookup("circle"), nullptr);
-  ASSERT_NE(index->Lookup("ellipse"), nullptr);
+  EXPECT_TRUE(index->Lookup("circle").empty());
+  ASSERT_FALSE(index->Lookup("ellipse").empty());
   // The stale value's signature must no longer be guaranteed-masked: the
   // rehash removed its bits (unless shared with live values).
   BitVector new_sig = index->hash().HashValue("ellipse");
@@ -114,9 +115,34 @@ TEST(IndexUpdatesTest, DeleteRowRemovesPostings) {
   ASSERT_TRUE(index->DeleteRow(corpus, 0, 0).ok());
   ASSERT_TRUE(corpus.mutable_table(0)->DeleteRow(0).ok());
   ExpectEquivalentToRebuild(corpus, *index);
-  ASSERT_NE(index->Lookup("red"), nullptr);  // still in row 2
-  EXPECT_EQ(index->Lookup("red")->size(), 1u);
-  EXPECT_EQ(index->Lookup("circle"), nullptr);
+  ASSERT_FALSE(index->Lookup("red").empty());  // still in row 2
+  EXPECT_EQ(index->Lookup("red").size(), 1u);
+  EXPECT_TRUE(index->Lookup("circle").empty());
+}
+
+TEST(IndexUpdatesTest, UpdateCellLeavesADeletedRowUnindexed) {
+  // Deleting the row from the index and tombstoning it in the table, in
+  // either order, then updating one of its cells must leave what a rebuild
+  // has: no posting for the row and a zero super key.
+  for (bool index_first : {true, false}) {
+    SCOPED_TRACE(index_first ? "index delete first" : "tombstone first");
+    Corpus corpus = SmallCorpus();
+    auto index = Build(corpus);
+    Table* table = corpus.mutable_table(0);
+    if (index_first) {
+      ASSERT_TRUE(index->DeleteRow(corpus, 0, 1).ok());
+    }
+    ASSERT_TRUE(table->DeleteRow(1).ok());
+    if (!index_first) {
+      ASSERT_TRUE(index->DeleteRow(corpus, 0, 1).ok());
+    }
+    const std::string old_norm = NormalizeValue(table->cell(1, 0));
+    ASSERT_TRUE(table->SetCell(1, 0, "zz").ok());
+    ASSERT_TRUE(index->UpdateCell(corpus, 0, 1, 0, old_norm).ok());
+    EXPECT_TRUE(index->Lookup("zz").empty());
+    EXPECT_TRUE(index->superkeys().Get(0, 1).IsZero());
+    ExpectEquivalentToRebuild(corpus, *index);
+  }
 }
 
 TEST(IndexUpdatesTest, DeleteTableRemovesAllPostings) {
@@ -127,10 +153,10 @@ TEST(IndexUpdatesTest, DeleteTableRemovesAllPostings) {
   corpus.AddTable(std::move(other));
   auto index = Build(corpus);
   ASSERT_TRUE(index->DeleteTable(corpus, 0).ok());
-  ASSERT_NE(index->Lookup("red"), nullptr);
-  EXPECT_EQ(index->Lookup("red")->size(), 1u);
-  EXPECT_EQ(index->Lookup("red")->front().table_id, 1u);
-  EXPECT_EQ(index->Lookup("square"), nullptr);
+  ASSERT_FALSE(index->Lookup("red").empty());
+  EXPECT_EQ(index->Lookup("red").size(), 1u);
+  EXPECT_EQ(index->Lookup("red").front().table_id, 1u);
+  EXPECT_TRUE(index->Lookup("square").empty());
 }
 
 TEST(IndexUpdatesTest, DropColumnReKeysAndRehashes) {
@@ -144,10 +170,10 @@ TEST(IndexUpdatesTest, DropColumnReKeysAndRehashes) {
   ASSERT_TRUE(corpus.mutable_table(0)->DropColumn(1).ok());
   ASSERT_TRUE(index->DropColumn(corpus, 0, 1, removed).ok());
   ExpectEquivalentToRebuild(corpus, *index);
-  EXPECT_EQ(index->Lookup("circle"), nullptr);
+  EXPECT_TRUE(index->Lookup("circle").empty());
   // "small" moved from column 2 to column 1.
-  ASSERT_NE(index->Lookup("small"), nullptr);
-  EXPECT_EQ(index->Lookup("small")->front().column_id, 1u);
+  ASSERT_FALSE(index->Lookup("small").empty());
+  EXPECT_EQ(index->Lookup("small").front().column_id, 1u);
 }
 
 TEST(IndexUpdatesTest, RandomizedEditScriptMatchesRebuild) {
@@ -172,8 +198,8 @@ TEST(IndexUpdatesTest, RandomizedEditScriptMatchesRebuild) {
       }
       case 1: {  // update cell
         if (table->NumRows() == 0 || table->NumColumns() == 0) break;
+        // Deleted rows too: the update must leave them unindexed.
         RowId r = static_cast<RowId>(rng.Uniform(table->NumRows()));
-        if (table->IsRowDeleted(r)) break;
         ColumnId c = static_cast<ColumnId>(rng.Uniform(table->NumColumns()));
         std::string old_norm = NormalizeValue(table->cell(r, c));
         ASSERT_TRUE(table->SetCell(r, c, GenerateWord(&rng, 2, 8)).ok());
@@ -215,6 +241,21 @@ TEST(IndexUpdatesTest, RandomizedEditScriptMatchesRebuild) {
       }
     }
   }
+  ExpectEquivalentToRebuild(corpus, *index);
+}
+
+TEST(IndexUpdatesTest, ResetHashAfterEditsMatchesRebuild) {
+  // Re-keying reads the lists §5.4 edits moved out of the arena too.
+  Corpus corpus = SmallCorpus();
+  auto index = Build(corpus);
+  std::string old_norm = NormalizeValue(corpus.table(0).cell(1, 0));
+  ASSERT_TRUE(corpus.mutable_table(0)->SetCell(1, 0, "violet").ok());
+  ASSERT_TRUE(index->UpdateCell(corpus, 0, 1, 0, old_norm).ok());
+  auto row = corpus.mutable_table(0)->AppendRow({"red", "oval", "tiny"});
+  ASSERT_TRUE(row.ok());
+  ASSERT_TRUE(index->InsertRow(corpus, 0, *row).ok());
+  ASSERT_TRUE(index->ResetHash(MakeRowHash(HashFamily::kXash, 128, nullptr))
+                  .ok());
   ExpectEquivalentToRebuild(corpus, *index);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "index/index_builder.h"
 #include "util/string_util.h"
 
@@ -45,30 +48,28 @@ TEST(InvertedIndexTest, LookupFindsAllOccurrences) {
   Corpus corpus = MakeFigure1Corpus();
   auto index = BuildDefault(corpus);
   // "muhammad" appears in rows 1, 4, 5 of T1's first column (Example 2).
-  const PostingList* pl = index->Lookup("muhammad");
-  ASSERT_NE(pl, nullptr);
-  ASSERT_EQ(pl->size(), 3u);
-  EXPECT_EQ((*pl)[0], (PostingEntry{0, 0, 1}));
-  EXPECT_EQ((*pl)[1], (PostingEntry{0, 0, 4}));
-  EXPECT_EQ((*pl)[2], (PostingEntry{0, 0, 5}));
+  const PostingSpan pl = index->Lookup("muhammad");
+  ASSERT_EQ(pl.size(), 3u);
+  EXPECT_EQ(pl[0], (PostingEntry{0, 0, 1}));
+  EXPECT_EQ(pl[1], (PostingEntry{0, 0, 4}));
+  EXPECT_EQ(pl[2], (PostingEntry{0, 0, 5}));
 }
 
 TEST(InvertedIndexTest, LookupSpansTables) {
   Corpus corpus = MakeFigure1Corpus();
   auto index = BuildDefault(corpus);
-  const PostingList* pl = index->Lookup("germany");
-  ASSERT_NE(pl, nullptr);
-  EXPECT_EQ(pl->size(), 4u);  // 3 in T1, 1 in T2
-  EXPECT_EQ(pl->back().table_id, 1u);
+  const PostingSpan pl = index->Lookup("germany");
+  ASSERT_EQ(pl.size(), 4u);  // 3 in T1, 1 in T2
+  EXPECT_EQ(pl.back().table_id, 1u);
 }
 
 TEST(InvertedIndexTest, LookupIsNormalizedOnly) {
   Corpus corpus = MakeFigure1Corpus();
   auto index = BuildDefault(corpus);
-  EXPECT_NE(index->Lookup("us"), nullptr);
+  EXPECT_FALSE(index->Lookup("us").empty());
   // The index stores normalized values; raw-case probes miss by contract.
-  EXPECT_EQ(index->Lookup("US"), nullptr);
-  EXPECT_EQ(index->Lookup("never-there"), nullptr);
+  EXPECT_TRUE(index->Lookup("US").empty());
+  EXPECT_TRUE(index->Lookup("never-there").empty());
 }
 
 TEST(InvertedIndexTest, PostingEntriesCountEqualsLiveCells) {
@@ -141,10 +142,8 @@ TEST(InvertedIndexTest, ResetHashRekeysSuperKeysOnly) {
   auto index = BuildDefault(corpus);
   size_t postings_before = index->NumPostingEntries();
 
-  ASSERT_TRUE(index
-                  ->ResetHash(corpus, MakeRowHash(HashFamily::kBloom, 256,
-                                                  nullptr))
-                  .ok());
+  ASSERT_TRUE(
+      index->ResetHash(MakeRowHash(HashFamily::kBloom, 256, nullptr)).ok());
   EXPECT_EQ(index->NumPostingEntries(), postings_before);
   EXPECT_EQ(index->hash_bits(), 256u);
   EXPECT_EQ(index->hash().Name(), "BF");
@@ -181,12 +180,12 @@ TEST(InvertedIndexTest, ParallelBuildIsBitIdentical) {
           << "t=" << t << " r=" << r;
     }
   }
-  (*serial)->ForEachPostingList([&](ValueId id, const PostingList& list) {
-    const PostingList* other =
+  for (ValueId id = 0; id < (*serial)->NumPostingLists(); ++id) {
+    const PostingSpan other =
         (*parallel)->Lookup((*serial)->dictionary().ValueOf(id));
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(list, *other);
-  });
+    ASSERT_FALSE(other.empty());
+    EXPECT_EQ((*serial)->List(id), other);
+  }
 }
 
 TEST(InvertedIndexTest, ParallelResetHashMatchesSerial) {
@@ -194,11 +193,9 @@ TEST(InvertedIndexTest, ParallelResetHashMatchesSerial) {
   auto a = BuildDefault(corpus);
   auto b = BuildDefault(corpus);
   ASSERT_TRUE(
-      a->ResetHash(corpus, MakeRowHash(HashFamily::kBloom, 256, nullptr), 1)
-          .ok());
+      a->ResetHash(MakeRowHash(HashFamily::kBloom, 256, nullptr), 1).ok());
   ASSERT_TRUE(
-      b->ResetHash(corpus, MakeRowHash(HashFamily::kBloom, 256, nullptr), 8)
-          .ok());
+      b->ResetHash(MakeRowHash(HashFamily::kBloom, 256, nullptr), 8).ok());
   for (TableId t = 0; t < corpus.NumTables(); ++t) {
     for (RowId r = 0; r < corpus.table(t).NumRows(); ++r) {
       EXPECT_EQ(a->superkeys().Get(t, r), b->superkeys().Get(t, r));
@@ -213,6 +210,108 @@ TEST(InvertedIndexTest, MemoryBytesIsConsistent) {
             index->PostingBytes() + index->dictionary().MemoryBytes() +
                 index->SuperKeyBytes());
 }
+
+// ---- differential: bulk build vs maintenance, re-key vs rebuild -------
+
+// Tombstoned rows, empty, whitespace-padded and case-variant cells, and a
+// value repeated across columns and tables.
+Corpus HostileCorpus() {
+  Corpus corpus = MakeFigure1Corpus();
+  Table t("hostile");
+  t.AddColumn("a");
+  t.AddColumn("b");
+  t.AddColumn("c");
+  (void)t.AppendRow({"Lee", "lee", "  LEE "});
+  (void)t.AppendRow({"", "Germany", ""});
+  (void)t.AppendRow({"muhammad", "Muhammad ", "x"});
+  (void)t.AppendRow({"gone", "gone", "gone"});
+  (void)t.AppendRow({" US", "us", "Us"});
+  (void)t.DeleteRow(3);
+  corpus.AddTable(std::move(t));
+  Table empty("no_rows");
+  empty.AddColumn("a");
+  corpus.AddTable(std::move(empty));
+  (void)corpus.mutable_table(0)->DeleteRow(6);
+  return corpus;
+}
+
+// Same dictionary ids, every list, and every super key.
+void ExpectSameIndex(const InvertedIndex& a, const InvertedIndex& b) {
+  ASSERT_EQ(a.dictionary().size(), b.dictionary().size());
+  for (ValueId id = 0; id < a.dictionary().size(); ++id) {
+    ASSERT_EQ(a.dictionary().ValueOf(id), b.dictionary().ValueOf(id)) << id;
+    EXPECT_EQ(a.List(id), b.List(id)) << a.dictionary().ValueOf(id);
+  }
+  EXPECT_EQ(a.NumPostingEntries(), b.NumPostingEntries());
+  EXPECT_EQ(a.hash().Name(), b.hash().Name());
+  ASSERT_EQ(a.superkeys().RowCounts(), b.superkeys().RowCounts());
+  for (TableId t = 0; t < a.superkeys().num_tables(); ++t) {
+    for (RowId r = 0; r < a.superkeys().NumRows(t); ++r) {
+      EXPECT_EQ(a.superkeys().Get(t, r), b.superkeys().Get(t, r))
+          << "t=" << t << " r=" << r;
+    }
+  }
+}
+
+TEST(InvertedIndexTest, BuildReportStatsEqualTheStatsScan) {
+  Corpus corpus = HostileCorpus();
+  IndexBuildReport report;
+  ASSERT_TRUE(BuildIndexWithReport(corpus, IndexBuildOptions{}, &report).ok());
+  EXPECT_EQ(report.corpus_stats, corpus.ComputeStats());
+}
+
+using FamilyBits = std::tuple<HashFamily, size_t>;
+
+class BuildDifferentialTest : public testing::TestWithParam<FamilyBits> {
+ protected:
+  IndexBuildOptions Options() const {
+    IndexBuildOptions options;
+    std::tie(options.hash_family, options.hash_bits) = GetParam();
+    return options;
+  }
+};
+
+TEST_P(BuildDifferentialTest, BulkBuildEqualsTableByTableInserts) {
+  Corpus corpus = HostileCorpus();
+  const IndexBuildOptions options = Options();
+  IndexBuildReport report;
+  auto built = BuildIndexWithReport(corpus, options, &report);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  InvertedIndex fed(MakeRowHash(options.hash_family, options.hash_bits,
+                                &report.corpus_stats));
+  for (TableId t = 0; t < corpus.NumTables(); ++t) {
+    ASSERT_TRUE(fed.InsertTable(corpus, t).ok());
+  }
+  ExpectSameIndex(**built, fed);
+}
+
+TEST_P(BuildDifferentialTest, ReKeyedDefaultBuildEqualsDirectBuild) {
+  Corpus corpus = HostileCorpus();
+  const IndexBuildOptions options = Options();
+  IndexBuildReport report;
+  auto rekeyed = BuildIndexWithReport(corpus, IndexBuildOptions{}, &report);
+  ASSERT_TRUE(rekeyed.ok()) << rekeyed.status().ToString();
+  ASSERT_TRUE((*rekeyed)
+                  ->ResetHash(MakeRowHash(options.hash_family,
+                                          options.hash_bits,
+                                          &report.corpus_stats),
+                              /*num_threads=*/4)
+                  .ok());
+  auto direct = BuildIndex(corpus, options);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ExpectSameIndex(**rekeyed, **direct);
+}
+
+std::string ParamName(const testing::TestParamInfo<FamilyBits>& info) {
+  auto [family, bits] = info.param;
+  return std::string(HashFamilyName(family)) + "_" + std::to_string(bits);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFamiliesAt128And512, BuildDifferentialTest,
+    testing::Combine(testing::ValuesIn(AllHashFamilies()),
+                     testing::Values(size_t{128}, size_t{512})),
+    ParamName);
 
 }  // namespace
 }  // namespace mate

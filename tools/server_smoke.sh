@@ -3,8 +3,8 @@
 # ephemeral port, round-trip a client PING + QUERY + STATS + METRICS over
 # the wire (asserting the Prometheus page parses and carries the core
 # serving series), then SIGTERM the server and require a clean
-# graceful-drain exit (0). Finally, malformed flags and a corpus stamped
-# with a retired format version must fail cleanly: exit 1 with an
+# graceful-drain exit (0). Finally, malformed flags and a corpus or index
+# stamped with a retired format version must fail cleanly: exit 1 with an
 # `error:` line.
 #
 # Usage: tools/server_smoke.sh [BIN_DIR]   (default: build)
@@ -134,5 +134,14 @@ expect_error "unsupported version 2" "$CLI" search --corpus "$WORK/v2.mate" \
   --index "$WORK/index.mate" --query "$QUERY" --key first,last
 expect_error "unsupported version 2" timeout 60 "$BIN_DIR/mate_server" \
   --corpus "$WORK/v2.mate" --index "$WORK/index.mate" --port 0
+
+# So is index format v3: phase 1 reads the version, so an index stamped
+# with version 2 is refused by name before the corpus is touched.
+cp "$WORK/index.mate" "$WORK/v2.index"
+printf '\x02' | dd of="$WORK/v2.index" bs=1 seek=8 count=1 conv=notrunc 2> /dev/null
+expect_error "unsupported version 2" "$CLI" search --corpus "$CORPUS" \
+  --index "$WORK/v2.index" --query "$QUERY" --key first,last
+expect_error "unsupported version 2" timeout 60 "$BIN_DIR/mate_server" \
+  --corpus "$CORPUS" --index "$WORK/v2.index" --port 0
 
 echo "server smoke OK"
