@@ -35,6 +35,7 @@
 // Every JSON record carries the tenant count and offered arrival rate
 // (bench_util AddWithLoad), so the trajectory records the load shape.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -169,6 +170,45 @@ LoadResult RunOpenLoop(uint16_t port, const std::vector<QueryRequest>& pool,
   return merged;
 }
 
+/// Closed-loop capacity of a running server in requests/s, measured over
+/// the wire so framing/IPC overhead is part of it: one socket per
+/// dispatcher (so every dispatcher stays busy), each sending `rounds`
+/// passes over `requests` back to back, starting at staggered offsets.
+/// Returns 0 when a connection or a probe query fails.
+double ProbeCapacity(const MateServer& server,
+                     const std::vector<QueryRequest>& requests,
+                     size_t rounds) {
+  const size_t connections = server.dispatchers();
+  std::atomic<size_t> probes{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  const auto start = Clock::now();
+  for (size_t c = 0; c < connections; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = MateClient::Connect("127.0.0.1", server.port());
+      if (!client.ok()) {
+        failed = true;
+        return;
+      }
+      const size_t offset = c * requests.size() / connections;
+      for (size_t i = 0; i < rounds * requests.size(); ++i) {
+        QueryRequest probe = requests[(offset + i) % requests.size()];
+        probe.tenant = "probe";
+        auto response = client->Query(probe);
+        if (!response.ok() || !response->status.ok()) {
+          failed = true;
+          return;
+        }
+        probes.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  return failed ? 0.0 : static_cast<double>(probes.load()) / seconds;
+}
+
 /// Value of the first unlabeled sample line `name <value>` on a Prometheus
 /// text page; -1 when absent.
 int64_t ParseMetricValue(const std::string& page, const std::string& name) {
@@ -214,9 +254,8 @@ int main(int argc, char** argv) {
   session_options.cache_bytes = size_t{64} << 20;
   Session session = OpenOrDie(std::move(session_options));
 
-  // In-process ground truth, computed BEFORE the server starts (the server
-  // dispatcher becomes the session's only Discover caller afterwards).
-  // Serving bit-identity is gated against these results.
+  // In-process ground truth, computed through the same session before any
+  // server runs. Serving bit-identity is gated against these results.
   std::vector<QueryRequest> pool;
   std::vector<DiscoveryResult> expected_store;
   expected_store.reserve(pool_cases.size());
@@ -243,9 +282,9 @@ int main(int argc, char** argv) {
   ReportTable table({"Scenario", "Rate (req/s)", "Served", "Shed", "p50",
                      "p90", "p99", "p99.9"});
 
-  // ---- capacity probe: closed-loop RTTs over one socket ----------------
-  // Measured over the wire so framing/IPC overhead is part of capacity.
+  // ---- capacity probe: closed-loop RTTs, one socket per dispatcher -----
   double capacity_rps = 0.0;
+  size_t dispatchers = 0;
   {
     ServerOptions options;
     options.max_queue_depth = 64;
@@ -254,36 +293,18 @@ int main(int argc, char** argv) {
       std::cerr << "server start failed: " << s.ToString() << "\n";
       return 1;
     }
-    auto client = MateClient::Connect("127.0.0.1", server.port());
-    if (!client.ok()) {
-      std::cerr << "probe connect failed: " << client.status().ToString()
-                << "\n";
+    dispatchers = server.dispatchers();
+    capacity_rps = ProbeCapacity(server, pool, /*rounds=*/3);
+    server.Stop();
+    if (capacity_rps <= 0.0) {
+      std::cerr << "probe query failed\n";
       return 1;
     }
-    const size_t kProbeRounds = 3;
-    const auto probe_start = Clock::now();
-    size_t probes = 0;
-    for (size_t round = 0; round < kProbeRounds; ++round) {
-      for (const QueryRequest& request : pool) {
-        QueryRequest probe = request;
-        probe.tenant = "probe";
-        auto response = client->Query(probe);
-        if (!response.ok() || !response->status.ok()) {
-          std::cerr << "probe query failed\n";
-          return 1;
-        }
-        ++probes;
-      }
-    }
-    const double probe_seconds =
-        std::chrono::duration<double>(Clock::now() - probe_start).count();
-    capacity_rps = static_cast<double>(probes) / probe_seconds;
-    server.Stop();
   }
   std::cout << "== Open-loop serving tail latency (pool=" << pool.size()
-            << " queries, tenants=" << kTenants
-            << ", measured capacity ~" << FormatDouble(capacity_rps, 0)
-            << " req/s) ==\n\n";
+            << " queries, tenants=" << kTenants << ", dispatchers="
+            << dispatchers << ", measured capacity ~"
+            << FormatDouble(capacity_rps, 0) << " req/s) ==\n\n";
 
   int exit_code = 0;
 
@@ -299,7 +320,7 @@ int main(int argc, char** argv) {
     }
     const double rate = 0.5 * capacity_rps;
     // Scrape METRICS mid-load on its own connection: observability must
-    // answer while the dispatcher is busy, and the page must stay valid.
+    // answer while the dispatchers are busy, and the page must stay valid.
     std::atomic<bool> midrun_metrics_ok{false};
     std::thread scraper([&server, &midrun_metrics_ok] {
       std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -382,8 +403,9 @@ int main(int argc, char** argv) {
   }
 
   // ---- overload: ~4x capacity into a 4-deep queue ----------------------
-  // 16 always-overdue connections against queue depth 4: the structural
-  // guarantee that admission control engages, independent of hardware.
+  // More always-overdue connections (at least 16) than the dispatchers and
+  // the 4-deep queue can hold at once: the structural guarantee that
+  // admission control engages, whatever the core count.
   {
     ServerOptions options;
     options.max_queue_depth = 4;
@@ -394,8 +416,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     const double rate = 4.0 * capacity_rps;
+    const size_t connections_per_tenant =
+        std::max<size_t>(8, dispatchers + options.max_queue_depth);
     LoadResult r = RunOpenLoop(server.port(), pool, expected, kTenants,
-                               /*connections_per_tenant=*/8, rate,
+                               connections_per_tenant, rate,
                                /*requests_per_connection=*/25, args.seed + 1);
     const ServerStatsSnapshot stats = server.stats();
     server.Stop();
@@ -515,27 +539,12 @@ int main(int argc, char** argv) {
         std::cerr << "server start failed: " << s.ToString() << "\n";
         return 1;
       }
-      auto client = MateClient::Connect("127.0.0.1", server.port());
-      if (!client.ok()) {
-        std::cerr << "mixed probe connect failed\n";
+      mixed_capacity_rps = ProbeCapacity(server, mixed_pool, /*rounds=*/1);
+      server.Stop();
+      if (mixed_capacity_rps <= 0.0) {
+        std::cerr << "mixed probe query failed\n";
         return 1;
       }
-      const auto probe_start = Clock::now();
-      size_t probes = 0;
-      for (const QueryRequest& request : mixed_pool) {
-        QueryRequest probe = request;
-        probe.tenant = "probe";
-        auto response = client->Query(probe);
-        if (!response.ok() || !response->status.ok()) {
-          std::cerr << "mixed probe query failed\n";
-          return 1;
-        }
-        ++probes;
-      }
-      mixed_capacity_rps =
-          static_cast<double>(probes) /
-          std::chrono::duration<double>(Clock::now() - probe_start).count();
-      server.Stop();
     }
     const double rate = 4.0 * mixed_capacity_rps;
 

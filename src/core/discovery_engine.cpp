@@ -72,11 +72,8 @@ BatchResult RunDiscoveryBatch(
   batch.results.resize(num_queries);
 
   Stopwatch wall;
-  for (size_t i = 0; i < num_queries; ++i) {
-    DiscoveryResult* slot = &batch.results[i];
-    pool->Submit([&run_one, slot, i] { *slot = run_one(i); });
-  }
-  pool->Wait();
+  pool->ForkJoin(num_queries,
+                 [&](size_t i) { batch.results[i] = run_one(i); });
 
   batch.stats = AggregateBatchStats(batch.results, wall.ElapsedSeconds(),
                                     pool->num_threads());

@@ -78,8 +78,9 @@ struct BatchResult {
 };
 
 /// Runs `run_one(i)` for i in [0, num_queries) on `pool` and aggregates
-/// BatchStats. `run_one` must be safe to call concurrently. The pool must
-/// be idle; the call submits, waits, and leaves it idle again.
+/// BatchStats. `run_one` must be safe to call concurrently. The call waits
+/// for its own tasks only (ThreadPool::ForkJoin), so other callers may
+/// share the pool meanwhile; it must not run on one of the pool's workers.
 BatchResult RunDiscoveryBatch(
     size_t num_queries,
     const std::function<DiscoveryResult(size_t)>& run_one, ThreadPool* pool);

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "index/index_shards.h"
+#include "util/page_allocator.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -25,9 +26,22 @@ struct FetchedItem {
   uint32_t init_value_idx;
 };
 
+// One candidate table: its items are ShardCandidates::items[offset,
+// offset + count), in arrival order (init value, then posting-list order).
 struct TableCandidates {
   TableId table_id;
-  std::vector<FetchedItem> items;
+  size_t offset;
+  size_t count;
+};
+
+// A shard's fetched items, grouped by table in one buffer, and its
+// candidate tables in evaluation order. The buffer's pages come from the
+// OS (util/page_allocator.h): a query allocates and frees one such buffer
+// per shard, and a freed heap buffer of that size would raise glibc's mmap
+// threshold for every thread.
+struct ShardCandidates {
+  PageVector<FetchedItem> items;
+  std::vector<TableCandidates> tables;
 };
 
 // Query-side state of Algorithm 1's initialization (§6.1, lines 3-6),
@@ -113,49 +127,68 @@ struct ShardOutcome {
 };
 
 // Fetches the shard's slice of every probed posting list (Alg. 1 lines 4-5
-// restricted to [range.begin, range.end)) and groups items by table.
-// Postings are sorted by (table_id, row, column), so the slice is one
-// contiguous run per PL.
-std::vector<TableCandidates> FetchShardCandidates(const PreparedQuery& prep,
-                                                  const ShardRange& range,
-                                                  DiscoveryStats* stats) {
+// restricted to [range.begin, range.end)) and groups items by table with
+// one counting sort on table id. Postings are sorted by (table_id, row,
+// column), so the slice is one contiguous run per PL. The scatter walks
+// the slices in the order the count did, so each table's items keep their
+// arrival order: grouped by init value, rows ascending within a value.
+ShardCandidates FetchShardCandidates(const PreparedQuery& prep,
+                                     const ShardRange& range,
+                                     DiscoveryStats* stats) {
   const auto by_table_id = [](const PostingEntry& e, TableId t) {
     return e.table_id < t;
   };
-  std::unordered_map<TableId, std::vector<FetchedItem>> by_table;
-  for (uint32_t v = 0; v < prep.init_values.size(); ++v) {
+  std::vector<PostingSpan> slices(prep.init_values.size());
+  // slot[t - range.begin] is first table t's item count, then its next
+  // free position in the buffer, or kDropped for an excluded (or not
+  // restricted-to) table.
+  constexpr size_t kDropped = std::numeric_limits<size_t>::max();
+  std::vector<size_t> slot(range.end - range.begin, 0);
+  for (size_t v = 0; v < slices.size(); ++v) {
     const PostingSpan pl = prep.posting_lists[v];
     const auto lo =
         std::lower_bound(pl.begin(), pl.end(), range.begin, by_table_id);
     const auto hi = std::lower_bound(lo, pl.end(), range.end, by_table_id);
-    stats->pl_items_fetched += static_cast<uint64_t>(hi - lo);
-    for (auto it = lo; it != hi; ++it) {
-      if (prep.excluded.count(it->table_id)) continue;
-      if (!prep.restricted.empty() && !prep.restricted.count(it->table_id)) {
-        continue;
-      }
-      by_table[it->table_id].push_back({*it, v});
+    slices[v] = PostingSpan(lo, static_cast<size_t>(hi - lo));
+    stats->pl_items_fetched += slices[v].size();
+    for (const PostingEntry& e : slices[v]) ++slot[e.table_id - range.begin];
+  }
+
+  ShardCandidates out;
+  size_t total = 0;
+  for (size_t i = 0; i < slot.size(); ++i) {
+    if (slot[i] == 0) continue;
+    const TableId table_id = range.begin + static_cast<TableId>(i);
+    if (prep.excluded.count(table_id) ||
+        (!prep.restricted.empty() && !prep.restricted.count(table_id))) {
+      slot[i] = kDropped;
+      continue;
+    }
+    out.tables.push_back({table_id, total, slot[i]});
+    total += slot[i];
+    slot[i] = out.tables.back().offset;
+  }
+  stats->candidate_tables += out.tables.size();
+
+  out.items.resize(total);
+  for (size_t v = 0; v < slices.size(); ++v) {
+    for (const PostingEntry& e : slices[v]) {
+      size_t& next = slot[e.table_id - range.begin];
+      if (next == kDropped) continue;
+      out.items[next++] = {e, static_cast<uint32_t>(v)};
     }
   }
-  stats->candidate_tables += by_table.size();
 
   // Evaluate promising tables first: PL-item count desc, table id asc.
-  std::vector<TableCandidates> candidates;
-  candidates.reserve(by_table.size());
-  for (auto& [table_id, items] : by_table) {
-    candidates.push_back({table_id, std::move(items)});
-  }
-  std::sort(candidates.begin(), candidates.end(),
+  std::sort(out.tables.begin(), out.tables.end(),
             [](const TableCandidates& a, const TableCandidates& b) {
-              if (a.items.size() != b.items.size()) {
-                return a.items.size() > b.items.size();
-              }
+              if (a.count != b.count) return a.count > b.count;
               return a.table_id < b.table_id;
             });
-  return candidates;
+  return out;
 }
 
-// Per-table evaluation (Alg. 1 lines 7-22) over candidates[start, end)
+// Per-table evaluation (Alg. 1 lines 7-22) over shard.tables[start, end)
 // with a local heap. §6.2 pruning runs against the better of the local j_k
 // and the caller's `floor` — both never exceed the final global j_k (a
 // local heap holds the best k of a subset; the floor is the k-th score
@@ -166,8 +199,8 @@ std::vector<TableCandidates> FetchShardCandidates(const PreparedQuery& prep,
 // No floor over the full range is exactly the serial Algorithm 1.
 bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
                         const DiscoveryOptions& options,
-                        const std::vector<TableCandidates>& candidates,
-                        size_t start, size_t end,
+                        const ShardCandidates& shard, size_t start,
+                        size_t end,
                         std::optional<int64_t> floor, ShardOutcome* out,
                         QueryTrace* trace = nullptr,
                         uint32_t trace_parent = QueryTrace::kNoParent,
@@ -187,8 +220,9 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
   };
 
   for (size_t cand_idx = start; cand_idx < end; ++cand_idx) {
-    const TableCandidates& cand = candidates[cand_idx];
-    const int64_t items_in_table = static_cast<int64_t>(cand.items.size());
+    const TableCandidates& cand = shard.tables[cand_idx];
+    const FetchedItem* const items = shard.items.data() + cand.offset;
+    const int64_t items_in_table = static_cast<int64_t>(cand.count);
 
     // Table filter rule 1 (line 9): tables arrive in decreasing PL-item
     // order, so once a table cannot beat the current j_k nothing later can.
@@ -219,15 +253,15 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
     // counter (rows_checked, rows_sent_to_verification, value_comparisons)
     // advances only for walked items, and a prune simply discards the
     // unused tail of the block's masks.
-    const size_t num_items = cand.items.size();
+    const size_t num_items = cand.count;
     std::array<RowId, SuperKeyStore::kMaxProbeBatch> block_rows;
     std::vector<uint32_t> combo_masks;
     size_t run_begin = 0;
     while (run_begin < num_items && !pruned_mid_table) {
-      const uint32_t value_idx = cand.items[run_begin].init_value_idx;
+      const uint32_t value_idx = items[run_begin].init_value_idx;
       size_t run_end = run_begin + 1;
       while (run_end < num_items &&
-             cand.items[run_end].init_value_idx == value_idx) {
+             items[run_end].init_value_idx == value_idx) {
         ++run_end;
       }
       const std::vector<uint32_t>& combo_ids =
@@ -239,7 +273,7 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
             std::min(SuperKeyStore::kMaxProbeBatch, run_end - block);
         if (options.use_row_filter) {
           for (size_t i = 0; i < count; ++i) {
-            block_rows[i] = cand.items[block + i].entry.row_id;
+            block_rows[i] = items[block + i].entry.row_id;
           }
           combo_masks.resize(combo_ids.size());
           for (size_t c = 0; c < combo_ids.size(); ++c) {
@@ -252,7 +286,7 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
         }
 
         for (size_t i = 0; i < count; ++i) {
-          const FetchedItem& item = cand.items[block + i];
+          const FetchedItem& item = items[block + i];
           // Table filter rule 2 (line 14): even if every remaining row is
           // joinable, the table cannot beat the worst top-k entry.
           if (options.use_table_filters &&
@@ -315,8 +349,9 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
 }
 
 // Runs fn(0..n) over min(`fanout`, n) strided pool tasks; inline when the
-// fan-out degenerates. The pool's Wait() is global, so this must only run
-// from a top-level (non-pool) thread.
+// fan-out degenerates. ForkJoin waits for these tasks only, so concurrent
+// queries share the pool; it asserts that the caller is not a worker of
+// the same pool (a query running as a pool task must pass no pool).
 void RunStrided(ThreadPool* pool, size_t fanout, size_t n,
                 const std::function<void(size_t)>& fn) {
   fanout = std::min(fanout, n);
@@ -324,12 +359,9 @@ void RunStrided(ThreadPool* pool, size_t fanout, size_t n,
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  for (size_t w = 0; w < fanout; ++w) {
-    pool->Submit([&fn, w, fanout, n] {
-      for (size_t i = w; i < n; i += fanout) fn(i);
-    });
-  }
-  pool->Wait();
+  pool->ForkJoin(fanout, [&fn, fanout, n](size_t w) {
+    for (size_t i = w; i < n; i += fanout) fn(i);
+  });
 }
 
 }  // namespace
@@ -412,7 +444,7 @@ DiscoveryResult QueryExecutor::Discover(
   std::vector<ShardOutcome> outcomes;
   outcomes.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) outcomes.emplace_back(k);
-  std::vector<std::vector<TableCandidates>> shard_candidates(num_shards);
+  std::vector<ShardCandidates> shard_candidates(num_shards);
   ScopedSpan fetch_span(trace, "fetch", troot);
   RunStrided(pool, width, num_shards, [&](size_t s) {
     // Shard spans render on track s + 1 (track 0 is the query's main line).
@@ -439,7 +471,8 @@ DiscoveryResult QueryExecutor::Discover(
   ScopedSpan evaluate_span(trace, "evaluate", troot);
   if (num_shards == 1) {
     EvaluateCandidates(*index_, prep, options, shard_candidates[0], 0,
-                       shard_candidates[0].size(), /*floor=*/std::nullopt,
+                       shard_candidates[0].tables.size(),
+                       /*floor=*/std::nullopt,
                        &outcomes[0], trace, evaluate_span.id());
   } else if (num_shards > 1) {
     std::vector<size_t> pos(num_shards, 0);
@@ -457,7 +490,7 @@ DiscoveryResult QueryExecutor::Discover(
     while (true) {
       active.clear();
       for (size_t s = 0; s < num_shards; ++s) {
-        if (!broke[s] && pos[s] < shard_candidates[s].size()) {
+        if (!broke[s] && pos[s] < shard_candidates[s].tables.size()) {
           active.push_back(s);
         }
       }
@@ -466,8 +499,8 @@ DiscoveryResult QueryExecutor::Discover(
         const size_t s = active[i];
         ScopedSpan shard_span(trace, "evaluate_shard", evaluate_span.id(),
                               s + 1);
-        const std::vector<TableCandidates>& cands = shard_candidates[s];
-        chunk_end[s] = std::min(pos[s] + chunk, cands.size());
+        const ShardCandidates& cands = shard_candidates[s];
+        chunk_end[s] = std::min(pos[s] + chunk, cands.tables.size());
         broke[s] = EvaluateCandidates(*index_, prep, options, cands, pos[s],
                                       chunk_end[s], floor, &outcomes[s],
                                       trace, shard_span.id(), s + 1)
@@ -479,7 +512,7 @@ DiscoveryResult QueryExecutor::Discover(
         if (broke[s]) {
           // Rule 1 terminates the whole shard, not just the chunk.
           outcomes[s].stats.tables_pruned_rule1 +=
-              shard_candidates[s].size() - chunk_end[s];
+              shard_candidates[s].tables.size() - chunk_end[s];
         } else {
           pos[s] = chunk_end[s];
         }

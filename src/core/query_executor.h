@@ -10,8 +10,9 @@
 //      (index/index_shards.h);
 //   2. fans shard tasks over the caller's thread pool — each worker fetches
 //      its shard's slice of every probed posting list (one binary search
-//      per PL; postings are sorted by table id), groups items by table,
-//      and runs the unmodified per-table evaluation loop with a *local*
+//      per PL; postings are sorted by table id), groups items by table
+//      into one buffer (a counting sort on table id), and runs the
+//      unmodified per-table evaluation loop with a *local*
 //      TopKHeap and local §6.2 pruning (a local heap's j_k is always <=
 //      the global j_k, so local pruning never drops a global top-k table);
 //   3. advances the shards in lockstep rounds of ~k tables total: between
@@ -89,10 +90,11 @@ class QueryExecutor {
   QueryExecutor(const Corpus* corpus, const InvertedIndex* index)
       : corpus_(corpus), index_(index) {}
 
-  /// Top-k discovery for one query. `pool` may be null (forces serial);
-  /// otherwise it must be idle and owned by a caller that issues one
-  /// Discover at a time (mate::Session's contract). DiscoveryStats records
-  /// the resolved execution shape in shards_used / fanout_threads.
+  /// Top-k discovery for one query. `pool` may be null (forces serial).
+  /// Any number of threads may call Discover at once, over the same pool
+  /// or none; each call waits for its own shard tasks only. A caller that
+  /// is itself a worker of `pool` must pass null instead. DiscoveryStats
+  /// records the resolved execution shape in shards_used / fanout_threads.
   DiscoveryResult Discover(const Table& query,
                            const std::vector<ColumnId>& key_columns,
                            const DiscoveryOptions& options,

@@ -1,6 +1,7 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <cassert>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,6 +60,19 @@ Status ValidateIndexMatchesCorpus(const Corpus& corpus,
   return ValidateShapeMatchesCorpus(corpus, index.superkeys().RowCounts(),
                                     nullptr);
 }
+
+// Marks one query call in flight for the idle assertions of ResetHash,
+// SetNumThreads and ConfigureCache.
+class QueryScope {
+ public:
+  explicit QueryScope(std::atomic<int>* count) : count_(count) {
+    count_->fetch_add(1, std::memory_order_relaxed);
+  }
+  ~QueryScope() { count_->fetch_sub(1, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<int>* const count_;
+};
 
 }  // namespace
 
@@ -366,6 +380,7 @@ DiscoveryResult Session::RunQuery(const QuerySpec& spec, bool intra_parallel) {
 }
 
 Result<uint64_t> Session::EstimatePlItems(const QuerySpec& spec) const {
+  QueryScope scope(&queries_in_flight_.count);
   if (!has_index()) {
     return Status::InvalidArgument(
         "session has no index; open with index_path, index, or build_index");
@@ -378,6 +393,7 @@ Result<uint64_t> Session::EstimatePlItems(const QuerySpec& spec) const {
 }
 
 Result<DiscoveryResult> Session::Discover(const QuerySpec& spec) {
+  QueryScope scope(&queries_in_flight_.count);
   QueryTrace* const trace = spec.trace;
   ScopedSpan discover(trace, "discover",
                       trace != nullptr ? trace->attach_parent()
@@ -421,6 +437,7 @@ Result<DiscoveryResult> Session::Discover(const QuerySpec& spec) {
 
 Result<BatchResult> Session::DiscoverBatch(
     const std::vector<QuerySpec>& specs) {
+  QueryScope scope(&queries_in_flight_.count);
   if (!has_index()) {
     return Status::InvalidArgument(
         "session has no index; open with index_path, index, or build_index");
@@ -433,10 +450,11 @@ Result<BatchResult> Session::DiscoverBatch(
   }
   MATE_RETURN_IF_ERROR(WaitUntilReady());
   MATE_RETURN_IF_ERROR(corpus_.load_status());
-  // The pool serves one parallelism axis at a time (its Wait() is global,
-  // so shard fan-out cannot nest inside a query fan-out): a batch that
-  // boils down to one uncached query routes it through the intra-query
-  // executor; otherwise queries fan out and each runs serially.
+  // The pool serves one parallelism axis at a time (a query running as a
+  // pool task must not fan out over the same pool: its wait would hold a
+  // worker the shards need): a batch that boils down to one uncached query
+  // routes it through the intra-query executor; otherwise queries fan out
+  // and each runs serially.
   const auto run_serial = [this, &specs](size_t i) {
     return RunQuery(specs[i], /*intra_parallel=*/false);
   };
@@ -523,6 +541,7 @@ Result<BatchResult> Session::DiscoverBatch(
 
 BatchResult Session::RunBatch(
     size_t n, const std::function<DiscoveryResult(size_t)>& run_one) {
+  QueryScope scope(&queries_in_flight_.count);
   return RunDiscoveryBatch(n, run_one, pool_.get());
 }
 
@@ -549,6 +568,8 @@ void Session::ConfigureCachePartition(std::string_view tenant, size_t bytes) {
 }
 
 void Session::ConfigureCache(size_t bytes) {
+  assert(queries_in_flight_.count.load() == 0 &&
+         "ConfigureCache needs an idle session");
   cache_ = bytes > 0 ? std::make_unique<ResultCache>(bytes) : nullptr;
 }
 
@@ -564,6 +585,8 @@ Status Session::ResetHash(HashFamily family, size_t hash_bits) {
 
 Status Session::ResetHash(HashFamily family,
                           std::unique_ptr<RowHashFunction> hash) {
+  assert(queries_in_flight_.count.load() == 0 &&
+         "ResetHash needs an idle session");
   if (!has_index()) {
     return Status::InvalidArgument("session has no index to re-key");
   }
@@ -597,6 +620,9 @@ Status Session::Save(const std::string& corpus_path,
 }
 
 void Session::SetNumThreads(unsigned num_threads) {
+  assert(queries_in_flight_.count.load() == 0 &&
+         "SetNumThreads needs an idle session");
+  if (num_threads == pool_->num_threads()) return;
   pool_ = std::make_unique<ThreadPool>(num_threads);
 }
 

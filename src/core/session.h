@@ -30,10 +30,15 @@
 //
 // Every binary (CLI, benches, examples) goes through Session; the raw
 // MateSearch class remains an internal implementation detail.
-// Thread-safety: Discover/DiscoverBatch/RunBatch are called from one thread
-// at a time (they fan work out over the pool internally); mutation
-// (mutable_*, ResetHash, SetNumThreads, ConfigureCache) requires the
-// session to be otherwise idle.
+//
+// Thread-safety: Discover, DiscoverBatch, EstimatePlItems and RunBatch may
+// run concurrently from any number of threads, except a worker of the
+// session's own pool. Queries only read the index and the corpus shape,
+// each call waits on its own pool tasks (ThreadPool::ForkJoin), and the
+// result cache is internally synchronized, as are InvalidateCache and
+// ConfigureCachePartition. ResetHash, SetNumThreads, ConfigureCache and
+// the mutable_* accessors need an otherwise idle session; a Debug build
+// asserts that no query call is in flight when the first three run.
 //
 // Typical use:
 //
@@ -51,6 +56,7 @@
 #ifndef MATE_CORE_SESSION_H_
 #define MATE_CORE_SESSION_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -267,7 +273,9 @@ class Session {
   /// The pool is spent on one axis at a time: a batch that boils down to a
   /// single uncached query runs it through the intra-query executor
   /// (honoring its knobs); batches with several distinct uncached queries
-  /// fan out across queries, each evaluated serially. Duplicate specs that
+  /// fan out across queries, each evaluated serially — a query running as
+  /// a pool task must not fan out over the same pool, since a wait nested
+  /// in a pool task deadlocks once every worker waits. Duplicate specs that
   /// differ only in execution knobs share one computation (the leader's
   /// knobs win — the knobs are absent from the fingerprint by design).
   Result<BatchResult> DiscoverBatch(const std::vector<QuerySpec>& specs);
@@ -349,7 +357,8 @@ class Session {
 
   ThreadPool* pool() { return pool_.get(); }
   unsigned num_threads() const { return pool_->num_threads(); }
-  /// Replaces the (idle) pool with one of `num_threads` workers.
+  /// Replaces the (idle) pool with one of `num_threads` workers; keeps it
+  /// when it already has exactly that many.
   void SetNumThreads(unsigned num_threads);
 
   /// Stats of the corpus the session serves: from the index build when the
@@ -379,6 +388,18 @@ class Session {
   /// false forces the serial path (queries already running *on* the pool).
   DiscoveryResult RunQuery(const QuerySpec& spec, bool intra_parallel);
 
+  /// Query calls in flight (Discover, DiscoverBatch, EstimatePlItems,
+  /// RunBatch), so that ResetHash, SetNumThreads and ConfigureCache can
+  /// assert an idle session in Debug builds. A moved-to session starts
+  /// with none in flight (moving a session mid-query is already an
+  /// error).
+  struct QueriesInFlight {
+    QueriesInFlight() = default;
+    QueriesInFlight(QueriesInFlight&&) noexcept {}
+    QueriesInFlight& operator=(QueriesInFlight&&) noexcept { return *this; }
+    mutable std::atomic<int> count{0};
+  };
+
   Corpus corpus_;
   std::unique_ptr<InvertedIndex> index_;
   std::unique_ptr<ThreadPool> pool_;
@@ -390,6 +411,7 @@ class Session {
   // task/thread shares it via shared_ptr, so it survives Session moves.
   struct PendingLoad;
   std::shared_ptr<PendingLoad> pending_;
+  QueriesInFlight queries_in_flight_;
 };
 
 }  // namespace mate

@@ -4,7 +4,7 @@
 // Design goals, in order:
 //
 //   * Hot-path cost. A Counter increment is ONE relaxed atomic add into a
-//     cache-line-padded cell striped per thread, so the dispatcher and a
+//     cache-line-padded cell striped per thread, so the dispatchers and a
 //     hundred connection threads bumping the same counter never contend on
 //     one line. Gauges are a single atomic store. Histograms stripe a
 //     LatencyHistogram (util/latency_histogram.h) per cell behind a small

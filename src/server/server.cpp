@@ -23,13 +23,24 @@ void CloseFd(int& fd) {
   }
 }
 
+// D = max(1, hardware concurrency / session pool width): as many queries
+// in flight as the cores can run without oversubscribing the pool's
+// fan-out.
+size_t DeriveDispatchers(size_t pinned, unsigned pool_width) {
+  if (pinned > 0) return pinned;
+  const unsigned cores = std::thread::hardware_concurrency();
+  return std::max<size_t>(1, cores / std::max(1u, pool_width));
+}
+
 }  // namespace
 
 MateServer::MateServer(Session* session, ServerOptions options,
                        ServerTestHooks test_hooks)
     : session_(session),
       options_(std::move(options)),
-      test_hooks_(std::move(test_hooks)) {
+      test_hooks_(std::move(test_hooks)),
+      dispatchers_(DeriveDispatchers(test_hooks_.dispatchers,
+                                     session->num_threads())) {
   m_queries_total_ = metrics_.RegisterCounter(
       "mate_queries_total", "QUERY requests admitted by the server");
   m_shed_total_ = metrics_.RegisterCounter(
@@ -65,6 +76,8 @@ MateServer::MateServer(Session* session, ServerOptions options,
       "mate_queue_depth", "Pending entries in the admission queue");
   m_queue_capacity_ = metrics_.RegisterGauge(
       "mate_queue_capacity", "Admission queue bound (max_queue_depth)");
+  m_dispatchers_ = metrics_.RegisterGauge(
+      "mate_dispatchers", "Dispatcher threads executing queries");
   m_connections_ = metrics_.RegisterGauge("mate_connections_active",
                                           "Live client connections");
   m_draining_ = metrics_.RegisterGauge(
@@ -90,6 +103,7 @@ MateServer::MateServer(Session* session, ServerOptions options,
       "Served query latency (admission to completion)", 1e-6);
   m_queue_capacity_->Set(
       static_cast<int64_t>(options_.max_queue_depth));
+  m_dispatchers_->Set(static_cast<int64_t>(dispatchers_));
 }
 
 MateServer::~MateServer() { Stop(); }
@@ -155,7 +169,10 @@ Status MateServer::Start() {
   }
 
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  dispatch_thread_ = std::thread([this] { DispatchLoop(); });
+  dispatch_threads_.reserve(dispatchers_);
+  for (size_t i = 0; i < dispatchers_; ++i) {
+    dispatch_threads_.emplace_back([this] { DispatchLoop(); });
+  }
   return Status::OK();
 }
 
@@ -175,9 +192,10 @@ void MateServer::Stop() {
   }
   if (accept_thread_.joinable()) accept_thread_.join();
 
-  // In-flight queries (already admitted) finish: the dispatcher drains the
-  // queue and exits. Connections parked on futures get their responses.
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
+  // In-flight queries (already admitted) finish: the dispatchers drain the
+  // queue and exit. Connections parked on futures get their responses.
+  for (std::thread& dispatcher : dispatch_threads_) dispatcher.join();
+  dispatch_threads_.clear();
 
   // Unblock connection readers parked in ReadFrame. Read-side only at
   // first: write sides stay open so responses to just-drained queries
@@ -571,7 +589,6 @@ Status MateServer::Admit(QueryRequest request,
     }
     session_->ConfigureCachePartition(request.tenant,
                                       options_.tenant_cache_bytes);
-    partition_configures_.fetch_add(1);
   }
   queue_cv_.notify_one();
   return Status::OK();
@@ -685,11 +702,6 @@ void MateServer::DispatchLoop() {
     m_latency_seconds_->Record(waited_us);
     pending->promise.set_value(std::move(result));
   }
-}
-
-size_t MateServer::registered_connections_for_test() const {
-  std::lock_guard<std::mutex> lock(connections_mu_);
-  return connections_.size();
 }
 
 ServerStatsSnapshot MateServer::stats() const {

@@ -3,15 +3,21 @@
 // corpus, inverted index, thread pool, and result cache are paid for once
 // and amortized across every tenant.
 //
-// Threading model. Session documents a single-caller contract for
-// Discover, so the server runs exactly one dispatcher thread that executes
-// queries sequentially off a bounded queue; each accepted connection gets a
-// reader thread that decodes frames, runs admission control, parks on a
-// future until the dispatcher fulfills it, and writes the response. STATS
-// and PING are answered inline on the connection thread (observability
-// must keep working while the queue is saturated — that is when you need
-// it). Queueing delay is therefore real and visible in the measured
-// latency, which is what an open-loop tail-latency harness needs.
+// Threading model. Queries only read the index, and Session::Discover may
+// run on many threads at once, so the server runs a pool of D dispatcher
+// threads over one bounded admission queue, each executing the query it
+// dequeued. D is derived, never configured: D = max(1,
+// hardware_concurrency / session pool width). A session pool as wide as
+// the machine (--threads 0) gives D = 1, one query at a time with all
+// cores fanning it out; a serial pool (--threads 1, the default) gives one
+// dispatcher per core, each query running on its own dispatcher. Each
+// accepted connection gets a reader thread that decodes frames, runs
+// admission control, parks on a future until a dispatcher fulfills it,
+// and writes the response. STATS, PING and METRICS are answered inline on
+// the connection thread (observability must keep working while the queue
+// is saturated — that is when you need it). Queueing delay is therefore
+// real and visible in the measured latency, which is what an open-loop
+// tail-latency harness needs.
 //
 // Admission control. A QUERY is admitted only when the queue holds fewer
 // than `max_queue_depth` pending entries and the server is not draining;
@@ -35,7 +41,7 @@
 // adversarial client cycling fresh names cannot grow the registry, the
 // METRICS page, or the cache's partition map without bound.
 //
-// SLO-aware steering. With `steering` = kAuto the dispatcher picks each
+// SLO-aware steering. With `steering` = kAuto a dispatcher picks each
 // query's intra-query fan-out at dequeue time from (a) the queue depth,
 // (b) the live served p99 vs `target_p99`, and (c) the session's
 // pre-execution PL-traffic estimate: big queries fan out across the pool
@@ -147,13 +153,16 @@ struct ServerOptions {
   std::string slow_query_log_path;
 };
 
-/// Callbacks a test hands MateServer apart from its options, so timing
-/// races can be made deterministic. An unset hook is skipped.
+/// Callbacks and overrides a test hands MateServer apart from its options,
+/// so timing races can be made deterministic. An unset hook is skipped.
 struct ServerTestHooks {
-  /// Run by the dispatcher after each dequeue, before the query executes
+  /// Run by every dispatcher after each dequeue, before the query executes
   /// (a sleep here makes queue-full sheds deterministic under a small
   /// max_queue_depth).
   std::function<void()> before_dispatch;
+  /// Dispatcher count; 0 derives it (see the threading model above). Tests
+  /// that script a backlog pin it so it does not depend on the host.
+  size_t dispatchers = 0;
   /// Run by Admit inside the (unlocked) first-admission
   /// ConfigureCachePartition step (a sleep here pins that concurrent
   /// admits and stats are not stalled behind it).
@@ -162,8 +171,8 @@ struct ServerTestHooks {
 
 class MateServer {
  public:
-  /// `session` must be open (or opening) and outlive the server; the
-  /// server becomes its only Discover caller.
+  /// `session` must be open (or opening) and outlive the server. Other
+  /// threads may query it meanwhile, but must not mutate it.
   MateServer(Session* session, ServerOptions options,
              ServerTestHooks test_hooks = {});
 
@@ -174,8 +183,8 @@ class MateServer {
   MateServer(const MateServer&) = delete;
   MateServer& operator=(const MateServer&) = delete;
 
-  /// Binds, listens, and starts the accept + dispatcher threads. IOError
-  /// when the address cannot be bound.
+  /// Binds, listens, and starts the accept thread and the dispatchers.
+  /// IOError when the address cannot be bound.
   Status Start();
 
   /// Graceful drain: closes the listener, sheds queries not yet admitted,
@@ -184,6 +193,9 @@ class MateServer {
 
   /// The bound port (resolves option `port` == 0). 0 before Start().
   uint16_t port() const { return port_; }
+
+  /// Dispatcher threads Start() runs (the mate_dispatchers gauge).
+  size_t dispatchers() const { return dispatchers_; }
 
   /// A consistent observability snapshot (same data the STATS verb serves).
   ServerStatsSnapshot stats() const;
@@ -194,18 +206,6 @@ class MateServer {
   /// and residency figures) refreshed from the session at render time. The
   /// registry is per-server, so the page covers this server's lifetime.
   std::string RenderMetricsText();
-
-  /// Test-only: live connection records still registered. Exited
-  /// connections deregister themselves, so this must fall back to 0 after
-  /// clients hang up — the registry does not grow with connection churn.
-  size_t registered_connections_for_test() const;
-
-  /// Test-only: how many times Admit called ConfigureCachePartition (must
-  /// be exactly one per distinct tenant row, however many first admissions
-  /// race).
-  uint64_t partition_configures_for_test() const {
-    return partition_configures_.load();
-  }
 
  private:
   struct PendingQuery {
@@ -255,9 +255,9 @@ class MateServer {
                QueryTrace* trace, uint32_t root_span);
 
   /// Steering (options_.steering == kAuto): picks spec->intra_query_threads
-  /// from the queue depth observed at dequeue, the live served p99, and the
-  /// session's PL-traffic estimate; tallies the decision. Never changes
-  /// results — only how fast they are computed.
+  /// from the queue depth its dispatcher observed at dequeue, the live
+  /// served p99, and the session's PL-traffic estimate; tallies the
+  /// decision. Never changes results — only how fast they are computed.
   void SteerSpec(QuerySpec* spec, size_t queue_depth, uint64_t p99_us,
                  uint32_t dispatch_span);
 
@@ -274,18 +274,20 @@ class MateServer {
   Session* const session_;
   const ServerOptions options_;
   const ServerTestHooks test_hooks_;
+  const size_t dispatchers_;
 
   std::atomic<uint16_t> port_{0};
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  // self-pipe: wakes the accept poll on Stop
 
   std::thread accept_thread_;
-  std::thread dispatch_thread_;
+  std::vector<std::thread> dispatch_threads_;
 
   // Connection registry. Each live connection owns one record; on exit the
   // connection thread closes its fd, moves its thread handle to
   // finished_threads_ (joined by the accept loop or Stop), erases its
-  // record, and signals connections_cv_ so Stop() can wait for empty.
+  // record and decrements active_connections_ in one critical section, and
+  // signals connections_cv_ so Stop() can wait for empty.
   struct Connection {
     int fd = -1;
     std::thread thread;
@@ -297,8 +299,8 @@ class MateServer {
   uint64_t next_connection_id_ = 0;
   std::atomic<uint64_t> active_connections_{0};
 
-  // Queue + admission state (one mutex so shed-vs-admit is linearized with
-  // the drain flag).
+  // Queue + admission state, shared by every dispatcher (one mutex so
+  // shed-vs-admit is linearized with the drain flag).
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<PendingQuery>> queue_;
@@ -317,12 +319,11 @@ class MateServer {
   LatencyHistogram latency_us_;
   std::map<std::string, TenantCounters> tenants_;
 
-  // Steering decision tallies (atomics: bumped by the dispatcher outside
+  // Steering decision tallies (atomics: bumped by the dispatchers outside
   // queue_mu_, read by stats()).
   std::atomic<uint64_t> steer_serial_{0};
   std::atomic<uint64_t> steer_partial_{0};
   std::atomic<uint64_t> steer_full_{0};
-  std::atomic<uint64_t> partition_configures_{0};
 
   // Metrics cells (owned by metrics_; registered in the constructor, so
   // hot paths never look anything up). Counters/histogram are bumped at
@@ -342,6 +343,7 @@ class MateServer {
   Counter* m_steer_full_ = nullptr;
   Gauge* m_queue_depth_ = nullptr;
   Gauge* m_queue_capacity_ = nullptr;
+  Gauge* m_dispatchers_ = nullptr;
   Gauge* m_connections_ = nullptr;
   Gauge* m_draining_ = nullptr;
   // Monotone session-side counts (cache hit/miss traffic, corpus

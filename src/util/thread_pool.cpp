@@ -1,15 +1,23 @@
 #include "util/thread_pool.h"
 
+#include <cassert>
+
 namespace mate {
 
+namespace {
+
+// The pool whose WorkerLoop runs on this thread (null elsewhere).
+thread_local const ThreadPool* tls_worker_of = nullptr;
+
+}  // namespace
+
 void Latch::CountDown() {
-  bool release;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (count_ > 0) --count_;
-    release = count_ == 0;
-  }
-  if (release) cv_.notify_all();
+  // Notify under the lock: a waiter may destroy the latch as soon as it
+  // sees zero (ForkJoin's lives on its caller's stack), so nothing here may
+  // touch it once the lock is released.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (count_ > 0) --count_;
+  if (count_ == 0) cv_.notify_all();
 }
 
 void Latch::Wait() const {
@@ -38,7 +46,8 @@ ThreadPool::ThreadPool(unsigned num_threads) : num_threads_(num_threads) {
 
 ThreadPool::~ThreadPool() {
   if (workers_.empty()) return;
-  Wait();
+  // Workers leave only once stop_ is set and nothing is queued, so every
+  // task submitted before this point still runs.
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
@@ -61,18 +70,30 @@ void ThreadPool::Submit(std::function<void()> task) {
     size_t target = next_queue_;
     next_queue_ = (next_queue_ + 1) % queues_.size();
     ++queued_;
-    ++in_flight_;
     std::lock_guard<std::mutex> queue_lock(queues_[target]->mu);
     queues_[target]->tasks.push_back(std::move(task));
   }
   work_cv_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  if (workers_.empty()) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
+void ThreadPool::ForkJoin(size_t n, const std::function<void(size_t)>& fn) {
+  if (workers_.empty()) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  assert(!OnWorkerThread() &&
+         "ForkJoin from a worker of the same pool can deadlock");
+  Latch done(n);
+  for (size_t i = 0; i < n; ++i) {
+    Submit([&fn, &done, i] {
+      fn(i);
+      done.CountDown();
+    });
+  }
+  done.Wait();
 }
+
+bool ThreadPool::OnWorkerThread() const { return tls_worker_of == this; }
 
 bool ThreadPool::TryPop(unsigned self, std::function<void()>* task) {
   {
@@ -99,6 +120,7 @@ bool ThreadPool::TryPop(unsigned self, std::function<void()>* task) {
 }
 
 void ThreadPool::WorkerLoop(unsigned self) {
+  tls_worker_of = this;
   for (;;) {
     std::function<void()> task;
     if (TryPop(self, &task)) {
@@ -107,12 +129,6 @@ void ThreadPool::WorkerLoop(unsigned self) {
         --queued_;
       }
       task();
-      bool drained;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        drained = --in_flight_ == 0;
-      }
-      if (drained) done_cv_.notify_all();
       continue;
     }
     std::unique_lock<std::mutex> lock(mu_);

@@ -1,9 +1,14 @@
 // Work-stealing thread pool for fan-out over independent tasks (batch
-// discovery, parallel index passes). Each worker owns a deque; Submit
-// round-robins tasks across workers, and an idle worker steals from the
-// front of a sibling's deque. Tasks here are coarse (one discovery query,
-// one table's hashing pass), so per-deque mutexes — not lock-free deques —
-// are plenty.
+// discovery, one query's shards, parallel index passes). Each worker owns
+// a deque; Submit round-robins tasks across workers, and an idle worker
+// steals from the front of a sibling's deque. Tasks here are coarse (one
+// discovery query, one table's hashing pass), so per-deque mutexes — not
+// lock-free deques — are plenty.
+//
+// There is no pool-wide barrier. A caller that needs its tasks finished
+// uses ForkJoin, which counts that call's tasks down on a Latch of its
+// own, so any number of threads can fan out over one pool at once without
+// waiting on each other's work.
 //
 // Follows the `num_threads` convention of IndexBuildOptions: 0 means
 // hardware concurrency, 1 means a degenerate pool whose Submit runs the
@@ -26,10 +31,12 @@ namespace mate {
 /// One-shot countdown latch: Wait blocks until CountDown has been called
 /// `count` times. Session's phased open arms one with count 1 — the loader
 /// task counts it down when postings and super keys are resident, and every
-/// query path waits on it before touching the index. Writes made before
-/// CountDown are visible to threads returning from Wait/TryWait. Unlike
-/// std::latch, TryWait is a reliable non-blocking probe (no spurious
-/// failures), which readiness status lines rely on.
+/// query path waits on it before touching the index — and every
+/// ThreadPool::ForkJoin arms one with its task count. Writes made before
+/// CountDown are visible to threads returning from Wait/TryWait, and a
+/// waiter that saw zero may destroy the latch at once. Unlike std::latch,
+/// TryWait is a reliable non-blocking probe (no spurious failures), which
+/// readiness status lines rely on.
 class Latch {
  public:
   explicit Latch(size_t count) : count_(count) {}
@@ -58,7 +65,7 @@ class ThreadPool {
   /// execution, no threads). Workers live until destruction.
   explicit ThreadPool(unsigned num_threads);
 
-  /// Drains remaining tasks, then joins the workers.
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -68,8 +75,13 @@ class ThreadPool {
   /// before returning.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every task submitted so far has finished.
-  void Wait();
+  /// Runs fn(i) for every i in [0, n) as n pool tasks and returns once all
+  /// of them have finished. Completion is counted on a Latch private to
+  /// this call, so concurrent callers never wait on one another's tasks.
+  /// A one-thread pool runs fn inline, in index order. Must not be called
+  /// from one of this pool's own workers (a Debug build asserts): once
+  /// every worker waits like that, the tasks they wait for never run.
+  void ForkJoin(size_t n, const std::function<void(size_t)>& fn);
 
   /// Worker count after the 0 -> hardware-concurrency resolution; >= 1.
   unsigned num_threads() const { return num_threads_; }
@@ -81,6 +93,8 @@ class ThreadPool {
   };
 
   void WorkerLoop(unsigned self);
+  /// True iff the calling thread is one of this pool's workers.
+  bool OnWorkerThread() const;
   /// Pops from own back, else steals from a sibling's front.
   bool TryPop(unsigned self, std::function<void()>* task);
 
@@ -88,13 +102,11 @@ class ThreadPool {
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
 
-  // Guards queued_/stop_ for sleeping workers and finished-counting for
-  // Wait(); coarse, but tasks are millisecond-scale so it never contends.
+  // Guards queued_/stop_ for sleeping workers; coarse, but tasks are
+  // millisecond-scale so it never contends.
   std::mutex mu_;
-  std::condition_variable work_cv_;   // workers sleep here
-  std::condition_variable done_cv_;   // Wait() sleeps here
-  size_t queued_ = 0;     // submitted, not yet popped
-  size_t in_flight_ = 0;  // submitted, not yet finished
+  std::condition_variable work_cv_;  // workers sleep here
+  size_t queued_ = 0;                // submitted, not yet popped
   size_t next_queue_ = 0;
   bool stop_ = false;
 };

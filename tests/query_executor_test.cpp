@@ -7,13 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/mate.h"
 #include "core/session.h"
 #include "index/index_builder.h"
+#include "index/index_shards.h"
+#include "obs/trace.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace mate {
@@ -91,6 +97,119 @@ void ExpectSameWorkStats(const DiscoveryStats& a, const DiscoveryStats& b,
   EXPECT_EQ(a.value_comparisons, b.value_comparisons) << label;
 }
 
+// What the fetch of one shard must produce, computed straight from the
+// posting lists: the items of every init value in [range.begin,
+// range.end), and the candidate tables (those left with an item after the
+// exclude/restrict filters) in evaluation order — item count desc, table
+// id asc. Expects InitColumnStrategy::kColumnOrder, so the init values are
+// the distinct normalized first-key values of the rows with a full key.
+struct FetchReference {
+  uint64_t pl_items = 0;
+  std::vector<TableId> order;
+};
+
+FetchReference ReferenceFetch(const InvertedIndex& index, const Table& query,
+                              const std::vector<ColumnId>& keys,
+                              const DiscoveryOptions& options,
+                              const ShardRange& range) {
+  std::set<std::string> init_values;
+  for (RowId r = 0; r < query.NumRows(); ++r) {
+    const bool full = std::none_of(keys.begin(), keys.end(), [&](ColumnId c) {
+      return Trim(query.cell(r, c)).empty();
+    });
+    if (full) init_values.insert(NormalizeValue(query.cell(r, keys[0])));
+  }
+  const std::set<TableId> excluded(options.exclude_tables.begin(),
+                                   options.exclude_tables.end());
+  const std::set<TableId> restricted(options.restrict_tables.begin(),
+                                     options.restrict_tables.end());
+  FetchReference ref;
+  std::map<TableId, size_t> items;
+  for (const std::string& value : init_values) {
+    for (const PostingEntry& e : index.Lookup(value)) {
+      if (e.table_id < range.begin || e.table_id >= range.end) continue;
+      ++ref.pl_items;
+      if (excluded.count(e.table_id) ||
+          (!restricted.empty() && !restricted.count(e.table_id))) {
+        continue;
+      }
+      ++items[e.table_id];
+    }
+  }
+  for (const auto& [table, count] : items) ref.order.push_back(table);
+  std::stable_sort(ref.order.begin(), ref.order.end(),
+                   [&items](TableId a, TableId b) {
+                     return items[a] > items[b];
+                   });
+  return ref;
+}
+
+// Per shard track (tid), the tables whose row loop ran, in the order they
+// ran — one "row_loop" span per evaluated table.
+std::map<uint64_t, std::vector<TableId>> EvaluationOrder(
+    const QueryTrace& trace) {
+  std::map<uint64_t, std::vector<TableId>> order;
+  for (const TraceSpan& span : trace.Spans()) {
+    if (span.name != "row_loop") continue;
+    const std::string prefix = "\"table\":";
+    EXPECT_EQ(span.args_json.rfind(prefix, 0), 0u) << span.args_json;
+    order[span.tid].push_back(static_cast<TableId>(
+        std::stoul(span.args_json.substr(prefix.size()))));
+  }
+  return order;
+}
+
+// Runs one traced query at `shards` x `threads` and checks its fetch
+// against ReferenceFetch, shard by shard: the summed fetch counters, and
+// each shard's evaluation order — the whole candidate list when the table
+// filters are off, a prefix of it when rule 1 may cut the shard short.
+DiscoveryResult DiscoverAndCheckFetch(const Corpus& corpus,
+                                      const InvertedIndex& index,
+                                      const Table& query,
+                                      const std::vector<ColumnId>& keys,
+                                      const DiscoveryOptions& options,
+                                      size_t shards, unsigned threads,
+                                      const std::string& label) {
+  ThreadPool pool(threads);
+  QueryTrace trace("executor_test");
+  ExecutorOptions exec;
+  exec.intra_query_threads = threads;
+  exec.num_shards = shards;
+  exec.trace = &trace;
+  const DiscoveryResult result = QueryExecutor(&corpus, &index)
+                                     .Discover(query, keys, options, exec,
+                                               &pool);
+  const std::vector<ShardRange> ranges =
+      shards == 1
+          ? std::vector<ShardRange>{{0, static_cast<TableId>(
+                                            corpus.NumTables())}}
+          : IndexShards::Build(corpus, shards).ranges();
+  const std::map<uint64_t, std::vector<TableId>> evaluated =
+      EvaluationOrder(trace);
+  uint64_t pl_items = 0;
+  size_t candidates = 0;
+  for (size_t s = 0; s < ranges.size(); ++s) {
+    const FetchReference ref =
+        ReferenceFetch(index, query, keys, options, ranges[s]);
+    pl_items += ref.pl_items;
+    candidates += ref.order.size();
+    // A single shard runs on the query's main track, shard s on s + 1.
+    const auto it = evaluated.find(shards == 1 ? 0 : s + 1);
+    const std::vector<TableId> ran =
+        it == evaluated.end() ? std::vector<TableId>{} : it->second;
+    if (options.use_table_filters) {
+      EXPECT_TRUE(ran.size() <= ref.order.size() &&
+                  std::equal(ran.begin(), ran.end(), ref.order.begin()))
+          << label << " shard " << s;
+    } else {
+      EXPECT_EQ(ran, ref.order) << label << " shard " << s;
+    }
+  }
+  EXPECT_EQ(result.stats.pl_items_fetched, pl_items) << label;
+  EXPECT_EQ(result.stats.candidate_tables, candidates) << label;
+  return result;
+}
+
 TEST(QueryExecutorTest, BitIdenticalAcrossShardAndThreadCounts) {
   const Corpus corpus = MakeTieCorpus();
   const auto index = Build(corpus);
@@ -116,6 +235,16 @@ TEST(QueryExecutorTest, BitIdenticalAcrossShardAndThreadCounts) {
                                   std::to_string(shards) + " threads=" +
                                   std::to_string(threads);
         ExpectSameResult(serial, result, label);
+        // The traced run takes the same path and checks the fetch (items,
+        // candidates, evaluation order) against the posting lists.
+        DiscoveryOptions in_column_order = options;
+        in_column_order.init_strategy = InitColumnStrategy::kColumnOrder;
+        for (bool filters : {true, false}) {
+          in_column_order.use_table_filters = filters;
+          DiscoverAndCheckFetch(corpus, *index, query, keys, in_column_order,
+                                shards, threads,
+                                label + (filters ? "" : " unfiltered"));
+        }
         // Fetch-side counters match serial at ANY shard count.
         EXPECT_EQ(result.stats.pl_items_fetched,
                   serial.stats.pl_items_fetched)
@@ -145,18 +274,53 @@ TEST(QueryExecutorTest, ExcludeAndRestrictSurviveSharding) {
 
   DiscoveryOptions options;
   options.k = 5;
+  options.init_strategy = InitColumnStrategy::kColumnOrder;
   options.exclude_tables = {4, 9, 14};
   options.restrict_tables = {2, 4, 9, 14, 19, 24, 29, 34, 39};
-  const DiscoveryResult serial =
-      MateSearch(&corpus, index.get()).Discover(query, keys, options);
-  for (size_t shards : {2, 8}) {
-    ThreadPool pool(4);
-    ExecutorOptions exec;
-    exec.intra_query_threads = 4;
-    exec.num_shards = shards;
-    ExpectSameResult(serial,
-                     executor.Discover(query, keys, options, exec, &pool),
-                     "shards=" + std::to_string(shards));
+  for (const bool restrict : {true, false}) {
+    DiscoveryOptions run = options;
+    if (!restrict) run.restrict_tables.clear();  // exclusion alone
+    const DiscoveryResult serial =
+        MateSearch(&corpus, index.get()).Discover(query, keys, run);
+    for (size_t shards : {1, 2, 3, 8}) {
+      DiscoveryResult at_one_thread;
+      for (unsigned threads : {1u, 4u}) {
+        const std::string label =
+            std::string(restrict ? "exclude+restrict" : "exclude") +
+            " shards=" + std::to_string(shards) +
+            " threads=" + std::to_string(threads);
+        ThreadPool pool(threads);
+        ExecutorOptions exec;
+        exec.intra_query_threads = threads;
+        exec.num_shards = shards;
+        const DiscoveryResult result =
+            executor.Discover(query, keys, run, exec, &pool);
+        ExpectSameResult(serial, result, label);
+        for (const TableResult& t : result.top_k) {
+          EXPECT_FALSE(t.table_id == 4 || t.table_id == 9 ||
+                       t.table_id == 14)
+              << label << " returned excluded table " << t.table_id;
+        }
+        EXPECT_EQ(result.stats.pl_items_fetched,
+                  serial.stats.pl_items_fetched)
+            << label;
+        EXPECT_EQ(result.stats.candidate_tables,
+                  serial.stats.candidate_tables)
+            << label;
+        if (threads == 1u) {
+          at_one_thread = result;
+        } else {
+          ExpectSameWorkStats(at_one_thread.stats, result.stats, label);
+        }
+        for (bool filters : {true, false}) {
+          DiscoveryOptions traced = run;
+          traced.use_table_filters = filters;
+          DiscoverAndCheckFetch(corpus, *index, query, keys, traced, shards,
+                                threads,
+                                label + (filters ? "" : " unfiltered"));
+        }
+      }
+    }
   }
 }
 

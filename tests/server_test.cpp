@@ -12,11 +12,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,7 +170,12 @@ TEST(ServerTest, ConcurrentMultiTenantClientsAreBitIdentical) {
   Session session = OpenLakeSession();
   ServerOptions options;
   options.tenant_cache_bytes = 1 << 18;
-  MateServer server(&session, options);
+  // The exact hit/miss split below needs one dispatcher: two dispatchers
+  // may both miss on the same query before either inserts it.
+  // DispatcherPoolServesBitIdenticalResults covers the pool.
+  ServerTestHooks hooks;
+  hooks.dispatchers = 1;
+  MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
   const Table query = MakeQuery();
@@ -221,6 +228,87 @@ TEST(ServerTest, ConcurrentMultiTenantClientsAreBitIdentical) {
   EXPECT_EQ(stats.cache_misses, 4u);
   EXPECT_EQ(stats.cache_hits, kClients * kQueriesEach - 4u);
   server.Stop();
+}
+
+TEST(ServerTest, DispatcherPoolServesBitIdenticalResults) {
+  const Table query = MakeQuery();
+  const DiscoveryResult expected2 = DirectDiscover(query, {0, 1});
+  const DiscoveryResult expected3 = DirectDiscover(query, {0, 1, 2});
+  for (const size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
+    SCOPED_TRACE(cache_bytes > 0 ? "cache on" : "cache off");
+    Session session = OpenLakeSession(cache_bytes);
+    // Each dispatch holds its dispatcher for a moment, so the eight
+    // clients keep several dispatchers busy at once.
+    std::mutex mu;
+    int dispatching = 0;
+    int most_at_once = 0;
+    ServerTestHooks hooks;
+    hooks.dispatchers = 4;
+    hooks.before_dispatch = [&] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        most_at_once = std::max(most_at_once, ++dispatching);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      std::lock_guard<std::mutex> lock(mu);
+      --dispatching;
+    };
+    MateServer server(&session, ServerOptions{}, hooks);
+    ASSERT_TRUE(server.Start().ok());
+    EXPECT_EQ(server.dispatchers(), 4u);
+
+    constexpr int kClients = 8;
+    constexpr int kQueriesEach = 12;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        auto client = MateClient::Connect("127.0.0.1", server.port());
+        if (!client.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        const std::string tenant = c % 2 == 0 ? "acme" : "globex";
+        for (int i = 0; i < kQueriesEach; ++i) {
+          const bool wide = (c + i) % 3 == 0;
+          const std::vector<ColumnId> key =
+              wide ? std::vector<ColumnId>{0, 1, 2}
+                   : std::vector<ColumnId>{0, 1};
+          auto response =
+              client->Query(MakeQueryRequest(query, key, /*k=*/5, tenant));
+          if (!response.ok() || !response->status.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          ExpectServedMatches(response->results,
+                              wide ? expected3 : expected2);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_GT(most_at_once, 1) << "the dispatchers never overlapped";
+
+    const ServerStatsSnapshot stats = server.stats();
+    EXPECT_EQ(stats.admitted, static_cast<uint64_t>(kClients * kQueriesEach));
+    EXPECT_EQ(stats.completed, stats.admitted);
+    EXPECT_EQ(stats.shed, 0u);
+    auto observer = MateClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(observer.ok()) << observer.status().ToString();
+    auto page = observer->Metrics();
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    const auto metric = [&page](const std::string& series) {
+      const size_t pos = page->find("\n" + series + " ");
+      EXPECT_NE(pos, std::string::npos) << series << " missing:\n" << *page;
+      return pos == std::string::npos
+                 ? ~0ull
+                 : std::stoull(page->substr(pos + series.size() + 2));
+    };
+    EXPECT_EQ(metric("mate_query_latency_seconds_count"), stats.completed);
+    EXPECT_EQ(metric("mate_queries_completed_total"), stats.completed);
+    EXPECT_EQ(metric("mate_dispatchers"), 4u);
+    server.Stop();
+  }
 }
 
 TEST(ServerTest, StatsVerbServesTheObservabilitySnapshot) {
@@ -402,14 +490,14 @@ TEST(ServerTest, ConnectionChurnDrainsTheRegistry) {
     ASSERT_TRUE(client->Ping().ok());
   }
 
-  // Deregistration is asynchronous (the reader thread sees EOF first).
+  // Deregistration is asynchronous (the reader thread sees EOF first). The
+  // count falls in the same critical section that erases the record.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.registered_connections_for_test() > 0 &&
+  while (server.stats().active_connections > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(server.registered_connections_for_test(), 0u);
   EXPECT_EQ(server.stats().active_connections, 0u);
   server.Stop();
 }
@@ -443,7 +531,7 @@ TEST(ServerTest, AcceptsBeyondConnectionLimitAreShedWithOverloaded) {
   // new connection is admitted again.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.registered_connections_for_test() > 0 &&
+  while (server.stats().active_connections > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -461,6 +549,9 @@ TEST(ServerTest, QueueFullShedsWithOverloaded) {
   options.max_queue_depth = 2;
   ServerTestHooks hooks;
   hooks.before_dispatch = SleepFor(std::chrono::milliseconds(50));
+  // One dispatcher plus two queue slots: eight clients must overflow them
+  // however many cores the host has.
+  hooks.dispatchers = 1;
   MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
@@ -766,8 +857,12 @@ TEST(ServerTest, PartitionConfigureRunsOutsideTheQueueLock) {
   options.tenant_cache_bytes = 1 << 18;
   // Simulate a slow ResultCache resize: pre-hoist this sleep sat inside
   // queue_mu_ and stalled every concurrent admit/shed/stats behind it.
+  std::atomic<int> configures{0};
   ServerTestHooks hooks;
-  hooks.before_configure_partition = SleepFor(std::chrono::milliseconds(400));
+  hooks.before_configure_partition = [&configures] {
+    configures.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  };
   MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
@@ -808,7 +903,7 @@ TEST(ServerTest, PartitionConfigureRunsOutsideTheQueueLock) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   // Exactly one configure, however many first admissions raced.
-  EXPECT_EQ(server.partition_configures_for_test(), 1u);
+  EXPECT_EQ(configures.load(), 1);
   const ServerStatsSnapshot stats = server.stats();
   ASSERT_EQ(stats.tenants.size(), 1u);
   EXPECT_EQ(stats.tenants[0].cache_capacity_bytes, 1u << 18);
@@ -820,7 +915,7 @@ TEST(ServerTest, PartitionConfigureRunsOutsideTheQueueLock) {
   auto response = client->Query(MakeQueryRequest(query, {0, 1}, 5, "globex"));
   ASSERT_TRUE(response.ok());
   ASSERT_TRUE(response->status.ok());
-  EXPECT_EQ(server.partition_configures_for_test(), 2u);
+  EXPECT_EQ(configures.load(), 2);
   server.Stop();
 }
 
@@ -863,6 +958,7 @@ TEST(ServerTest, ShedAndDecodeErrorRequestsAreSlowLogged) {
   options.slow_query_log_path = log_path;
   ServerTestHooks hooks;
   hooks.before_dispatch = SleepFor(std::chrono::milliseconds(400));
+  hooks.dispatchers = 1;  // the backlog below assumes one dispatcher
   MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1033,6 +1129,7 @@ TEST(ServerTest, SteeringDegradesUnderQueuePressureAndStaysBitIdentical) {
   options.max_queue_depth = 4;  // "deep" at backlog >= 2
   ServerTestHooks hooks;
   hooks.before_dispatch = SleepFor(std::chrono::milliseconds(150));
+  hooks.dispatchers = 1;  // the backlog below assumes one dispatcher
   MateServer server(&session, options, hooks);
   ASSERT_TRUE(server.Start().ok());
 

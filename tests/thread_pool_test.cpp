@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <future>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace mate {
@@ -17,7 +20,6 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
   pool.Submit([&] { EXPECT_EQ(order++, 0); });
   // Inline mode completed before Submit returned.
   EXPECT_EQ(order, 1);
-  pool.Wait();
 }
 
 TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
@@ -30,10 +32,7 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   std::vector<std::atomic<int>> hits(n);
   {
     ThreadPool pool(4);
-    for (size_t i = 0; i < n; ++i) {
-      pool.Submit([&hits, i] { hits[i].fetch_add(1); });
-    }
-    pool.Wait();
+    pool.ForkJoin(n, [&hits](size_t i) { hits[i].fetch_add(1); });
     for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
   }
 }
@@ -42,10 +41,7 @@ TEST(ThreadPoolTest, WaitThenReuse) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
   for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    pool.Wait();
+    pool.ForkJoin(50, [&count](size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), (round + 1) * 50);
   }
 }
@@ -57,37 +53,95 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
     for (int i = 0; i < 100; ++i) {
       pool.Submit([&count] { count.fetch_add(1); });
     }
-    // No Wait(): the destructor must drain before joining.
+    // Nothing waits on these: the destructor must drain before joining.
   }
   EXPECT_EQ(count.load(), 100);
 }
 
-// A parallel for over [0, n): one Submit per index, then Wait — the
-// fan-out batch discovery runs on the session pool.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  for (size_t i = 0; i < n; ++i) pool->Submit([&fn, i] { fn(i); });
-  pool->Wait();
-}
-
+// ForkJoin is the parallel for over [0, n) that batch discovery and the
+// sharded executor run on the session pool.
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   const size_t n = 300;
   std::vector<std::atomic<int>> hits(n);
   ThreadPool pool(4);
-  ParallelFor(&pool, n, [&hits](size_t i) { hits[i].fetch_add(1); });
+  pool.ForkJoin(n, [&hits](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyAndSerial) {
   ThreadPool wide(4);
-  ParallelFor(&wide, 0, [](size_t) { FAIL(); });  // Wait on nothing returns
+  wide.ForkJoin(0, [](size_t) { FAIL(); });  // waiting on nothing returns
   std::vector<int> order;
-  // A serial pool preserves submission order (inline execution).
+  // A serial pool preserves index order (inline execution).
   ThreadPool serial(1);
-  ParallelFor(&serial, 5, [&order](size_t i) {
+  serial.ForkJoin(5, [&order](size_t i) {
     order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolTest, ForkJoinWaitsOnlyForItsOwnTasks) {
+  // Caller A's one task blocks until released. Caller B's fan-out over the
+  // same pool must still return: its wait counts B's tasks only. A
+  // pool-wide barrier would hang B here, so the wait is bounded and a
+  // regression fails the test instead of timing out the suite.
+  ThreadPool pool(4);
+  Latch a_running(1);
+  Latch release_a(1);
+  std::thread a([&] {
+    pool.ForkJoin(1, [&](size_t) {
+      a_running.CountDown();
+      release_a.Wait();
+    });
+  });
+  a_running.Wait();
+  std::future<int> b = std::async(std::launch::async, [&pool] {
+    std::atomic<int> ran{0};
+    pool.ForkJoin(8, [&ran](size_t) { ran.fetch_add(1); });
+    return ran.load();
+  });
+  const bool b_returned =
+      b.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(b_returned) << "ForkJoin waited on another caller's task";
+  EXPECT_FALSE(release_a.TryWait()) << "A's task must still be blocked";
+  release_a.CountDown();
+  a.join();
+  EXPECT_EQ(b.get(), 8);
+}
+
+TEST(ThreadPoolTest, ConcurrentForkJoinsEachSeeTheirOwnResults) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr size_t kTasks = 200;
+  std::vector<std::vector<int>> hits(kCallers, std::vector<int>(kTasks));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        pool.ForkJoin(kTasks, [&, c](size_t i) { ++hits[c][i]; });
+        // Every task of this round finished before ForkJoin returned.
+        for (size_t i = 0; i < kTasks; ++i) {
+          ASSERT_EQ(hits[c][i], round + 1) << "caller " << c << " task " << i;
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+}
+
+TEST(ThreadPoolDeathTest, ForkJoinFromItsOwnWorkerAsserts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // A worker waiting on tasks of its own pool holds a slot those tasks may
+  // need; once every worker waits like that, nothing runs. Debug builds
+  // catch the first such wait. Release builds run it, and with a second
+  // worker free it completes.
+  EXPECT_DEBUG_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.ForkJoin(1,
+                      [&pool](size_t) { pool.ForkJoin(1, [](size_t) {}); });
+      },
+      "same pool");
 }
 
 TEST(ThreadPoolTest, StealingKeepsWorkersBusyWithUnevenTasks) {
@@ -96,16 +150,13 @@ TEST(ThreadPoolTest, StealingKeepsWorkersBusyWithUnevenTasks) {
   std::atomic<int> done{0};
   {
     ThreadPool pool(4);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&done, i] {
-        if (i % 16 == 0) {
-          volatile uint64_t x = 0;
-          for (int spin = 0; spin < 2000000; ++spin) x = x + spin;
-        }
-        done.fetch_add(1);
-      });
-    }
-    pool.Wait();
+    pool.ForkJoin(64, [&done](size_t i) {
+      if (i % 16 == 0) {
+        volatile uint64_t x = 0;
+        for (int spin = 0; spin < 2000000; ++spin) x = x + spin;
+      }
+      done.fetch_add(1);
+    });
   }
   EXPECT_EQ(done.load(), 64);
 }
@@ -147,8 +198,7 @@ TEST(LatchTest, WaitersObserveWritesMadeBeforeCountDown) {
     }
     payload = 42;
     latch.CountDown();
-    pool.Wait();
-  }
+  }  // the pool's destructor runs the waiters to completion
   EXPECT_EQ(seen.load(), 8);
 }
 

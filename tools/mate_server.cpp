@@ -14,18 +14,23 @@
 //
 // --port 0 binds an ephemeral port; --port-file writes the resolved port as
 // a single line so scripts (CI smoke, the tail-latency bench) can find the
-// server without racing its stdout. --tenant-cache-mb gives every tenant's
-// result-cache partition an independent byte budget; 0 leaves partitions on
-// the session-wide default. --max-tenants bounds how many distinct tenant
-// rows (counters, metric series, cache partitions) can exist; overflow
-// tenants share the "__other__" row. --slow-query-ms arms per-request
-// tracing: queries slower than the threshold dump their span tree as one
-// JSONL line to --slow-query-log (stderr when unset); 0 disables tracing
-// entirely. --steering=auto turns on SLO-aware fan-out steering at the
-// dispatcher's dequeue point: big queries fan out across the pool only when
-// the queue is shallow and the live p99 is within --target-p99-ms (0
-// disables the latency term; queue depth still steers). Flags accept both
-// "--key value" and "--key=value".
+// server without racing its stdout. --threads sizes the session's pool,
+// which fans one query out (0 = every core); the server runs
+// max(1, cores / threads) dispatchers, each executing one query at a time.
+// So the default --threads 1 serves one query per core, each serially,
+// which suits many small queries; --threads 0 serves one query at a time
+// with every core on it, which suits a few giant ones. --tenant-cache-mb
+// gives every tenant's result-cache partition an independent byte budget;
+// 0 leaves partitions on the session-wide default. --max-tenants bounds
+// how many distinct tenant rows (counters, metric series, cache
+// partitions) can exist; overflow tenants share the "__other__" row.
+// --slow-query-ms arms per-request tracing: queries slower than the
+// threshold dump their span tree as one JSONL line to --slow-query-log
+// (stderr when unset); 0 disables tracing entirely. --steering=auto turns
+// on SLO-aware fan-out steering at each dispatcher's dequeue point: big
+// queries fan out across the pool only when the queue is shallow and the
+// live p99 is within --target-p99-ms (0 disables the latency term; queue
+// depth still steers). Flags accept both "--key value" and "--key=value".
 
 #include <signal.h>
 #include <unistd.h>
@@ -169,7 +174,8 @@ int Run(int argc, char** argv) {
   if (Status s = server.Start(); !s.ok()) return Fail(s);
   std::cout << "mate_server listening on " << server_options.host << ":"
             << server.port() << " (queue depth "
-            << server_options.max_queue_depth << ")" << std::endl;
+            << server_options.max_queue_depth << ", "
+            << server.dispatchers() << " dispatchers)" << std::endl;
 
   const std::string port_file = FlagOr(flags, "port-file", "");
   if (!port_file.empty()) {

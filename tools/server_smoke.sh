@@ -2,7 +2,9 @@
 # End-to-end serving smoke: index a toy CSV lake, start mate_server on an
 # ephemeral port, round-trip a client PING + QUERY + STATS + METRICS over
 # the wire (asserting the Prometheus page parses and carries the core
-# serving series), then SIGTERM the server and require a clean
+# serving series), then run four clients at once against the server's
+# dispatcher pool, each of whose served ranks must equal an in-process
+# `mate_cli search`. Then SIGTERM the server and require a clean
 # graceful-drain exit (0). Finally, malformed flags and a corpus or index
 # stamped with a retired format version must fail cleanly: exit 1 with an
 # `error:` line.
@@ -53,10 +55,23 @@ done
 [[ -s "$WORK/port.txt" ]] || { echo "server never published a port"; exit 1; }
 PORT="$(cat "$WORK/port.txt")"
 
+# The in-process answer every served reply must match, rank for rank.
+"$BIN_DIR/mate_cli" search --corpus "$WORK/corpus.mate" \
+  --index "$WORK/index.mate" --query "$WORK/query.csv" --key first,last \
+  --k 5 | grep 'joinability=' > "$WORK/expected_ranks.txt"
+[[ -s "$WORK/expected_ranks.txt" ]] || { echo "in-process search found nothing"; exit 1; }
+# Fails unless client output file $1 holds exactly the expected ranks.
+check_ranks() {
+  grep 'joinability=' "$1" | diff -u "$WORK/expected_ranks.txt" - || {
+    echo "served ranks in $1 differ from the in-process search"; exit 1; }
+}
+
 "$BIN_DIR/mate_cli" client --port "$PORT" --ping
 # Exit 0 requires every request served (sheds exit 3, transport errors 1).
 "$BIN_DIR/mate_cli" client --port "$PORT" --query "$WORK/query.csv" \
-  --key first,last --tenant acme --k 5 --stats
+  --key first,last --tenant acme --k 5 --stats > "$WORK/client.txt"
+cat "$WORK/client.txt"
+check_ranks "$WORK/client.txt"
 
 # METRICS: the Prometheus text page must parse (every non-comment line is
 # `name{labels} value`) and carry the core serving series, with the
@@ -72,14 +87,36 @@ grep -q '^mate_queries_total 1$' "$WORK/metrics.txt" || {
 awk '/^#/ { next } NF != 2 && !/^$/ { print "unparseable metrics line: " $0; bad = 1 } END { exit bad }' \
   "$WORK/metrics.txt"
 
+# Concurrent clients: four processes at once, each on its own tenant (so
+# each query misses the cache and executes), spread over the dispatchers.
+CLIENT_PIDS=()
+for c in 0 1 2 3; do
+  "$BIN_DIR/mate_cli" client --port "$PORT" --query "$WORK/query.csv" \
+    --key first,last --tenant "tenant$c" --k 5 --stats \
+    > "$WORK/client$c.txt" 2>&1 &
+  CLIENT_PIDS+=($!)
+done
+for pid in "${CLIENT_PIDS[@]}"; do
+  wait "$pid" || { echo "a concurrent client exited non-zero"; exit 1; }
+done
+for c in 0 1 2 3; do check_ranks "$WORK/client$c.txt"; done
+"$BIN_DIR/mate_cli" client --port "$PORT" --metrics > "$WORK/metrics.txt"
+grep -q '^mate_queries_completed_total 5$' "$WORK/metrics.txt" || {
+  echo "mate_queries_completed_total should be 5 after five served queries"
+  cat "$WORK/metrics.txt"; exit 1; }
+awk '/^mate_dispatchers / { found = 1; ok = $2 >= 1 } END { exit found && ok ? 0 : 1 }' \
+  "$WORK/metrics.txt" || {
+  echo "METRICS page needs a mate_dispatchers gauge of at least 1"
+  cat "$WORK/metrics.txt"; exit 1; }
+
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"  # non-zero here fails the script: drain must be clean
 SERVER_PID=""
 
 # Steering smoke: same lake, --steering=auto with a deliberately tiny p99
-# target. Served bits must still match (mate_cli client verifies ranks
-# in-process via --stats) and the steering decision counter must appear
-# on the METRICS page with at least one decision taken.
+# target. Served ranks must still match the in-process search, and the
+# steering decision counter must appear on the METRICS page with at least
+# one decision taken.
 "$BIN_DIR/mate_server" --corpus "$WORK/corpus.mate" \
   --index "$WORK/index.mate" --port 0 --port-file "$WORK/port2.txt" \
   --queue-depth 16 --tenant-cache-mb 4 --max-tenants 8 \
@@ -94,7 +131,8 @@ done
 PORT="$(cat "$WORK/port2.txt")"
 
 "$BIN_DIR/mate_cli" client --port "$PORT" --query "$WORK/query.csv" \
-  --key first,last --tenant acme --k 5 --stats
+  --key first,last --tenant acme --k 5 --stats > "$WORK/client_steered.txt"
+check_ranks "$WORK/client_steered.txt"
 "$BIN_DIR/mate_cli" client --port "$PORT" --metrics > "$WORK/metrics2.txt"
 grep -q '^# TYPE mate_steering_decisions_total counter$' "$WORK/metrics2.txt" || {
   echo "METRICS page is missing mate_steering_decisions_total"; exit 1; }
