@@ -1,20 +1,16 @@
-// Micro-bench for the §6.3 row-filter hot path: super-key containment
-// probes ((q & ~row) == 0) against a SuperKeyStore slab, comparing the
-// single-row Covers loop with the batched CoversBatch path, each under the
-// forced-scalar and the dispatched (SIMD) kernels, at the hash widths the
-// repo actually runs (128-bit default, 512-bit stress).
+// Micro-bench for the §6.3 row-filter probe: super-key containment tests
+// ((q & ~row) == 0) against a SuperKeyStore slab through the single-row
+// Covers call, under the forced-scalar and the dispatched (SIMD) kernels,
+// at the hash widths the repo actually runs (128-bit default, 512-bit
+// stress).
 //
 // Unlike the other micro_* benches this one is self-contained (no Google
 // Benchmark): CI's bench-smoke runs it off bench/smoke_list.txt with
-// --json=, and it carries hard gates the library must keep:
+// --json=, and it carries a hard gate the library must keep:
 //
 //   * bit-identity: every (mode, width) sweep must report the exact same
-//     match count and probe-mask checksum — the kernels may only change
-//     speed, never an answer (exit 1 otherwise);
-//   * on hosts whose dispatched level is AVX2, the batched-SIMD sweep must
-//     sustain >= 1.5x the probes/s of the scalar single-probe loop at the
-//     default 128-bit width (the tentpole's reason to exist). On other
-//     hosts the speedup gate auto-skips — the identity gates still run.
+//     match count and probe checksum — the kernels may only change speed,
+//     never an answer (exit 1 otherwise).
 //
 // --scale scales the row count; --json feeds the BENCH_*.json trajectory.
 
@@ -67,32 +63,6 @@ uint64_t SweepSingle(const SuperKeyStore& store, size_t rows,
   return matches;
 }
 
-uint64_t SweepBatch(const SuperKeyStore& store, size_t rows,
-                    const std::vector<BitVector>& queries,
-                    uint64_t* checksum) {
-  RowId block[SuperKeyStore::kMaxProbeBatch];
-  uint64_t matches = 0;
-  uint64_t sum = *checksum;
-  for (const BitVector& q : queries) {
-    for (size_t begin = 0; begin < rows;
-         begin += SuperKeyStore::kMaxProbeBatch) {
-      const size_t count =
-          std::min(SuperKeyStore::kMaxProbeBatch, rows - begin);
-      for (size_t i = 0; i < count; ++i) {
-        block[i] = static_cast<RowId>(begin + i);
-      }
-      const uint32_t mask = store.CoversBatch(0, block, count, q);
-      for (size_t i = 0; i < count; ++i) {
-        const bool hit = ((mask >> i) & 1u) != 0;
-        matches += hit ? 1 : 0;
-        sum = sum * 31 + (hit ? 1 : 0);
-      }
-    }
-  }
-  *checksum = sum;
-  return matches;
-}
-
 struct SweepResult {
   double probes_per_sec = 0;
   uint64_t matches = 0;
@@ -100,16 +70,14 @@ struct SweepResult {
 };
 
 SweepResult RunMode(const SuperKeyStore& store, size_t rows,
-                    const std::vector<BitVector>& queries, bool batched) {
+                    const std::vector<BitVector>& queries) {
   SweepResult best;
   const double total_probes =
       static_cast<double>(rows) * static_cast<double>(queries.size());
   for (int sweep = 0; sweep < kSweeps; ++sweep) {
     uint64_t checksum = 0;
     Stopwatch timer;
-    const uint64_t matches = batched
-                                 ? SweepBatch(store, rows, queries, &checksum)
-                                 : SweepSingle(store, rows, queries, &checksum);
+    const uint64_t matches = SweepSingle(store, rows, queries, &checksum);
     const double rate = total_probes / timer.ElapsedSeconds();
     if (sweep == 0) {
       best.matches = matches;
@@ -141,8 +109,6 @@ int main(int argc, char** argv) {
             << simd::LevelName(simd::ActiveLevel()) << "\n\n";
 
   ReportTable report({"bits", "mode", "probe", "Mprobe/s", "matches"});
-  // probes/s at width 128 keyed by (scalar, batched) for the speedup gate.
-  double rate_scalar_single = 0, rate_simd_batch = 0;
 
   const bool env_forced_scalar =
       simd::ActiveLevel() == simd::KernelLevel::kScalar;
@@ -161,33 +127,25 @@ int main(int argc, char** argv) {
       queries.push_back(RandomKey(&rng, hash_bits, 4));
     }
 
-    SweepResult reference;  // scalar single-probe: the ground truth
+    SweepResult reference;  // scalar: the ground truth
     for (bool use_simd : {false, true}) {
       if (use_simd && env_forced_scalar) continue;  // honor MATE_FORCE_SCALAR
       simd::ForceScalar(!use_simd);
-      for (bool batched : {false, true}) {
-        const SweepResult r = RunMode(store, rows, queries, batched);
-        if (!use_simd && !batched) {
-          reference = r;
-        } else if (r.matches != reference.matches ||
-                   r.checksum != reference.checksum) {
-          std::cerr << "micro_superkey: bit-identity violation at bits="
-                    << hash_bits << " simd=" << use_simd
-                    << " batched=" << batched << "\n";
-          return 1;
-        }
-        const std::string mode = use_simd ? "simd" : "scalar";
-        const std::string probe = batched ? "batch" : "single";
-        report.AddRow({std::to_string(hash_bits), mode, probe,
-                       FormatDouble(r.probes_per_sec / 1e6, 1),
-                       std::to_string(r.matches)});
-        json.Add("bits=" + std::to_string(hash_bits), mode + "_" + probe,
-                 r.probes_per_sec / 1e6, "Mprobe/s");
-        if (hash_bits == 128) {
-          if (!use_simd && !batched) rate_scalar_single = r.probes_per_sec;
-          if (use_simd && batched) rate_simd_batch = r.probes_per_sec;
-        }
+      const SweepResult r = RunMode(store, rows, queries);
+      if (!use_simd) {
+        reference = r;
+      } else if (r.matches != reference.matches ||
+                 r.checksum != reference.checksum) {
+        std::cerr << "micro_superkey: bit-identity violation at bits="
+                  << hash_bits << "\n";
+        return 1;
       }
+      const std::string mode = use_simd ? "simd" : "scalar";
+      report.AddRow({std::to_string(hash_bits), mode, "single",
+                     FormatDouble(r.probes_per_sec / 1e6, 1),
+                     std::to_string(r.matches)});
+      json.Add("bits=" + std::to_string(hash_bits), mode + "_single",
+               r.probes_per_sec / 1e6, "Mprobe/s");
     }
   }
   simd::ForceScalar(env_forced_scalar);
@@ -196,21 +154,6 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   if (!json.WriteTo(args.json_path)) return 1;
-
-  // Speedup gate: only meaningful where the dispatched level is AVX2.
-  if (!env_forced_scalar && simd::DetectLevel() == simd::KernelLevel::kAvx2) {
-    const double speedup = rate_simd_batch / rate_scalar_single;
-    std::cout << "batched-SIMD vs scalar single-probe speedup at 128 bits: "
-              << FormatDouble(speedup, 2) << "x (gate: >= 1.5x)\n";
-    if (speedup < 1.5) {
-      std::cerr << "micro_superkey: FAIL speedup gate\n";
-      return 1;
-    }
-  } else {
-    std::cout << "speedup gate skipped (dispatched level is "
-              << simd::LevelName(simd::ActiveLevel())
-              << ", gate requires avx2)\n";
-  }
   std::cout << "micro_superkey: OK\n";
   return 0;
 }

@@ -113,7 +113,7 @@ DiscoveryResult McrSearch::Discover(const Table& query,
       bool row_matched = false;
       for (uint32_t combo_id : combo_ids) {
         if (VerifyComboInRow(combo_lists[combo_id], t, r, combo_id,
-                             kInvalidColumnId, 0, &acc,
+                             /*fixed=*/nullptr, 0, &acc,
                              &stats.value_comparisons, &scratch)) {
           row_matched = true;
         }

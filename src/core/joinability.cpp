@@ -1,43 +1,79 @@
 #include "core/joinability.h"
 
 #include <algorithm>
+#include <functional>
 #include <string_view>
 #include <utility>
 
 #include "index/inverted_index.h"
+#include "util/coding.h"
 #include "util/string_util.h"
 
 namespace mate {
 
 namespace {
-constexpr char kComboSep = '\x1F';
 
-std::string JoinCombo(const std::vector<std::string>& combo) {
-  std::string key;
-  for (const std::string& v : combo) {
-    key.append(v);
-    key.push_back(kComboSep);
-  }
-  return key;
+// Appends one value to a combo's set key. The length prefix keeps the key
+// injective: a normalized value may hold any byte.
+void AppendComboValue(std::string_view value, std::string* key) {
+  PutVarint64(key, value.size());
+  key->append(value);
 }
+
 }  // namespace
+
+KeyCombos InternKeyCombos(const Table& query,
+                          const std::vector<ColumnId>& key_columns) {
+  KeyCombos out;
+  const size_t m = key_columns.size();
+  out.width = m;
+  if (m == 0) return out;
+
+  std::unordered_map<std::string, uint32_t> value_ids;
+  // Distinct combos as indexes into out.value_ids; a row's combo is
+  // appended first and taken back when it is a repeat.
+  const std::vector<uint32_t>& ids = out.value_ids;
+  const auto combo_hash = [&ids, m](uint32_t c) {
+    size_t h = 0x9E3779B97F4A7C15ULL;
+    for (size_t i = 0; i < m; ++i) h = (h ^ ids[c * m + i]) * 0x100000001B3ULL;
+    return h;
+  };
+  const auto combo_eq = [&ids, m](uint32_t a, uint32_t b) {
+    return std::equal(ids.begin() + a * m, ids.begin() + (a + 1) * m,
+                      ids.begin() + b * m);
+  };
+  std::unordered_set<uint32_t, decltype(combo_hash), decltype(combo_eq)>
+      seen(16, combo_hash, combo_eq);
+
+  std::vector<std::string> cells(m);
+  for (RowId r = 0; r < query.NumRows(); ++r) {
+    if (query.IsRowDeleted(r)) continue;
+    bool has_empty = false;
+    for (size_t i = 0; i < m; ++i) {
+      NormalizeValueInto(query.cell(r, key_columns[i]), &cells[i]);
+      has_empty = has_empty || cells[i].empty();
+    }
+    if (has_empty) continue;
+    const uint32_t combo = static_cast<uint32_t>(out.size());
+    for (const std::string& cell : cells) {
+      const auto [it, inserted] = value_ids.try_emplace(
+          cell, static_cast<uint32_t>(out.values.size()));
+      if (inserted) out.values.push_back(cell);
+      out.value_ids.push_back(it->second);
+    }
+    if (!seen.insert(combo).second) out.value_ids.resize(combo * m);
+  }
+  return out;
+}
 
 std::vector<std::vector<std::string>> ExtractKeyCombos(
     const Table& query, const std::vector<ColumnId>& key_columns) {
-  std::vector<std::vector<std::string>> combos;
-  std::unordered_set<std::string> seen;
-  for (RowId r = 0; r < query.NumRows(); ++r) {
-    if (query.IsRowDeleted(r)) continue;
-    std::vector<std::string> combo;
-    combo.reserve(key_columns.size());
-    bool has_empty = false;
-    for (ColumnId c : key_columns) {
-      combo.push_back(NormalizeValue(query.cell(r, c)));
-      if (combo.back().empty()) has_empty = true;
-    }
-    if (has_empty) continue;
-    if (seen.insert(JoinCombo(combo)).second) {
-      combos.push_back(std::move(combo));
+  const KeyCombos interned = InternKeyCombos(query, key_columns);
+  std::vector<std::vector<std::string>> combos(interned.size());
+  for (size_t c = 0; c < combos.size(); ++c) {
+    const uint32_t* ids = interned.combo(c);
+    for (size_t i = 0; i < interned.width; ++i) {
+      combos[c].push_back(interned.values[ids[i]]);
     }
   }
   return combos;
@@ -76,23 +112,27 @@ void AppendRowColumns(PostingSpan list, TableId table, RowId row,
 }
 
 // Candidate columns of every combo position of one (row, combo) pair into
-// candidates[0, m): the fixed position holds just `fixed_column` (when its
-// list posts it), every other position the row's columns holding its value
-// except `fixed_column`. Returns false as soon as a position has none.
+// candidates[0, m): the fixed position holds just fixed->column_id (when
+// the binding holds), every other position the row's columns holding its
+// value except that column. Returns false as soon as a position has none.
 bool CollectCandidates(const ComboPostings& lists, TableId table, RowId row,
-                       ColumnId fixed_column, size_t fixed_position,
+                       const PostingEntry* fixed, size_t fixed_position,
                        std::vector<std::vector<ColumnId>>* candidates,
                        uint64_t* probes) {
   const size_t m = lists.size();
   if (candidates->size() < m) candidates->resize(m);
+  const ColumnId fixed_column =
+      fixed != nullptr ? fixed->column_id : kInvalidColumnId;
   for (size_t i = 0; i < m; ++i) {
     std::vector<ColumnId>& columns = (*candidates)[i];
     columns.clear();
     if (lists[i].empty()) return false;
     ++*probes;
-    if (fixed_column != kInvalidColumnId && i == fixed_position) {
-      if (!std::binary_search(lists[i].begin(), lists[i].end(),
-                              PostingEntry{table, fixed_column, row})) {
+    if (fixed != nullptr && i == fixed_position) {
+      // std::less orders pointers into different arrays too.
+      const std::less<const PostingEntry*> before;
+      if (before(fixed, lists[i].begin()) || !before(fixed, lists[i].end()) ||
+          fixed->table_id != table || fixed->row_id != row) {
         return false;
       }
       columns.push_back(fixed_column);
@@ -157,9 +197,8 @@ BruteForceResult MappingAccumulator::Recount() const {
   uint64_t probes = 0;
   for (size_t p : by_combo) {
     const VerifiedPair& pair = verified_[p];
-    (void)CollectCandidates(*pair.lists, pair.table, pair.row,
-                            pair.fixed_column, pair.fixed_position,
-                            &candidates, &probes);
+    (void)CollectCandidates(*pair.lists, pair.table, pair.row, pair.fixed,
+                            pair.fixed_position, &candidates, &probes);
     for (size_t i = 0; i < m; ++i) {
       bounds.push_back(columns.size());
       columns.insert(columns.end(), candidates[i].begin(),
@@ -224,12 +263,12 @@ BruteForceResult MappingAccumulator::Recount() const {
 }
 
 bool VerifyComboInRow(const ComboPostings& lists, TableId table, RowId row,
-                      uint32_t combo_id, ColumnId fixed_column,
+                      uint32_t combo_id, const PostingEntry* fixed,
                       size_t fixed_position, MappingAccumulator* acc,
                       uint64_t* probes, VerifyScratch* scratch) {
   const size_t m = lists.size();
   std::vector<std::vector<ColumnId>>& candidates = scratch->candidates;
-  if (!CollectCandidates(lists, table, row, fixed_column, fixed_position,
+  if (!CollectCandidates(lists, table, row, fixed, fixed_position,
                          &candidates, probes)) {
     return false;
   }
@@ -282,7 +321,7 @@ bool VerifyComboInRow(const ComboPostings& lists, TableId table, RowId row,
   backtrack(backtrack, 0);
   if (any) {
     acc->verified_.push_back(
-        {&lists, table, row, combo_id, fixed_column, fixed_position});
+        {&lists, table, row, combo_id, fixed, fixed_position});
   }
   return any;
 }
@@ -305,8 +344,7 @@ void EnumerateMappings(const Table& candidate, size_t m,
       for (ColumnId c : *mapping) {
         std::string norm = NormalizeValue(candidate.cell(r, c));
         if (norm.empty()) has_empty = true;
-        key.append(norm);
-        key.push_back(kComboSep);
+        AppendComboValue(norm, &key);
       }
       if (has_empty) continue;
       if (query_combos.count(key)) matched.insert(key);
@@ -341,7 +379,9 @@ BruteForceResult BruteForceJoinability(
 
   std::unordered_set<std::string> query_combos;
   for (const auto& combo : ExtractKeyCombos(query, key_columns)) {
-    query_combos.insert(JoinCombo(combo));
+    std::string key;
+    for (const std::string& value : combo) AppendComboValue(value, &key);
+    query_combos.insert(std::move(key));
   }
   if (query_combos.empty()) return result;
 

@@ -30,9 +30,26 @@ namespace mate {
 
 class InvertedIndex;
 
-/// Distinct normalized key combinations of the query's key columns, in
-/// first-appearance order. Combos containing an empty value are dropped
-/// (empty cells are not meaningful join keys).
+/// The distinct key combinations of a query over interned values. Each
+/// live key cell is normalized and interned once: `values` holds every
+/// distinct value once, in first-appearance order, and combo c is the value
+/// ids value_ids[c * width, (c + 1) * width). Combos are distinct and in
+/// first-appearance order; rows with an empty key value are dropped (empty
+/// cells are not meaningful join keys), and so are all rows when there are
+/// no key columns.
+struct KeyCombos {
+  size_t width = 0;
+  std::vector<std::string> values;
+  std::vector<uint32_t> value_ids;
+
+  size_t size() const { return width == 0 ? 0 : value_ids.size() / width; }
+  const uint32_t* combo(size_t c) const { return &value_ids[c * width]; }
+};
+
+KeyCombos InternKeyCombos(const Table& query,
+                          const std::vector<ColumnId>& key_columns);
+
+/// InternKeyCombos with each combo spelled out as its values.
 std::vector<std::vector<std::string>> ExtractKeyCombos(
     const Table& query, const std::vector<ColumnId>& key_columns);
 
@@ -100,18 +117,19 @@ class MappingAccumulator {
  private:
   friend bool VerifyComboInRow(const ComboPostings& lists, TableId table,
                                RowId row, uint32_t combo_id,
-                               ColumnId fixed_column, size_t fixed_position,
-                               MappingAccumulator* acc, uint64_t* probes,
-                               VerifyScratch* scratch);
+                               const PostingEntry* fixed,
+                               size_t fixed_position, MappingAccumulator* acc,
+                               uint64_t* probes, VerifyScratch* scratch);
 
   // A (row, combo) pair VerifyComboInRow matched: enough to probe its
-  // candidate columns again. `lists` points into the caller's storage.
+  // candidate columns again. `lists` and `fixed` point into the caller's
+  // storage.
   struct VerifiedPair {
     const ComboPostings* lists;
     TableId table;
     RowId row;
     uint32_t combo_id;
-    ColumnId fixed_column;
+    const PostingEntry* fixed;
     size_t fixed_position;
   };
 
@@ -134,13 +152,18 @@ class MappingAccumulator {
 /// Exact containment check of one combo in row `row` of table `table`,
 /// answered from the combo's posting lists (`lists`, one per combo
 /// position; ResolveComboPostings). If every combo value occurs in the row,
-/// records all feasible distinct-column assignments in `acc` (those where
-/// column `fixed_column`, when not kInvalidColumnId, is assigned to combo
-/// position `fixed_position`) and returns true. `lists` must stay valid
-/// until `acc` is read or cleared. `probes` is incremented per posting-list
-/// probe (one per combo position reached).
+/// records all feasible distinct-column assignments in `acc` and returns
+/// true. `probes` is incremented per combo position reached.
+///
+/// `fixed`, when not null, binds combo position `fixed_position` to one
+/// posting entry: the entry a caller read from that position's list, as
+/// the executor does for its init column. Only assignments that put
+/// fixed->column_id at that position count. The binding is checked in O(1),
+/// without a search: it holds iff `fixed` points inside
+/// lists[fixed_position] and names (table, row). Null binds nothing.
+/// `lists` and `fixed` must stay valid until `acc` is read or cleared.
 bool VerifyComboInRow(const ComboPostings& lists, TableId table, RowId row,
-                      uint32_t combo_id, ColumnId fixed_column,
+                      uint32_t combo_id, const PostingEntry* fixed,
                       size_t fixed_position, MappingAccumulator* acc,
                       uint64_t* probes, VerifyScratch* scratch);
 

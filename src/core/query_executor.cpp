@@ -1,11 +1,8 @@
 #include "core/query_executor.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <optional>
-#include <string_view>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -20,27 +17,31 @@ namespace mate {
 
 namespace {
 
-// One fetched PL item plus the distinct init-value it came from.
-struct FetchedItem {
-  PostingEntry entry;
-  uint32_t init_value_idx;
+// One init value's posting entries inside one candidate table: entries
+// [begin, begin + count) of that value's list, rows ascending. The row
+// loop reads them in place.
+struct PostingRun {
+  const PostingEntry* begin;
+  uint32_t count;
+  uint32_t value_idx;  // into PreparedQuery::posting_lists
 };
 
-// One candidate table: its items are ShardCandidates::items[offset,
-// offset + count), in arrival order (init value, then posting-list order).
+// One candidate table: its runs are ShardCandidates::runs[first_run,
+// first_run + num_runs), in init-value order, holding num_items entries.
 struct TableCandidates {
   TableId table_id;
-  size_t offset;
-  size_t count;
+  uint32_t num_runs;
+  size_t first_run;
+  size_t num_items;
 };
 
-// A shard's fetched items, grouped by table in one buffer, and its
+// A shard's posting runs, grouped by table in one buffer, and its
 // candidate tables in evaluation order. The buffer's pages come from the
 // OS (util/page_allocator.h): a query allocates and frees one such buffer
 // per shard, and a freed heap buffer of that size would raise glibc's mmap
 // threshold for every thread.
 struct ShardCandidates {
-  PageVector<FetchedItem> items;
+  PageVector<PostingRun> runs;
   std::vector<TableCandidates> tables;
 };
 
@@ -48,17 +49,16 @@ struct ShardCandidates {
 // computed once and read concurrently by every shard task.
 struct PreparedQuery {
   size_t init_pos = 0;
-  std::vector<std::vector<std::string>> combos;
-  std::vector<BitVector> combo_keys;
-  std::vector<std::string> init_values;
-  std::vector<std::vector<uint32_t>> combos_of_value;
-  /// combo_lists[combo_id] holds the posting lists of the combo's values
-  /// (ResolveComboPostings), which the verifier probes instead of cells;
-  /// posting_lists[v] is the list of init_values[v]. Both are resolved once
-  /// here (empty when absent), so S shard tasks don't repeat the
-  /// string-keyed probes.
+  /// combo_keys[c * key_words, (c + 1) * key_words) is combo c's super key.
+  size_t key_words = 0;
+  std::vector<uint64_t> combo_keys;
+  /// combo_lists[c] holds the posting lists of combo c's values, which the
+  /// verifier probes instead of cells.
   std::vector<ComboPostings> combo_lists;
+  /// Per distinct init value, in first-appearance order: its posting list
+  /// and the combos holding it at the init position (Alg. 1 line 6).
   std::vector<PostingSpan> posting_lists;
+  std::vector<std::vector<uint32_t>> combos_of_value;
   std::unordered_set<TableId> excluded;
   std::unordered_set<TableId> restricted;
 };
@@ -71,33 +71,42 @@ PreparedQuery PrepareQuery(const Table& query,
   prep.init_pos =
       SelectInitColumn(query, key_columns, options.init_strategy, &index);
 
-  // Distinct key combos with their super keys.
-  prep.combos = ExtractKeyCombos(query, key_columns);
-  prep.combo_keys.reserve(prep.combos.size());
-  for (const auto& combo : prep.combos) {
-    prep.combo_keys.push_back(index.hash().MakeSuperKey(combo));
+  // One index probe and one signature per distinct value. A combo's super
+  // key is the OR of its values' signatures: RowHashFunction::AddValue ORs
+  // a signature that depends on the value alone, which is what
+  // MakeSuperKey and RebuildSuperKeys compute too.
+  const KeyCombos combos = InternKeyCombos(query, key_columns);
+  std::vector<PostingSpan> lists;
+  std::vector<BitVector> signatures;
+  lists.reserve(combos.values.size());
+  signatures.reserve(combos.values.size());
+  for (const std::string& value : combos.values) {
+    lists.push_back(index.Lookup(value));
+    signatures.push_back(index.hash().HashValue(value));
   }
 
-  // Dictionary: distinct init value -> combo ids (Alg. 1 line 6).
-  {
-    std::unordered_map<std::string_view, uint32_t> value_idx;
-    for (uint32_t combo_id = 0; combo_id < prep.combos.size(); ++combo_id) {
-      const std::string& v = prep.combos[combo_id][prep.init_pos];
-      auto [it, inserted] = value_idx.emplace(
-          v, static_cast<uint32_t>(prep.init_values.size()));
-      if (inserted) {
-        prep.init_values.push_back(v);
-        prep.combos_of_value.emplace_back();
-      }
-      prep.combos_of_value[it->second].push_back(combo_id);
+  const size_t words = index.superkeys().words_per_key();
+  prep.key_words = words;
+  prep.combo_keys.assign(combos.size() * words, 0);
+  prep.combo_lists.resize(combos.size());
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> init_idx(combos.values.size(), kNone);
+  for (uint32_t c = 0; c < combos.size(); ++c) {
+    const uint32_t* ids = combos.combo(c);
+    uint64_t* key = &prep.combo_keys[c * words];
+    prep.combo_lists[c].reserve(combos.width);
+    for (size_t i = 0; i < combos.width; ++i) {
+      prep.combo_lists[c].push_back(lists[ids[i]]);
+      const uint64_t* signature = signatures[ids[i]].words();
+      for (size_t w = 0; w < words; ++w) key[w] |= signature[w];
     }
-  }
-
-  prep.combo_lists = ResolveComboPostings(index, prep.combos);
-  prep.posting_lists.reserve(prep.init_values.size());
-  for (const std::vector<uint32_t>& combo_ids : prep.combos_of_value) {
-    prep.posting_lists.push_back(
-        prep.combo_lists[combo_ids.front()][prep.init_pos]);
+    uint32_t& v = init_idx[ids[prep.init_pos]];
+    if (v == kNone) {
+      v = static_cast<uint32_t>(prep.posting_lists.size());
+      prep.posting_lists.push_back(lists[ids[prep.init_pos]]);
+      prep.combos_of_value.emplace_back();
+    }
+    prep.combos_of_value[v].push_back(c);
   }
 
   prep.excluded.insert(options.exclude_tables.begin(),
@@ -126,24 +135,34 @@ struct ShardOutcome {
   DiscoveryStats stats;
 };
 
+// End of the run that starts at `e` in a list slice ending at `end`: the
+// entries of e's table.
+const PostingEntry* RunEnd(const PostingEntry* e, const PostingEntry* end) {
+  const TableId table_id = e->table_id;
+  while (++e != end && e->table_id == table_id) {
+  }
+  return e;
+}
+
 // Fetches the shard's slice of every probed posting list (Alg. 1 lines 4-5
-// restricted to [range.begin, range.end)) and groups items by table with
-// one counting sort on table id. Postings are sorted by (table_id, row,
-// column), so the slice is one contiguous run per PL. The scatter walks
-// the slices in the order the count did, so each table's items keep their
-// arrival order: grouped by init value, rows ascending within a value.
+// restricted to [range.begin, range.end)) and groups the slices' runs by
+// table with one counting sort on table id. Postings are sorted by
+// (table_id, row, column), so the slice is one contiguous stretch per PL
+// and each table's entries in it are one run. The scatter walks the
+// slices in the order the count did, so each table's runs keep their
+// arrival order: by init value, rows ascending within a run.
 ShardCandidates FetchShardCandidates(const PreparedQuery& prep,
                                      const ShardRange& range,
                                      DiscoveryStats* stats) {
   const auto by_table_id = [](const PostingEntry& e, TableId t) {
     return e.table_id < t;
   };
-  std::vector<PostingSpan> slices(prep.init_values.size());
-  // slot[t - range.begin] is first table t's item count, then its next
-  // free position in the buffer, or kDropped for an excluded (or not
-  // restricted-to) table.
-  constexpr size_t kDropped = std::numeric_limits<size_t>::max();
-  std::vector<size_t> slot(range.end - range.begin, 0);
+  std::vector<PostingSpan> slices(prep.posting_lists.size());
+  // slot[t - range.begin] is first table t's run count, then its index in
+  // the candidate list, or kDropped for an excluded (or not restricted-to)
+  // table.
+  constexpr uint32_t kDropped = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> slot(range.end - range.begin, 0);
   for (size_t v = 0; v < slices.size(); ++v) {
     const PostingSpan pl = prep.posting_lists[v];
     const auto lo =
@@ -151,7 +170,9 @@ ShardCandidates FetchShardCandidates(const PreparedQuery& prep,
     const auto hi = std::lower_bound(lo, pl.end(), range.end, by_table_id);
     slices[v] = PostingSpan(lo, static_cast<size_t>(hi - lo));
     stats->pl_items_fetched += slices[v].size();
-    for (const PostingEntry& e : slices[v]) ++slot[e.table_id - range.begin];
+    for (const PostingEntry* e = lo; e != hi; e = RunEnd(e, hi)) {
+      ++slot[e->table_id - range.begin];
+    }
   }
 
   ShardCandidates out;
@@ -164,28 +185,78 @@ ShardCandidates FetchShardCandidates(const PreparedQuery& prep,
       slot[i] = kDropped;
       continue;
     }
-    out.tables.push_back({table_id, total, slot[i]});
+    out.tables.push_back({table_id, 0, total, 0});
     total += slot[i];
-    slot[i] = out.tables.back().offset;
+    slot[i] = static_cast<uint32_t>(out.tables.size() - 1);
   }
   stats->candidate_tables += out.tables.size();
 
-  out.items.resize(total);
+  out.runs.resize(total);
   for (size_t v = 0; v < slices.size(); ++v) {
-    for (const PostingEntry& e : slices[v]) {
-      size_t& next = slot[e.table_id - range.begin];
-      if (next == kDropped) continue;
-      out.items[next++] = {e, static_cast<uint32_t>(v)};
+    const PostingEntry* const end = slices[v].end();
+    for (const PostingEntry* e = slices[v].begin(); e != end;) {
+      const PostingEntry* const run_end = RunEnd(e, end);
+      const uint32_t idx = slot[e->table_id - range.begin];
+      if (idx != kDropped) {
+        TableCandidates& table = out.tables[idx];
+        const auto count = static_cast<uint32_t>(run_end - e);
+        out.runs[table.first_run + table.num_runs++] = {
+            e, count, static_cast<uint32_t>(v)};
+        table.num_items += count;
+      }
+      e = run_end;
     }
   }
 
   // Evaluate promising tables first: PL-item count desc, table id asc.
   std::sort(out.tables.begin(), out.tables.end(),
             [](const TableCandidates& a, const TableCandidates& b) {
-              if (a.count != b.count) return a.count > b.count;
+              if (a.num_items != b.num_items) return a.num_items > b.num_items;
               return a.table_id < b.table_id;
             });
   return out;
+}
+
+// The row loop's look-ahead: a cursor over a table's posting runs, entry
+// by entry, kept kPrefetchDistance entries ahead of the loop so that each
+// row's super key is on its way to the cache before the loop probes it.
+class PrefetchCursor {
+ public:
+  static constexpr int kPrefetchDistance = 8;
+
+  PrefetchCursor(const SuperKeyStore& superkeys, TableId table_id,
+                 const PostingRun* run, const PostingRun* runs_end)
+      : superkeys_(superkeys),
+        table_id_(table_id),
+        run_(run),
+        runs_end_(runs_end),
+        entry_(run != runs_end ? run->begin : nullptr) {
+    for (int i = 0; i < kPrefetchDistance; ++i) Step();
+  }
+
+  // Prefetches the next entry's super key and moves past it.
+  void Step() {
+    if (entry_ == nullptr) return;
+    __builtin_prefetch(superkeys_.RowWords(table_id_, entry_->row_id));
+    if (++entry_ == run_->begin + run_->count) {
+      entry_ = ++run_ != runs_end_ ? run_->begin : nullptr;
+    }
+  }
+
+ private:
+  const SuperKeyStore& superkeys_;
+  TableId table_id_;
+  const PostingRun* run_;
+  const PostingRun* runs_end_;
+  const PostingEntry* entry_;  // null past the last run
+};
+
+// The §6.3 row filter: true iff every set bit of the combo key `q` is set
+// in the row's super key, over `words` words.
+bool KeyCovers(const uint64_t* q, const uint64_t* row, size_t words) {
+  uint64_t missing = 0;
+  for (size_t w = 0; w < words; ++w) missing |= q[w] & ~row[w];
+  return missing == 0;
 }
 
 // Per-table evaluation (Alg. 1 lines 7-22) over shard.tables[start, end)
@@ -221,8 +292,7 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
 
   for (size_t cand_idx = start; cand_idx < end; ++cand_idx) {
     const TableCandidates& cand = shard.tables[cand_idx];
-    const FetchedItem* const items = shard.items.data() + cand.offset;
-    const int64_t items_in_table = static_cast<int64_t>(cand.count);
+    const int64_t items_in_table = static_cast<int64_t>(cand.num_items);
 
     // Table filter rule 1 (line 9): tables arrive in decreasing PL-item
     // order, so once a table cannot beat the current j_k nothing later can.
@@ -243,89 +313,69 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
     int64_t rows_matched_here = 0;  // r_match of rule 2
     bool pruned_mid_table = false;
 
-    // The row loop runs gather -> probe -> walk. Items arrive grouped by
-    // init value (FetchShardCandidates appends one PL slice at a time), so
-    // each run shares one combo set; within a run, blocks of up to
-    // kMaxProbeBatch rows are gathered and every combo's super key is
-    // probed over the whole block in one SuperKeyStore::CoversBatch call.
-    // Rule 2's mid-table prune semantics survive unchanged: probes are
-    // side-effect free, items are still walked strictly in row order, every
-    // counter (rows_checked, rows_sent_to_verification, value_comparisons)
-    // advances only for walked items, and a prune simply discards the
-    // unused tail of the block's masks.
-    const size_t num_items = cand.count;
-    std::array<RowId, SuperKeyStore::kMaxProbeBatch> block_rows;
-    std::vector<uint32_t> combo_masks;
-    size_t run_begin = 0;
-    while (run_begin < num_items && !pruned_mid_table) {
-      const uint32_t value_idx = items[run_begin].init_value_idx;
-      size_t run_end = run_begin + 1;
-      while (run_end < num_items &&
-             items[run_end].init_value_idx == value_idx) {
-        ++run_end;
-      }
+    // The row loop walks the table's runs (one per init value) entry by
+    // entry, in place. Each entry's row super key is loaded once and
+    // tested against the super key of every combo holding the run's init
+    // value, while a cursor prefetches the key kPrefetchDistance entries
+    // ahead. A combo that passes is verified with the init column bound to
+    // the entry itself. Prefetches have no effect on the walk, so rule 2
+    // sees every entry in order and every counter advances only for
+    // entries walked. Without the row filter no key is read, and the
+    // cursor gets no runs to walk.
+    const PostingRun* const runs = shard.runs.data() + cand.first_run;
+    const PostingRun* const runs_end = runs + cand.num_runs;
+    PrefetchCursor ahead(superkeys, cand.table_id, runs,
+                         options.use_row_filter ? runs_end : runs);
+    for (const PostingRun* run = runs; run != runs_end && !pruned_mid_table;
+         ++run) {
       const std::vector<uint32_t>& combo_ids =
-          prep.combos_of_value[value_idx];
+          prep.combos_of_value[run->value_idx];
+      const PostingEntry* const run_end = run->begin + run->count;
+      for (const PostingEntry* entry = run->begin; entry != run_end;
+           ++entry) {
+        // Table filter rule 2 (line 14): even if every remaining row is
+        // joinable, the table cannot beat the worst top-k entry.
+        if (options.use_table_filters &&
+            items_in_table - rows_checked_here + rows_matched_here <
+                prune_threshold()) {
+          ++stats.tables_pruned_rule2;
+          pruned_mid_table = true;
+          break;
+        }
+        ++rows_checked_here;
+        ++stats.rows_checked;
 
-      for (size_t block = run_begin; block < run_end && !pruned_mid_table;
-           block += SuperKeyStore::kMaxProbeBatch) {
-        const size_t count =
-            std::min(SuperKeyStore::kMaxProbeBatch, run_end - block);
+        const RowId row = entry->row_id;
+        const uint64_t* row_key = nullptr;
         if (options.use_row_filter) {
-          for (size_t i = 0; i < count; ++i) {
-            block_rows[i] = items[block + i].entry.row_id;
+          ahead.Step();
+          row_key = superkeys.RowWords(cand.table_id, row);
+        }
+        bool row_passed_filter = false;
+        bool row_matched = false;
+        for (const uint32_t combo_id : combo_ids) {
+          // Row filter (§6.3, line 18): the combo's super key must be
+          // masked by the row's super key.
+          if (row_key != nullptr &&
+              !KeyCovers(&prep.combo_keys[combo_id * prep.key_words],
+                         row_key, prep.key_words)) {
+            continue;
           }
-          combo_masks.resize(combo_ids.size());
-          for (size_t c = 0; c < combo_ids.size(); ++c) {
-            // Row filter (§6.3, line 18): the combo's super key must be
-            // masked by each row's super key; one batched probe per combo.
-            combo_masks[c] =
-                superkeys.CoversBatch(cand.table_id, block_rows.data(),
-                                      count, prep.combo_keys[combo_ids[c]]);
+          row_passed_filter = true;
+          if (VerifyComboInRow(prep.combo_lists[combo_id], cand.table_id,
+                               row, combo_id, entry, prep.init_pos, &acc,
+                               &stats.value_comparisons, &scratch)) {
+            row_matched = true;
           }
         }
-
-        for (size_t i = 0; i < count; ++i) {
-          const FetchedItem& item = items[block + i];
-          // Table filter rule 2 (line 14): even if every remaining row is
-          // joinable, the table cannot beat the worst top-k entry.
-          if (options.use_table_filters &&
-              items_in_table - rows_checked_here + rows_matched_here <
-                  prune_threshold()) {
-            ++stats.tables_pruned_rule2;
-            pruned_mid_table = true;
-            break;
-          }
-          ++rows_checked_here;
-          ++stats.rows_checked;
-
-          const RowId row = item.entry.row_id;
-          bool row_passed_filter = false;
-          bool row_matched = false;
-          for (size_t c = 0; c < combo_ids.size(); ++c) {
-            if (options.use_row_filter &&
-                ((combo_masks[c] >> i) & 1u) == 0) {
-              continue;
-            }
-            const uint32_t combo_id = combo_ids[c];
-            row_passed_filter = true;
-            if (VerifyComboInRow(prep.combo_lists[combo_id], cand.table_id,
-                                 row, combo_id, item.entry.column_id,
-                                 prep.init_pos, &acc,
-                                 &stats.value_comparisons, &scratch)) {
-              row_matched = true;
-            }
-          }
-          if (row_passed_filter) ++stats.rows_sent_to_verification;
-          if (row_matched) ++stats.rows_true_positive;
-          // r_match: with the super-key filter the paper counts filter
-          // survivors (cheap, optimistic); without it, exact matches.
-          if (options.use_row_filter ? row_passed_filter : row_matched) {
-            ++rows_matched_here;
-          }
+        if (row_passed_filter) ++stats.rows_sent_to_verification;
+        if (row_matched) ++stats.rows_true_positive;
+        // r_match: with the super-key filter the paper counts filter
+        // survivors (cheap, optimistic); without it, exact matches.
+        if (options.use_row_filter ? row_passed_filter : row_matched) {
+          ++rows_matched_here;
         }
       }
-      run_begin = run_end;
     }
 
     if (trace != nullptr) {
@@ -374,7 +424,7 @@ uint64_t QueryExecutor::EstimatePlItems(
       SelectInitColumn(query, key_columns, options.init_strategy, index_);
   // PrepareQuery derives its distinct init values from the distinct key
   // combos. That value set is the distinct normalized init-column values
-  // of the live rows whose key values are all non-empty (ExtractKeyCombos
+  // of the live rows whose key values are all non-empty (InternKeyCombos
   // drops the others), so this skips the tuple hashing and super-key work
   // and matches EstimatePreparedPlItems(prep) exactly.
   const ColumnId init_column = key_columns[init_pos];

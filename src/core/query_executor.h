@@ -10,8 +10,9 @@
 //      (index/index_shards.h);
 //   2. fans shard tasks over the caller's thread pool — each worker fetches
 //      its shard's slice of every probed posting list (one binary search
-//      per PL; postings are sorted by table id), groups items by table
-//      into one buffer (a counting sort on table id), and runs the
+//      per PL; postings are sorted by table id), groups the slices' runs
+//      (one init value's entries inside one table) by table into one
+//      buffer (a counting sort on table id), and runs the
 //      unmodified per-table evaluation loop with a *local*
 //      TopKHeap and local §6.2 pruning (a local heap's j_k is always <=
 //      the global j_k, so local pruning never drops a global top-k table);

@@ -2,12 +2,13 @@
 // keys duplicated per PL item, or the space-efficient per-row layout (one
 // super key per table row, joined with the PLs at probe time). This store
 // implements the per-row layout: a flat word array per table, indexed by
-// row id, so a probe is one pointer computation.
+// row id, so a probe is one pointer computation. The executor's row loop
+// reads a row's key in place through RowWords and tests it against every
+// combo key of the row's init value; Covers is the single-probe form.
 
 #ifndef MATE_INDEX_SUPERKEY_STORE_H_
 #define MATE_INDEX_SUPERKEY_STORE_H_
 
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -69,25 +70,6 @@ class SuperKeyStore {
   bool Covers(TableId t, RowId r, const BitVector& query) const {
     return simd::Kernels().covers(query.words(), RowWords(t, r),
                                   words_per_key_);
-  }
-
-  /// Rows one CoversBatch call probes at most. 16 keeps a rule-2 prune's
-  /// wasted probes bounded while amortizing the dispatch indirection and
-  /// the query-side register loads over the whole block.
-  static constexpr size_t kMaxProbeBatch = 16;
-
-  /// Batched row-filter probe: bit i of the result is
-  /// Covers(t, rows[i], query) for i in [0, count). Precondition:
-  /// count <= kMaxProbeBatch. The per-row flat-word layout makes each probe
-  /// one pointer computation off the table's slab, so the whole block runs
-  /// inside one kernel call (the executor's gather/probe row loop feeds
-  /// this; probes are side-effect free, so callers may probe ahead of the
-  /// rule-2 walk without changing any decision).
-  uint32_t CoversBatch(TableId t, const RowId* rows, size_t count,
-                       const BitVector& query) const {
-    assert(count <= kMaxProbeBatch);
-    return simd::Kernels().covers_batch(query.words(), tables_[t].data(),
-                                        rows, words_per_key_, count);
   }
 
   size_t NumRows(TableId t) const {

@@ -36,16 +36,6 @@ bool AndNotAnyScalar(const uint64_t* a, const uint64_t* b, size_t n) {
   return !CoversScalar(a, b, n);
 }
 
-uint32_t CoversBatchScalar(const uint64_t* q, const uint64_t* base,
-                           const uint32_t* rows, size_t words, size_t count) {
-  uint32_t mask = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t* row = base + static_cast<size_t>(rows[i]) * words;
-    if (CoversScalar(q, row, words)) mask |= uint32_t{1} << i;
-  }
-  return mask;
-}
-
 void OrWordsScalar(uint64_t* a, const uint64_t* b, size_t n) {
   for (size_t w = 0; w < n; ++w) a[w] |= b[w];
 }
@@ -70,9 +60,8 @@ bool IsZeroScalar(const uint64_t* a, size_t n) {
 }
 
 constexpr KernelTable kScalarTable = {
-    CoversScalar,   AndNotAnyScalar, CoversBatchScalar,   OrWordsScalar,
-    AndWordsScalar, PopcountScalar,  IsZeroScalar,
-    KernelLevel::kScalar, "scalar"};
+    CoversScalar,   AndNotAnyScalar, OrWordsScalar, AndWordsScalar,
+    PopcountScalar, IsZeroScalar,    KernelLevel::kScalar, "scalar"};
 
 #if MATE_SIMD_X86
 
@@ -105,29 +94,6 @@ __attribute__((target("sse2"))) bool AndNotAnySse2(const uint64_t* a,
                                                    const uint64_t* b,
                                                    size_t n) {
   return !CoversSse2(a, b, n);
-}
-
-__attribute__((target("sse2"))) uint32_t CoversBatchSse2(
-    const uint64_t* q, const uint64_t* base, const uint32_t* rows,
-    size_t words, size_t count) {
-  uint32_t mask = 0;
-  if (words == 2) {
-    // The paper's default 128-bit keys: the query loads once, each row is
-    // one load + andnot + zero test.
-    const __m128i vq = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
-    for (size_t i = 0; i < count; ++i) {
-      const uint64_t* row = base + static_cast<size_t>(rows[i]) * 2;
-      const __m128i vr =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
-      if (IsZero128Sse2(_mm_andnot_si128(vr, vq))) mask |= uint32_t{1} << i;
-    }
-    return mask;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t* row = base + static_cast<size_t>(rows[i]) * words;
-    if (CoversSse2(q, row, words)) mask |= uint32_t{1} << i;
-  }
-  return mask;
 }
 
 __attribute__((target("sse2"))) void OrWordsSse2(uint64_t* a,
@@ -169,9 +135,8 @@ __attribute__((target("sse2"))) bool IsZeroSse2(const uint64_t* a, size_t n) {
 }
 
 constexpr KernelTable kSse2Table = {
-    CoversSse2,   AndNotAnySse2, CoversBatchSse2,   OrWordsSse2,
-    AndWordsSse2, PopcountScalar, IsZeroSse2,
-    KernelLevel::kSse2, "sse2"};
+    CoversSse2,     AndNotAnySse2, OrWordsSse2,       AndWordsSse2,
+    PopcountScalar, IsZeroSse2,    KernelLevel::kSse2, "sse2"};
 
 // -------------------------------------------------------------- AVX2 ----
 // 256-bit sweeps. VPTEST's carry flag gives the containment test directly:
@@ -207,104 +172,6 @@ __attribute__((target("avx2"))) bool AndNotAnyAvx2(const uint64_t* a,
                                                    const uint64_t* b,
                                                    size_t n) {
   return !CoversAvx2(a, b, n);
-}
-
-__attribute__((target("avx2"))) uint32_t CoversBatchAvx2(
-    const uint64_t* q, const uint64_t* base, const uint32_t* rows,
-    size_t words, size_t count) {
-  uint32_t mask = 0;
-  switch (words) {
-    case 2: {
-      // Two 128-bit keys per 256-bit op: rows i and i+1 land in the two
-      // lanes, andnot finds uncovered query bits, a per-64-bit-lane zero
-      // compare + movemask yields both verdicts without flag round-trips.
-      const __m256i vq2 = _mm256_broadcastsi128_si256(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(q)));
-      const __m256i zero = _mm256_setzero_si256();
-      size_t i = 0;
-      for (; i + 4 <= count; i += 4) {
-        const __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-            base + static_cast<size_t>(rows[i]) * 2));
-        const __m128i r1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-            base + static_cast<size_t>(rows[i + 1]) * 2));
-        const __m128i r2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-            base + static_cast<size_t>(rows[i + 2]) * 2));
-        const __m128i r3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-            base + static_cast<size_t>(rows[i + 3]) * 2));
-        const __m256i miss01 =
-            _mm256_andnot_si256(_mm256_set_m128i(r1, r0), vq2);
-        const __m256i miss23 =
-            _mm256_andnot_si256(_mm256_set_m128i(r3, r2), vq2);
-        // zeros bits 2k..2k+1 = row i+k's words; a row is covered iff both
-        // of its words missed nothing.
-        const unsigned zeros =
-            static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(
-                _mm256_cmpeq_epi64(miss01, zero)))) |
-            (static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(
-                 _mm256_cmpeq_epi64(miss23, zero))))
-             << 4);
-        const unsigned both = zeros & (zeros >> 1);  // bits 0,2,4,6
-        mask |= ((both & 1u) | ((both >> 1) & 2u) | ((both >> 2) & 4u) |
-                 ((both >> 3) & 8u))
-                << i;
-      }
-      for (; i + 2 <= count; i += 2) {
-        const __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-            base + static_cast<size_t>(rows[i]) * 2));
-        const __m128i r1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-            base + static_cast<size_t>(rows[i + 1]) * 2));
-        const __m256i miss =
-            _mm256_andnot_si256(_mm256_set_m128i(r1, r0), vq2);
-        const unsigned zeros =
-            static_cast<unsigned>(_mm256_movemask_pd(
-                _mm256_castsi256_pd(_mm256_cmpeq_epi64(miss, zero))));
-        const unsigned both = zeros & (zeros >> 1);
-        mask |= ((both & 1u) | ((both >> 1) & 2u)) << i;
-      }
-      if (i < count) {
-        const __m128i vr = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-            base + static_cast<size_t>(rows[i]) * 2));
-        mask |= static_cast<uint32_t>(
-                    _mm_testc_si128(vr, _mm256_castsi256_si128(vq2)))
-                << i;
-      }
-      return mask;
-    }
-    case 4: {
-      const __m256i vq =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
-      for (size_t i = 0; i < count; ++i) {
-        const uint64_t* row = base + static_cast<size_t>(rows[i]) * 4;
-        const __m256i vr =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
-        mask |= static_cast<uint32_t>(_mm256_testc_si256(vr, vq)) << i;
-      }
-      return mask;
-    }
-    case 8: {
-      const __m256i vq0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
-      const __m256i vq1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + 4));
-      for (size_t i = 0; i < count; ++i) {
-        const uint64_t* row = base + static_cast<size_t>(rows[i]) * 8;
-        const __m256i vr0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
-        const __m256i vr1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 4));
-        mask |= static_cast<uint32_t>(_mm256_testc_si256(vr0, vq0) &
-                                      _mm256_testc_si256(vr1, vq1))
-                << i;
-      }
-      return mask;
-    }
-    default:
-      for (size_t i = 0; i < count; ++i) {
-        const uint64_t* row = base + static_cast<size_t>(rows[i]) * words;
-        if (CoversAvx2(q, row, words)) mask |= uint32_t{1} << i;
-      }
-      return mask;
-  }
 }
 
 __attribute__((target("avx2"))) void OrWordsAvx2(uint64_t* a,
@@ -358,9 +225,8 @@ __attribute__((target("avx2"))) bool IsZeroAvx2(const uint64_t* a, size_t n) {
 }
 
 constexpr KernelTable kAvx2Table = {
-    CoversAvx2,   AndNotAnyAvx2, CoversBatchAvx2,   OrWordsAvx2,
-    AndWordsAvx2, PopcountAvx2,  IsZeroAvx2,
-    KernelLevel::kAvx2, "avx2"};
+    CoversAvx2,   AndNotAnyAvx2, OrWordsAvx2,       AndWordsAvx2,
+    PopcountAvx2, IsZeroAvx2,    KernelLevel::kAvx2, "avx2"};
 
 #endif  // MATE_SIMD_X86
 

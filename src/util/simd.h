@@ -20,9 +20,11 @@
 //     tests/simd_test.cpp), and reads are one relaxed atomic load, so the
 //     per-call overhead is a pointer chase.
 //
-// Callers: BitVector's word sweeps (util/bitvector.h), SuperKeyStore's
-// single and batched probes (index/superkey_store.h), and through them the
-// executor's row loop (core/query_executor.cpp).
+// Callers: BitVector's word sweeps (util/bitvector.h) and SuperKeyStore's
+// single-row probe (index/superkey_store.h). The executor's row loop
+// (core/query_executor.cpp) tests super keys with a plain word loop of
+// its own: it loads each row key once and tests every combo key of the
+// row's init value against it.
 
 #ifndef MATE_UTIL_SIMD_H_
 #define MATE_UTIL_SIMD_H_
@@ -36,17 +38,12 @@ namespace simd {
 enum class KernelLevel : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
 /// One resolved set of kernels. All word counts are in 64-bit words; every
-/// function tolerates n == 0. The batch probe's `rows` are row ids into a
-/// flat slab `base` where row r's words live at base + r * words.
+/// function tolerates n == 0.
 struct KernelTable {
   /// (q & ~row) == 0 over words [0, n) — the §6.3 containment test.
   bool (*covers)(const uint64_t* q, const uint64_t* row, size_t n);
   /// (a & ~b) != 0 for at least one word — the complement of covers.
   bool (*and_not_any)(const uint64_t* a, const uint64_t* b, size_t n);
-  /// Bit i of the result is covers(q, base + rows[i] * words, words).
-  /// Precondition: count <= 32 (the mask is 32 bits wide).
-  uint32_t (*covers_batch)(const uint64_t* q, const uint64_t* base,
-                           const uint32_t* rows, size_t words, size_t count);
   /// a[w] |= b[w] over words [0, n).
   void (*or_words)(uint64_t* a, const uint64_t* b, size_t n);
   /// a[w] &= b[w] over words [0, n).

@@ -292,6 +292,46 @@ size_t ExpectSystemsMatchOracle(Session* session, const Corpus& oracle,
   return joined;
 }
 
+TEST(OracleDifferentialTest, SeparatorByteInsideValuesMatchesTheOracle) {
+  // Byte 0x1F survives normalization. Table 0 holds both combos of query
+  // 0, which stay distinct; table 1 holds one value pair that would spell
+  // query 1's combo if values were joined with that byte.
+  const auto make_table = [](const std::string& name,
+                             std::vector<std::vector<std::string>> rows) {
+    Table table(name);
+    table.AddColumn("x");
+    table.AddColumn("y");
+    for (auto& row : rows) (void)table.AppendRow(std::move(row));
+    return table;
+  };
+  const std::string ab = "a\x1F" "b";
+  const std::string bc = "b\x1F" "c";
+  const auto make_lake = [&] {
+    Corpus lake;
+    lake.AddTable(make_table("both", {{ab, "c"}, {"a", bc}}));
+    lake.AddTable(make_table("split", {{"a", bc}}));
+    return lake;
+  };
+  const Corpus oracle = make_lake();
+  std::vector<HostileQuery> queries;
+  queries.push_back({make_table("q0", {{ab, "c"}, {"a", bc}}), {0, 1}});
+  queries.push_back({make_table("q1", {{ab, "c"}}), {0, 1}});
+  ASSERT_EQ(BruteForceJoinability(queries[0].table, {0, 1}, oracle.table(0))
+                .joinability,
+            2);
+  ASSERT_EQ(BruteForceJoinability(queries[1].table, {0, 1}, oracle.table(1))
+                .joinability,
+            0);
+
+  SessionOptions options;
+  options.corpus = make_lake();
+  options.build_index = true;
+  options.cache_bytes = 0;
+  auto session = Session::Open(std::move(options));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(ExpectSystemsMatchOracle(&*session, oracle, queries), 2u);
+}
+
 TEST(OracleDifferentialTest, HostileLakeMatchesTheOracleBeforeAndAfterEdits) {
   Corpus oracle = MakeHostileLake();
   const std::vector<HostileQuery> queries = MakeHostileQueries(oracle);

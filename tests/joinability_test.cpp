@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -76,6 +77,38 @@ TEST(ExtractKeyCombosTest, SkipsDeletedRows) {
   EXPECT_EQ(combos[0][0], "two");
 }
 
+// Byte 0x1F (the ASCII unit separator) survives normalization, so a
+// value may hold it. The two combos below would spell the same key if
+// their values were joined with that byte.
+Table SeparatorRows(const std::vector<std::vector<std::string>>& rows) {
+  Table t("sep");
+  t.AddColumn("a");
+  t.AddColumn("b");
+  for (const auto& row : rows) (void)t.AppendRow(std::vector<std::string>(row));
+  return t;
+}
+
+TEST(ExtractKeyCombosTest, ValuesHoldingTheSeparatorByteStayDistinct) {
+  const Table t = SeparatorRows({{"a\x1F" "b", "c"}, {"a", "b\x1F" "c"}});
+  const auto combos = ExtractKeyCombos(t, {0, 1});
+  ASSERT_EQ(combos.size(), 2u);
+  EXPECT_EQ(combos[0], (std::vector<std::string>{"a\x1F" "b", "c"}));
+  EXPECT_EQ(combos[1], (std::vector<std::string>{"a", "b\x1F" "c"}));
+}
+
+TEST(BruteForceTest, SeparatorByteInsideValuesKeepsCombosApart) {
+  const Table both = SeparatorRows({{"a\x1F" "b", "c"}, {"a", "b\x1F" "c"}});
+  const BruteForceResult r = BruteForceJoinability(both, {0, 1}, both);
+  EXPECT_EQ(r.joinability, 2);
+  EXPECT_EQ(r.best_mapping, (std::vector<ColumnId>{0, 1}));
+}
+
+TEST(BruteForceTest, SeparatorByteInsideValuesForgesNoMatch) {
+  const Table query = SeparatorRows({{"a\x1F" "b", "c"}});
+  const Table candidate = SeparatorRows({{"a", "b\x1F" "c"}});
+  EXPECT_EQ(BruteForceJoinability(query, {0, 1}, candidate).joinability, 0);
+}
+
 TEST(BruteForceTest, Figure1GivesJoinabilityFive) {
   // §2: the best mapping (F->Vorname, L->Nachname, Country->Land) yields 5.
   BruteForceResult result =
@@ -148,6 +181,16 @@ struct IndexedTable {
     return std::move(ResolveComboPostings(*index, {combo}).front());
   }
 
+  // The entry of cell (row, column) in `value`'s posting list, the binding
+  // a caller reading that list would pass; null when the cell is absent.
+  const PostingEntry* Entry(const std::string& value, RowId row,
+                            ColumnId column) const {
+    const PostingSpan list = index->Lookup(value);
+    const PostingEntry* e =
+        std::find(list.begin(), list.end(), PostingEntry{0, column, row});
+    return e != list.end() ? e : nullptr;
+  }
+
   Corpus corpus;
   std::unique_ptr<InvertedIndex> index;
 };
@@ -158,7 +201,7 @@ TEST(VerifyComboInRowTest, FindsMatchAndMapping) {
   MappingAccumulator acc;
   uint64_t cmp = 0;
   VerifyScratch scratch;
-  EXPECT_TRUE(VerifyComboInRow(lists, 0, 1, 0, kInvalidColumnId, 0, &acc,
+  EXPECT_TRUE(VerifyComboInRow(lists, 0, 1, 0, /*fixed=*/nullptr, 0, &acc,
                                &cmp, &scratch));
   EXPECT_EQ(acc.MaxJoinability(), 1);
   EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 1, 2}));
@@ -172,7 +215,7 @@ TEST(VerifyComboInRowTest, RejectsPartialMatch) {
   uint64_t cmp = 0;
   VerifyScratch scratch;
   // Row 4 is (Muhammad, Ali, US, Boxer): "lee" missing.
-  EXPECT_FALSE(VerifyComboInRow(lists, 0, 4, 0, kInvalidColumnId, 0, &acc,
+  EXPECT_FALSE(VerifyComboInRow(lists, 0, 4, 0, /*fixed=*/nullptr, 0, &acc,
                                 &cmp, &scratch));
   EXPECT_EQ(acc.MaxJoinability(), 0);
 }
@@ -184,12 +227,40 @@ TEST(VerifyComboInRowTest, HonorsFixedColumn) {
   uint64_t cmp = 0;
   VerifyScratch scratch;
   // Fixing "us" (combo position 2) to column 2 works for row 1...
-  EXPECT_TRUE(VerifyComboInRow(lists, 0, 1, 0, /*fixed_column=*/2,
+  const PostingEntry* us = t.Entry("us", 1, 2);
+  ASSERT_NE(us, nullptr);
+  EXPECT_TRUE(VerifyComboInRow(lists, 0, 1, 0, /*fixed=*/us,
                                /*fixed_position=*/2, &acc, &cmp, &scratch));
   // ...but fixing it to column 3 ("Dancer") must fail.
+  const PostingEntry* dancer = t.Entry("dancer", 1, 3);
+  ASSERT_NE(dancer, nullptr);
   MappingAccumulator acc2;
-  EXPECT_FALSE(VerifyComboInRow(lists, 0, 1, 0, /*fixed_column=*/3,
+  EXPECT_FALSE(VerifyComboInRow(lists, 0, 1, 0, /*fixed=*/dancer,
                                 /*fixed_position=*/2, &acc2, &cmp, &scratch));
+}
+
+TEST(VerifyComboInRowTest, BindingMustNameTheVerifiedRow) {
+  IndexedTable t(MakeCandidateT1());
+  const auto lists = t.Lists({"muhammad", "lee", "us"});
+  uint64_t cmp = 0;
+  VerifyScratch scratch;
+  // Rows 1 and 4 both hold "us" in column 2, and row 1 holds the combo.
+  // A binding to row 4's "us" entry lies in the right list but names
+  // another row, so it cannot verify row 1.
+  const PostingEntry* row4 = t.Entry("us", 4, 2);
+  ASSERT_NE(row4, nullptr);
+  MappingAccumulator acc;
+  EXPECT_FALSE(VerifyComboInRow(lists, 0, 1, 0, /*fixed=*/row4,
+                                /*fixed_position=*/2, &acc, &cmp, &scratch));
+  // The binding is checked at its own position only: row 1's "muhammad"
+  // entry bound at position 2 ("us") is outside that position's list.
+  const PostingEntry* muhammad = t.Entry("muhammad", 1, 0);
+  ASSERT_NE(muhammad, nullptr);
+  EXPECT_FALSE(VerifyComboInRow(lists, 0, 1, 0, /*fixed=*/muhammad,
+                                /*fixed_position=*/2, &acc, &cmp, &scratch));
+  EXPECT_TRUE(VerifyComboInRow(lists, 0, 1, 0, /*fixed=*/muhammad,
+                               /*fixed_position=*/0, &acc, &cmp, &scratch));
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 1, 2}));
 }
 
 TEST(VerifyComboInRowTest, RequiresDistinctColumns) {
@@ -204,7 +275,7 @@ TEST(VerifyComboInRowTest, RequiresDistinctColumns) {
   VerifyScratch scratch;
   // Both key values are "x" but the row has only one "x" column: the two
   // positions cannot map to distinct columns.
-  EXPECT_FALSE(VerifyComboInRow(lists, 0, 0, 0, kInvalidColumnId, 0, &acc,
+  EXPECT_FALSE(VerifyComboInRow(lists, 0, 0, 0, /*fixed=*/nullptr, 0, &acc,
                                 &cmp, &scratch));
 }
 
@@ -220,7 +291,7 @@ TEST(VerifyComboInRowTest, EnumeratesAlternativeMappings) {
   uint64_t cmp = 0;
   VerifyScratch scratch;
   // "x" can map to column 0 or 1: both assignments must be recorded.
-  EXPECT_TRUE(VerifyComboInRow(lists, 0, 0, 0, kInvalidColumnId, 0, &acc,
+  EXPECT_TRUE(VerifyComboInRow(lists, 0, 0, 0, /*fixed=*/nullptr, 0, &acc,
                                &cmp, &scratch));
   acc.AddMatch({0, 2}, 1);  // a second combo under one of the mappings
   EXPECT_EQ(acc.MaxJoinability(), 2);
@@ -257,7 +328,7 @@ TEST(VerifyComboInRowTest, RandomAgreementWithBruteForce) {
     const auto lists = indexed.Lists(combo);
     MappingAccumulator acc;
     uint64_t cmp = 0;
-    bool verified = VerifyComboInRow(lists, 0, 0, 0, kInvalidColumnId, 0,
+    bool verified = VerifyComboInRow(lists, 0, 0, 0, /*fixed=*/nullptr, 0,
                                      &acc, &cmp, &scratch);
     EXPECT_EQ(verified, brute > 0) << trial;
     EXPECT_EQ(acc.MaxJoinability(), brute) << trial;

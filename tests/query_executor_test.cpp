@@ -8,17 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/init_column.h"
+#include "core/joinability.h"
 #include "core/mate.h"
 #include "core/session.h"
+#include "hash/hash_registry.h"
 #include "index/index_builder.h"
 #include "index/index_shards.h"
 #include "obs/trace.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -661,6 +666,164 @@ TEST(QueryExecutorTest, SessionRoutesKnobsAndReportsShape) {
     EXPECT_EQ(r.stats.shards_used, 1u);
   }
   EXPECT_EQ(multi->stats.intra_parallel_queries, 0u);
+}
+
+// ---- the row filter against an independent count -------------------
+
+// A lake whose init values repeat across rows. Table t posts "init<t % 3>"
+// in column 0 of each of its rows, so a table's run of that value has
+// kRunRows[t] entries (runs of 1, 16, 17 and 120; single-row tables
+// included); every third table posts it in column 2 as well, so its rows
+// each hold the value twice. The other columns come from a vocabulary of
+// eight words, so some rows hold a combo, some only pass the filter and
+// the rest fail it.
+constexpr size_t kRunRows[] = {1, 16, 17, 120, 1, 3, 1, 17, 16, 120, 2};
+
+Corpus MakeRunLake() {
+  Rng rng(4242);
+  Corpus corpus;
+  for (size_t t = 0; t < std::size(kRunRows); ++t) {
+    Table table("runs_" + std::to_string(t));
+    for (int c = 0; c < 5; ++c) table.AddColumn("c" + std::to_string(c));
+    const std::string init = "init" + std::to_string(t % 3);
+    for (size_t r = 0; r < kRunRows[t]; ++r) {
+      std::vector<std::string> cells = {init};
+      for (int c = 1; c < 5; ++c) {
+        cells.push_back("w" + std::to_string(rng.Uniform(8)));
+      }
+      if (t % 3 == 0) cells[2] = init;
+      (void)table.AppendRow(std::move(cells));
+    }
+    corpus.AddTable(std::move(table));
+  }
+  return corpus;
+}
+
+// |Q| key columns over 24 rows: column 0 cycles through the three init
+// values (the fewest distinct values, so it is the init column), the
+// others draw from the lake's vocabulary, so each init value carries
+// several combos.
+Table MakeRunQuery(size_t width, uint64_t seed) {
+  Rng rng(seed);
+  Table query("runs_q" + std::to_string(width));
+  for (size_t c = 0; c < width; ++c) query.AddColumn("k" + std::to_string(c));
+  for (int r = 0; r < 24; ++r) {
+    std::vector<std::string> cells = {"INIT" + std::to_string(r % 3)};
+    for (size_t c = 1; c < width; ++c) {
+      cells.push_back(" w" + std::to_string(rng.Uniform(8)));
+    }
+    (void)query.AppendRow(std::move(cells));
+  }
+  return query;
+}
+
+// Rows Algorithm 1 sends to verification with both table filters off,
+// counted from the definition: every posting entry of each distinct init
+// value is one row visit, and it is sent on iff the row's super key
+// covers MakeSuperKey of some query combo holding that init value.
+uint64_t CountFilterSurvivors(const InvertedIndex& index, const Table& query,
+                              const std::vector<ColumnId>& keys,
+                              size_t init_pos) {
+  std::map<std::string, std::set<std::vector<std::string>>> by_init;
+  for (RowId r = 0; r < query.NumRows(); ++r) {
+    std::vector<std::string> combo;
+    for (ColumnId c : keys) combo.push_back(NormalizeValue(query.cell(r, c)));
+    if (std::none_of(combo.begin(), combo.end(),
+                     [](const std::string& v) { return v.empty(); })) {
+      by_init[combo[init_pos]].insert(combo);
+    }
+  }
+  uint64_t survivors = 0;
+  for (const auto& [init, combos] : by_init) {
+    std::vector<BitVector> combo_keys;
+    for (const auto& combo : combos) {
+      combo_keys.push_back(index.hash().MakeSuperKey(combo));
+    }
+    for (const PostingEntry& e : index.Lookup(init)) {
+      survivors += std::any_of(
+          combo_keys.begin(), combo_keys.end(), [&](const BitVector& key) {
+            return index.superkeys().Covers(e.table_id, e.row_id, key);
+          });
+    }
+  }
+  return survivors;
+}
+
+TEST(RowFilterTest, SentToVerificationMatchesAnIndependentCount) {
+  const Corpus oracle = MakeRunLake();
+  SessionOptions options;
+  options.corpus = MakeRunLake();
+  options.build_index = true;
+  options.num_threads = 2;
+  options.cache_bytes = 0;
+  auto session = Session::Open(std::move(options));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  std::vector<Table> queries;
+  for (size_t width = 2; width <= 4; ++width) {
+    queries.push_back(MakeRunQuery(width, 90 + width));
+  }
+  // The oracle's top-k per query (k covers every table).
+  std::vector<std::vector<std::pair<TableId, int64_t>>> expected;
+  for (const Table& query : queries) {
+    std::vector<ColumnId> keys(query.NumColumns());
+    for (ColumnId c = 0; c < keys.size(); ++c) keys[c] = c;
+    std::vector<std::pair<TableId, int64_t>> ranked;
+    for (TableId t = 0; t < oracle.NumTables(); ++t) {
+      const int64_t j =
+          BruteForceJoinability(query, keys, oracle.table(t)).joinability;
+      if (j > 0) ranked.push_back({t, j});
+    }
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      return a.second != b.second ? a.second > b.second : a.first < b.first;
+    });
+    ASSERT_FALSE(ranked.empty());
+    expected.push_back(std::move(ranked));
+  }
+
+  // Some family must let a row through for one combo and stop another,
+  // or the count proves nothing.
+  bool filter_pruned = false;
+  for (const HashFamily family : AllHashFamilies()) {
+    for (const size_t bits : {size_t{128}, size_t{512}}) {
+      SCOPED_TRACE(std::string(HashFamilyName(family)) + "/" +
+                   std::to_string(bits));
+      ASSERT_TRUE(session->ResetHash(family, bits).ok());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const Table& query = queries[q];
+        QuerySpec spec;
+        spec.table = &query;
+        for (ColumnId c = 0; c < query.NumColumns(); ++c) {
+          spec.key_columns.push_back(c);
+        }
+        spec.options.k = static_cast<int>(std::size(kRunRows));
+        spec.options.use_table_filters = false;
+        const size_t init_pos =
+            SelectInitColumn(query, spec.key_columns,
+                             spec.options.init_strategy, &session->index());
+        ASSERT_EQ(init_pos, 0u);
+        const uint64_t survivors = CountFilterSurvivors(
+            session->index(), query, spec.key_columns, init_pos);
+        for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+          SCOPED_TRACE("|Q|=" + std::to_string(query.NumColumns()) +
+                       " shards=" + std::to_string(shards));
+          spec.intra_query_shards = shards;
+          auto result = session->Discover(spec);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_EQ(result->stats.rows_sent_to_verification, survivors);
+          EXPECT_GT(survivors, 0u);
+          filter_pruned = filter_pruned ||
+                          survivors < result->stats.pl_items_fetched;
+          ASSERT_EQ(result->top_k.size(), expected[q].size());
+          for (size_t i = 0; i < expected[q].size(); ++i) {
+            EXPECT_EQ(result->top_k[i].table_id, expected[q][i].first);
+            EXPECT_EQ(result->top_k[i].joinability, expected[q][i].second);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(filter_pruned);
 }
 
 }  // namespace

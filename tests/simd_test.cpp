@@ -120,38 +120,6 @@ TEST(SimdKernelTest, ContainmentKernelsMatchScalar) {
   }
 }
 
-TEST(SimdKernelTest, CoversBatchMatchesPerRowScalar) {
-  const KernelTable& scalar = simd::ScalarKernels();
-  Rng rng(202);
-  for (const KernelTable* table : TablesUnderTest()) {
-    for (size_t words : {1u, 2u, 3u, 4u, 5u, 7u, 8u}) {
-      // A slab of 64 rows; half forced to cover the query.
-      constexpr size_t kRows = 64;
-      const std::vector<uint64_t> query = RandomWords(&rng, words, 1);
-      std::vector<uint64_t> slab(kRows * words);
-      for (size_t r = 0; r < kRows; ++r) {
-        std::vector<uint64_t> row = RandomWords(&rng, words, rng.Uniform(4));
-        if (rng.Uniform(2) == 0) {
-          for (size_t w = 0; w < words; ++w) row[w] |= query[w];
-        }
-        for (size_t w = 0; w < words; ++w) slab[r * words + w] = row[w];
-      }
-      for (size_t count : {size_t{0}, size_t{1}, size_t{5}, size_t{16}}) {
-        std::vector<uint32_t> rows(count);
-        for (size_t i = 0; i < count; ++i) {
-          rows[i] = static_cast<uint32_t>(rng.Uniform(kRows));
-        }
-        const uint32_t expected = scalar.covers_batch(
-            query.data(), slab.data(), rows.data(), words, count);
-        EXPECT_EQ(table->covers_batch(query.data(), slab.data(), rows.data(),
-                                      words, count),
-                  expected)
-            << table->name << " words=" << words << " count=" << count;
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, SweepKernelsMatchScalar) {
   const KernelTable& scalar = simd::ScalarKernels();
   Rng rng(303);

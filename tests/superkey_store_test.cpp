@@ -80,63 +80,6 @@ TEST(SuperKeyStoreTest, CoversMatchesIsSubsetOf) {
   }
 }
 
-// CoversBatch is the executor's gather/probe fast path: bit i of the
-// returned mask must equal the single-row Covers answer for rows[i], for
-// any count up to kMaxProbeBatch, any (non-contiguous, repeated) row-id
-// pattern, at every stored key width — under both the dispatched and the
-// forced-scalar kernels.
-TEST(SuperKeyStoreTest, CoversBatchMatchesSingleRowProbes) {
-  const bool was_scalar =
-      simd::ActiveLevel() == simd::KernelLevel::kScalar;
-  Rng rng(21);
-  for (size_t hash_bits : {size_t{128}, size_t{192}, size_t{512}}) {
-    SuperKeyStore store(hash_bits);
-    constexpr size_t kRows = 40;
-    store.EnsureTable(0, kRows);
-    for (RowId r = 0; r < kRows; ++r) {
-      store.Set(0, r, RandomKey(&rng, hash_bits, 20));
-    }
-    for (int trial = 0; trial < 50; ++trial) {
-      const BitVector query = RandomKey(&rng, hash_bits, 1 + trial % 8);
-      const size_t count = rng.Uniform(SuperKeyStore::kMaxProbeBatch + 1);
-      std::vector<RowId> rows(count);
-      for (size_t i = 0; i < count; ++i) {
-        rows[i] = static_cast<RowId>(rng.Uniform(kRows));  // repeats allowed
-      }
-      for (bool force_scalar : {false, true}) {
-        simd::ForceScalar(force_scalar);
-        const uint32_t mask = store.CoversBatch(0, rows.data(), count, query);
-        for (size_t i = 0; i < count; ++i) {
-          EXPECT_EQ((mask >> i) & 1u, store.Covers(0, rows[i], query) ? 1u : 0u)
-              << "bits=" << hash_bits << " i=" << i
-              << " scalar=" << force_scalar;
-        }
-        EXPECT_EQ(mask >> count, 0u);  // bits past count stay clear
-      }
-    }
-  }
-  simd::ForceScalar(was_scalar);
-}
-
-TEST(SuperKeyStoreTest, CoversBatchEmptyAndFullBlock) {
-  SuperKeyStore store(128);
-  store.EnsureTable(0, SuperKeyStore::kMaxProbeBatch);
-  BitVector query(128);
-  query.SetBit(5);
-  BitVector covering(128);
-  covering.SetBit(5);
-  covering.SetBit(70);
-  // Even rows cover the query, odd rows don't.
-  for (RowId r = 0; r < SuperKeyStore::kMaxProbeBatch; ++r) {
-    if (r % 2 == 0) store.Set(0, r, covering);
-  }
-  std::vector<RowId> rows(SuperKeyStore::kMaxProbeBatch);
-  for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<RowId>(i);
-  EXPECT_EQ(store.CoversBatch(0, rows.data(), 0, query), 0u);
-  EXPECT_EQ(store.CoversBatch(0, rows.data(), rows.size(), query),
-            0x5555u);  // even bit positions set
-}
-
 TEST(SuperKeyStoreTest, MemoryBytesTracksRows) {
   SuperKeyStore store(128);
   EXPECT_EQ(store.MemoryBytes(), 0u);
