@@ -51,8 +51,9 @@ int main(int argc, char** argv) {
     double total_items = 0.0;
     double total_lists = 0.0;
     for (const QueryCase& qc : queries) {
-      size_t pos = SelectInitColumn(qc.query, qc.key_columns, strategy,
-                                    &index);
+      size_t pos = SelectInitColumn(
+          qc.query, qc.key_columns,
+          InternKeyCombos(qc.query, qc.key_columns), strategy, &index);
       total_items += static_cast<double>(CountPlItemsForColumn(
           qc.query, qc.key_columns[pos], index));
       total_lists += static_cast<double>(CountPostingListsForColumn(

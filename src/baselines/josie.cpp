@@ -121,9 +121,9 @@ DiscoveryResult ScrJosieSearch::Discover(
     return result;
   }
   // JOSIE probe on the init column.
-  size_t init_pos = SelectInitColumn(query, key_columns,
-                                     InitColumnStrategy::kMinCardinality,
-                                     index_);
+  const size_t init_pos = SelectInitColumn(
+      query, key_columns, InternKeyCombos(query, key_columns),
+      InitColumnStrategy::kMinCardinality, index_);
   std::vector<std::string> tokens =
       ColumnTokens(query, key_columns[init_pos]);
   std::vector<TableId> shortlist = josie_->TopTables(

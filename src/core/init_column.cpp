@@ -1,5 +1,6 @@
 #include "core/init_column.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -50,23 +51,17 @@ uint64_t CountPostingListsForColumn(const Table& query, ColumnId c,
 
 size_t SelectInitColumn(const Table& query,
                         const std::vector<ColumnId>& key_columns,
-                        InitColumnStrategy strategy,
+                        const KeyCombos& combos, InitColumnStrategy strategy,
                         const InvertedIndex* index) {
   assert(!key_columns.empty());
+  assert(combos.cardinality.size() == key_columns.size());
   switch (strategy) {
     case InitColumnStrategy::kColumnOrder:
       return 0;
     case InitColumnStrategy::kMinCardinality: {
-      size_t best = 0;
-      size_t best_card = query.ColumnCardinality(key_columns[0]);
-      for (size_t i = 1; i < key_columns.size(); ++i) {
-        size_t card = query.ColumnCardinality(key_columns[i]);
-        if (card < best_card) {
-          best = i;
-          best_card = card;
-        }
-      }
-      return best;
+      const std::vector<size_t>& card = combos.cardinality;
+      return static_cast<size_t>(std::min_element(card.begin(), card.end()) -
+                                 card.begin());
     }
     case InitColumnStrategy::kLongestString: {
       size_t best = 0;

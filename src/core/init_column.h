@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/joinability.h"
 #include "index/inverted_index.h"
 #include "storage/table.h"
 
@@ -36,12 +37,14 @@ uint64_t CountPostingListsForColumn(const Table& query, ColumnId c,
                                     const InvertedIndex& index);
 
 /// Picks the initial column among `key_columns` (position returned is the
-/// *index into key_columns*, not the ColumnId). The oracle strategies
-/// require `index`; the heuristics ignore it. Ties break on the earlier key
-/// column for determinism.
+/// *index into key_columns*, not the ColumnId). `combos` is
+/// InternKeyCombos(query, key_columns): the minimum-cardinality rule reads
+/// its per-column counts. The oracle strategies require `index`; the
+/// heuristics ignore it. Ties break on the earlier key column for
+/// determinism.
 size_t SelectInitColumn(const Table& query,
                         const std::vector<ColumnId>& key_columns,
-                        InitColumnStrategy strategy,
+                        const KeyCombos& combos, InitColumnStrategy strategy,
                         const InvertedIndex* index);
 
 }  // namespace mate

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "index/inverted_index.h"
@@ -27,41 +29,37 @@ KeyCombos InternKeyCombos(const Table& query,
   KeyCombos out;
   const size_t m = key_columns.size();
   out.width = m;
+  out.cardinality.assign(m, 0);
   if (m == 0) return out;
 
-  std::unordered_map<std::string, uint32_t> value_ids;
-  // Distinct combos as indexes into out.value_ids; a row's combo is
-  // appended first and taken back when it is a repeat.
-  const std::vector<uint32_t>& ids = out.value_ids;
-  const auto combo_hash = [&ids, m](uint32_t c) {
-    size_t h = 0x9E3779B97F4A7C15ULL;
-    for (size_t i = 0; i < m; ++i) h = (h ^ ids[c * m + i]) * 0x100000001B3ULL;
-    return h;
-  };
-  const auto combo_eq = [&ids, m](uint32_t a, uint32_t b) {
-    return std::equal(ids.begin() + a * m, ids.begin() + (a + 1) * m,
-                      ids.begin() + b * m);
-  };
-  std::unordered_set<uint32_t, decltype(combo_hash), decltype(combo_eq)>
-      seen(16, combo_hash, combo_eq);
-
-  std::vector<std::string> cells(m);
+  // A row's combo is appended to out.value_ids first and taken back when
+  // its value ids, as bytes, are already interned here.
+  ValueDictionary distinct_combos;
+  // seen[v * m + i]: value v occurred in key column i.
+  std::vector<char> seen;
+  std::string buffer;
   for (RowId r = 0; r < query.NumRows(); ++r) {
     if (query.IsRowDeleted(r)) continue;
     bool has_empty = false;
     for (size_t i = 0; i < m; ++i) {
-      NormalizeValueInto(query.cell(r, key_columns[i]), &cells[i]);
-      has_empty = has_empty || cells[i].empty();
+      const std::string_view cell =
+          NormalizedView(query.cell(r, key_columns[i]), &buffer);
+      has_empty = has_empty || cell.empty();
+      const auto id = static_cast<uint32_t>(out.values.GetOrAdd(cell));
+      if (id * m == seen.size()) seen.resize(seen.size() + m, 0);
+      if (!seen[id * m + i]) {
+        seen[id * m + i] = 1;
+        ++out.cardinality[i];
+      }
+      out.value_ids.push_back(id);
     }
-    if (has_empty) continue;
-    const uint32_t combo = static_cast<uint32_t>(out.size());
-    for (const std::string& cell : cells) {
-      const auto [it, inserted] = value_ids.try_emplace(
-          cell, static_cast<uint32_t>(out.values.size()));
-      if (inserted) out.values.push_back(cell);
-      out.value_ids.push_back(it->second);
+    const size_t combo = out.value_ids.size() / m - 1;
+    const std::string_view key(
+        reinterpret_cast<const char*>(&out.value_ids[combo * m]),
+        m * sizeof(uint32_t));
+    if (has_empty || distinct_combos.GetOrAdd(key) != combo) {
+      out.value_ids.resize(combo * m);
     }
-    if (!seen.insert(combo).second) out.value_ids.resize(combo * m);
   }
   return out;
 }
@@ -73,7 +71,7 @@ std::vector<std::vector<std::string>> ExtractKeyCombos(
   for (size_t c = 0; c < combos.size(); ++c) {
     const uint32_t* ids = interned.combo(c);
     for (size_t i = 0; i < interned.width; ++i) {
-      combos[c].push_back(interned.values[ids[i]]);
+      combos[c].emplace_back(interned.values.ValueOf(ids[i]));
     }
   }
   return combos;
@@ -148,31 +146,87 @@ bool CollectCandidates(const ComboPostings& lists, TableId table, RowId row,
 
 void MappingAccumulator::AddMatch(const std::vector<ColumnId>& mapping,
                                   uint32_t combo_id) {
-  matches_[mapping].insert(combo_id);
+  const size_t width = mapping.size() + 1;
+  if (records_.size() >= width &&
+      std::equal(mapping.begin(), mapping.end(), records_.end() - width) &&
+      records_.back() == combo_id) {
+    return;
+  }
+  record_width_ = width;
+  records_.insert(records_.end(), mapping.begin(), mapping.end());
+  records_.push_back(combo_id);
+  settled_ = false;
 }
 
 int64_t MappingAccumulator::MaxJoinability() const {
-  if (capped_) return Recount().joinability;
-  int64_t best = 0;
-  for (const auto& [mapping, combos] : matches_) {
-    best = std::max(best, static_cast<int64_t>(combos.size()));
-  }
-  return best;
+  return Settled().joinability;
 }
 
 std::vector<ColumnId> MappingAccumulator::BestMapping() const {
-  if (capped_) return Recount().best_mapping;
-  std::vector<ColumnId> best;
-  int64_t best_count = 0;
-  for (const auto& [mapping, combos] : matches_) {
-    int64_t count = static_cast<int64_t>(combos.size());
-    if (count > best_count ||
-        (count == best_count && (best.empty() || mapping < best))) {
-      best_count = count;
-      best = mapping;
+  return Settled().best_mapping;
+}
+
+const BruteForceResult& MappingAccumulator::Settled() const {
+  if (settled_) return best_;
+  settled_ = true;
+  if (capped_) {
+    best_ = Recount();
+    return best_;
+  }
+  best_.joinability = 0;
+  best_.best_mapping.clear();
+  // One pass over the records with two open-addressed tables of record
+  // indexes: one keyed by the whole record drops repeats, one keyed by the
+  // mapping finds the mapping's first record, whose count of distinct
+  // combos the pass keeps. A mapping takes the lead on a higher count, or
+  // on an equal one when it is lexicographically smaller.
+  const size_t w = record_width_;
+  const ColumnId* const records = records_.data();
+  const size_t n = w == 0 ? 0 : records_.size() / w;
+  size_t capacity = 16;
+  int shift = 60;  // a hash's top log2(capacity) bits are its home slot
+  while (capacity < 2 * n) {
+    capacity *= 2;
+    --shift;
+  }
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  pair_slots_.assign(capacity, kNone);
+  mapping_slots_.assign(capacity, kNone);
+  counts_.assign(n, 0);
+  const auto slot_of = [records, w, capacity, shift](
+                           std::vector<uint32_t>* slots, uint32_t r,
+                           size_t len) -> uint32_t& {
+    const ColumnId* record = records + r * w;
+    uint64_t h = 0;
+    for (size_t e = 0; e < len; ++e) {
+      h = (h ^ record[e]) * 0x9E3779B97F4A7C15ULL;
+    }
+    for (size_t i = h >> shift;; i = (i + 1) & (capacity - 1)) {
+      uint32_t& slot = (*slots)[i];
+      if (slot == kNone ||
+          std::equal(record, record + len, records + slot * w)) {
+        return slot;
+      }
+    }
+  };
+  for (uint32_t r = 0; r < n; ++r) {
+    uint32_t& pair = slot_of(&pair_slots_, r, w);
+    if (pair != kNone) continue;
+    pair = r;
+    uint32_t& first = slot_of(&mapping_slots_, r, w - 1);
+    if (first == kNone) first = r;
+    const int64_t count = ++counts_[first];
+    const ColumnId* mapping = records + first * w;
+    if (count > best_.joinability ||
+        (count == best_.joinability &&
+         std::lexicographical_compare(mapping, mapping + w - 1,
+                                      best_.best_mapping.begin(),
+                                      best_.best_mapping.end()))) {
+      best_.joinability = count;
+      best_.best_mapping.assign(mapping, mapping + w - 1);
     }
   }
-  return best;
+  return best_;
 }
 
 BruteForceResult MappingAccumulator::Recount() const {
@@ -300,7 +354,7 @@ bool VerifyComboInRow(const ComboPostings& lists, TableId table, RowId row,
       if (acc->capped_) return;
       if (emitted == kMaxMappingsPerRowCombo) {
         acc->capped_ = true;
-        acc->matches_.clear();
+        acc->records_.clear();
         return;
       }
       acc->AddMatch(mapping, combo_id);
@@ -322,6 +376,7 @@ bool VerifyComboInRow(const ComboPostings& lists, TableId table, RowId row,
   if (any) {
     acc->verified_.push_back(
         {&lists, table, row, combo_id, fixed, fixed_position});
+    acc->settled_ = false;
   }
   return any;
 }

@@ -18,13 +18,12 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "index/posting.h"
 #include "storage/table.h"
 #include "storage/types.h"
+#include "storage/value_dictionary.h"
 
 namespace mate {
 
@@ -32,15 +31,19 @@ class InvertedIndex;
 
 /// The distinct key combinations of a query over interned values. Each
 /// live key cell is normalized and interned once: `values` holds every
-/// distinct value once, in first-appearance order, and combo c is the value
-/// ids value_ids[c * width, (c + 1) * width). Combos are distinct and in
+/// distinct value of a live key cell once, in first-appearance order, the
+/// empty value included, and combo c is the value ids
+/// value_ids[c * width, (c + 1) * width). Combos are distinct and in
 /// first-appearance order; rows with an empty key value are dropped (empty
 /// cells are not meaningful join keys), and so are all rows when there are
-/// no key columns.
+/// no key columns. cardinality[i] counts the distinct values of key column
+/// i over every live row, empty cells included: Table::ColumnCardinality,
+/// taken from the same pass.
 struct KeyCombos {
   size_t width = 0;
-  std::vector<std::string> values;
+  ValueDictionary values;
   std::vector<uint32_t> value_ids;
+  std::vector<size_t> cardinality;
 
   size_t size() const { return width == 0 ? 0 : value_ids.size() / width; }
   const uint32_t* combo(size_t c) const { return &value_ids[c * width]; }
@@ -88,11 +91,14 @@ struct VerifyScratch {
 
 /// Aggregates verified (mapping, combo) matches of one candidate table and
 /// reports the mapping with the most distinct matched combos — Equation 2's
-/// arg max.
+/// arg max. Matches are recorded back to back in one flat buffer, a record
+/// equal to the previous one collapsing into it, and the best mapping is
+/// settled once when first read after a change.
 class MappingAccumulator {
  public:
   /// Records that query combo `combo_id` matches under `mapping` (mapping[i]
-  /// = the candidate column holding the i-th key value).
+  /// = the candidate column holding the i-th key value). Every mapping
+  /// recorded between two Clear()s has the same size.
   void AddMatch(const std::vector<ColumnId>& mapping, uint32_t combo_id);
 
   /// Max distinct combos over any single mapping (0 if no matches).
@@ -109,9 +115,10 @@ class MappingAccumulator {
   bool recounted() const { return capped_; }
 
   void Clear() {
-    matches_.clear();
+    records_.clear();
     verified_.clear();
     capped_ = false;
+    settled_ = false;
   }
 
  private:
@@ -135,18 +142,22 @@ class MappingAccumulator {
 
   BruteForceResult Recount() const;
 
-  struct VectorHash {
-    size_t operator()(const std::vector<ColumnId>& v) const {
-      size_t h = 0x9E3779B97F4A7C15ULL;
-      for (ColumnId c : v) h = (h ^ c) * 0x100000001B3ULL;
-      return h;
-    }
-  };
-  std::unordered_map<std::vector<ColumnId>, std::unordered_set<uint32_t>,
-                     VectorHash>
-      matches_;
+  // The best mapping and its count: Recount() once capped, otherwise
+  // counted from the records. Cached until the next change.
+  const BruteForceResult& Settled() const;
+
+  // Each record is a mapping followed by its combo id, record_width_
+  // entries in all.
+  std::vector<ColumnId> records_;
+  size_t record_width_ = 0;
   std::vector<VerifiedPair> verified_;
   bool capped_ = false;
+  mutable bool settled_ = false;
+  mutable BruteForceResult best_;
+  // Settled()'s working memory.
+  mutable std::vector<uint32_t> pair_slots_;
+  mutable std::vector<uint32_t> mapping_slots_;
+  mutable std::vector<int64_t> counts_;
 };
 
 /// Exact containment check of one combo in row `row` of table `table`,

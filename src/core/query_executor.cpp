@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -10,7 +11,6 @@
 #include "index/index_shards.h"
 #include "util/page_allocator.h"
 #include "util/stopwatch.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace mate {
@@ -63,50 +63,70 @@ struct PreparedQuery {
   std::unordered_set<TableId> restricted;
 };
 
+// The init value of every combo as a slot into the distinct init values,
+// which are appended to `*init_values` (value ids, in first-appearance
+// order): Alg. 1 line 4's probe set.
+std::vector<uint32_t> InitSlots(const KeyCombos& combos, size_t init_pos,
+                                std::vector<uint32_t>* init_values) {
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> slot_of_value(combos.values.size(), kNone);
+  std::vector<uint32_t> slots(combos.size());
+  for (size_t c = 0; c < combos.size(); ++c) {
+    const uint32_t id = combos.combo(c)[init_pos];
+    if (slot_of_value[id] == kNone) {
+      slot_of_value[id] = static_cast<uint32_t>(init_values->size());
+      init_values->push_back(id);
+    }
+    slots[c] = slot_of_value[id];
+  }
+  return slots;
+}
+
 PreparedQuery PrepareQuery(const Table& query,
                            const std::vector<ColumnId>& key_columns,
                            const DiscoveryOptions& options,
                            const InvertedIndex& index) {
   PreparedQuery prep;
-  prep.init_pos =
-      SelectInitColumn(query, key_columns, options.init_strategy, &index);
-
-  // One index probe and one signature per distinct value. A combo's super
-  // key is the OR of its values' signatures: RowHashFunction::AddValue ORs
-  // a signature that depends on the value alone, which is what
-  // MakeSuperKey and RebuildSuperKeys compute too.
   const KeyCombos combos = InternKeyCombos(query, key_columns);
-  std::vector<PostingSpan> lists;
-  std::vector<BitVector> signatures;
-  lists.reserve(combos.values.size());
-  signatures.reserve(combos.values.size());
-  for (const std::string& value : combos.values) {
-    lists.push_back(index.Lookup(value));
-    signatures.push_back(index.hash().HashValue(value));
-  }
+  prep.init_pos = SelectInitColumn(query, key_columns, combos,
+                                   options.init_strategy, &index);
 
+  // One index probe and one signature per distinct value a combo holds,
+  // on first use (values only in dropped rows are never probed). A combo's
+  // super key is the OR of its values' signatures:
+  // RowHashFunction::AddValue ORs a signature that depends on the value
+  // alone, which is what MakeSuperKey and RebuildSuperKeys compute too.
+  std::vector<PostingSpan> lists(combos.values.size());
+  std::vector<BitVector> signatures(combos.values.size());  // empty: unseen
   const size_t words = index.superkeys().words_per_key();
   prep.key_words = words;
   prep.combo_keys.assign(combos.size() * words, 0);
   prep.combo_lists.resize(combos.size());
-  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-  std::vector<uint32_t> init_idx(combos.values.size(), kNone);
   for (uint32_t c = 0; c < combos.size(); ++c) {
     const uint32_t* ids = combos.combo(c);
     uint64_t* key = &prep.combo_keys[c * words];
     prep.combo_lists[c].reserve(combos.width);
     for (size_t i = 0; i < combos.width; ++i) {
-      prep.combo_lists[c].push_back(lists[ids[i]]);
-      const uint64_t* signature = signatures[ids[i]].words();
+      const uint32_t id = ids[i];
+      if (signatures[id].empty()) {
+        const std::string_view value = combos.values.ValueOf(id);
+        lists[id] = index.Lookup(value);
+        signatures[id] = index.hash().HashValue(value);
+      }
+      prep.combo_lists[c].push_back(lists[id]);
+      const uint64_t* signature = signatures[id].words();
       for (size_t w = 0; w < words; ++w) key[w] |= signature[w];
     }
-    uint32_t& v = init_idx[ids[prep.init_pos]];
-    if (v == kNone) {
-      v = static_cast<uint32_t>(prep.posting_lists.size());
-      prep.posting_lists.push_back(lists[ids[prep.init_pos]]);
-      prep.combos_of_value.emplace_back();
-    }
-    prep.combos_of_value[v].push_back(c);
+  }
+  std::vector<uint32_t> init_values;
+  const std::vector<uint32_t> slots =
+      InitSlots(combos, prep.init_pos, &init_values);
+  for (const uint32_t id : init_values) {
+    prep.posting_lists.push_back(lists[id]);
+  }
+  prep.combos_of_value.resize(init_values.size());
+  for (uint32_t c = 0; c < combos.size(); ++c) {
+    prep.combos_of_value[slots[c]].push_back(c);
   }
 
   prep.excluded.insert(options.exclude_tables.begin(),
@@ -420,26 +440,16 @@ uint64_t QueryExecutor::EstimatePlItems(
     const Table& query, const std::vector<ColumnId>& key_columns,
     const DiscoveryOptions& options) const {
   if (key_columns.empty() || options.k <= 0) return 0;
-  const size_t init_pos =
-      SelectInitColumn(query, key_columns, options.init_strategy, index_);
-  // PrepareQuery derives its distinct init values from the distinct key
-  // combos. That value set is the distinct normalized init-column values
-  // of the live rows whose key values are all non-empty (InternKeyCombos
-  // drops the others), so this skips the tuple hashing and super-key work
-  // and matches EstimatePreparedPlItems(prep) exactly.
-  const ColumnId init_column = key_columns[init_pos];
-  std::unordered_set<std::string> seen;
+  // PrepareQuery's first steps, without the signatures: the same combos,
+  // init column and probe set, so this is EstimatePreparedPlItems(prep).
+  const KeyCombos combos = InternKeyCombos(query, key_columns);
+  const size_t init_pos = SelectInitColumn(query, key_columns, combos,
+                                           options.init_strategy, index_);
+  std::vector<uint32_t> init_values;
+  InitSlots(combos, init_pos, &init_values);
   uint64_t total = 0;
-  for (RowId r = 0; r < query.NumRows(); ++r) {
-    if (query.IsRowDeleted(r)) continue;
-    const auto empty = [&](ColumnId c) {
-      return Trim(query.cell(r, c)).empty();
-    };
-    if (std::any_of(key_columns.begin(), key_columns.end(), empty)) continue;
-    const auto [it, inserted] =
-        seen.insert(NormalizeValue(query.cell(r, init_column)));
-    if (!inserted) continue;
-    total += index_->Lookup(*it).size();
+  for (const uint32_t id : init_values) {
+    total += index_->Lookup(combos.values.ValueOf(id)).size();
   }
   return total;
 }

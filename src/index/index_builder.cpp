@@ -1,8 +1,8 @@
 #include "index/index_builder.h"
 
 #include <cstdint>
-#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/char_frequency.h"
 #include "util/stopwatch.h"
@@ -33,7 +33,7 @@ Result<CorpusScan> ScanCorpus(const Corpus& corpus) {
   }
   scan.cell_values.reserve(live_cells);
   stats.num_tables = corpus.NumTables();
-  std::string norm;
+  std::string buffer;
   for (TableId t = 0; t < corpus.NumTables(); ++t) {
     const Table& table = corpus.table(t);
     stats.num_columns += table.NumColumns();
@@ -41,15 +41,14 @@ Result<CorpusScan> ScanCorpus(const Corpus& corpus) {
     for (RowId r = 0; r < table.NumRows(); ++r) {
       if (table.IsRowDeleted(r)) continue;
       for (ColumnId c = 0; c < table.NumColumns(); ++c) {
-        NormalizeValueInto(table.cell(r, c), &norm);
-        const ValueId id = scan.dictionary.GetOrAdd(norm);
-        if (id == scan.list_sizes.size()) {
-          if (id > std::numeric_limits<uint32_t>::max()) {
-            return Status::InvalidArgument(
-                "more than 2^32 distinct values in the corpus");
-          }
-          scan.list_sizes.push_back(0);
+        const ValueId id = scan.dictionary.GetOrAdd(
+            NormalizedView(table.cell(r, c), &buffer));
+        if (id == kInvalidValueId) {
+          return Status::InvalidArgument(
+              "more than " + std::to_string(ValueDictionary::kMaxSize) +
+              " distinct values in the corpus");
         }
+        if (id == scan.list_sizes.size()) scan.list_sizes.push_back(0);
         ++scan.list_sizes[id];
         scan.cell_values.push_back(static_cast<uint32_t>(id));
       }

@@ -135,17 +135,23 @@ class IndexLoader {
 
     // Dictionary, in id order.
     cursor.section = "dictionary";
+    // Each value costs >= 1 byte (its length varint), which bounds the
+    // presize; a repeated value comes back with an earlier id.
     if (!GetVarint64(data, &impl->dict_size) ||
-        impl->dict_size > data->size()) {
+        impl->dict_size > data->size() ||
+        impl->dict_size > ValueDictionary::kMaxSize) {
       return cursor.Corrupt("bad dictionary size");
     }
+    ValueDictionary& dictionary = impl->target->dictionary_;
+    dictionary.Reserve(static_cast<size_t>(impl->dict_size));
     for (uint64_t i = 0; i < impl->dict_size; ++i) {
       std::string_view value;
       if (!GetLengthPrefixed(data, &value)) {
         return cursor.Corrupt("truncated dictionary");
       }
-      ValueId id = impl->target->dictionary_.GetOrAdd(value);
-      if (id != i) return cursor.Corrupt("dictionary id skew");
+      if (dictionary.GetOrAdd(value) != i) {
+        return cursor.Corrupt("dictionary id skew");
+      }
     }
 
     // Posting region header: entry count + byte extent, so the contiguous

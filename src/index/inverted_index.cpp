@@ -64,14 +64,21 @@ std::vector<PostingEntry>* InvertedIndex::MutableList(ValueId id) {
   return &it->second;
 }
 
-void InvertedIndex::AddPosting(std::string_view normalized,
-                               PostingEntry entry) {
+Status InvertedIndex::AddPosting(std::string_view normalized,
+                                 PostingEntry entry) {
   const ValueId id = dictionary_.GetOrAdd(normalized);
+  if (id == kInvalidValueId) {
+    return Status::InvalidArgument(
+        "more than " + std::to_string(ValueDictionary::kMaxSize) +
+        " distinct values in the index");
+  }
   std::vector<PostingEntry>* list = MutableList(id);
   auto pos = std::lower_bound(list->begin(), list->end(), entry);
-  if (pos != list->end() && *pos == entry) return;  // duplicates collapse
+  // Duplicates collapse.
+  if (pos != list->end() && *pos == entry) return Status::OK();
   list->insert(pos, entry);
   ++num_posting_entries_;
+  return Status::OK();
 }
 
 void InvertedIndex::RemovePosting(std::string_view normalized,
@@ -148,7 +155,7 @@ Status InvertedIndex::InsertTable(const Corpus& corpus, TableId t) {
     BitVector key(hash_->hash_bits());
     for (ColumnId c = 0; c < table.NumColumns(); ++c) {
       std::string norm = NormalizeValue(table.cell(r, c));
-      AddPosting(norm, PostingEntry{t, c, r});
+      MATE_RETURN_IF_ERROR(AddPosting(norm, PostingEntry{t, c, r}));
       hash_->AddValue(norm, &key);
     }
     superkeys_.Set(t, r, key);
@@ -164,7 +171,7 @@ Status InvertedIndex::InsertRow(const Corpus& corpus, TableId t, RowId r) {
   BitVector key(hash_->hash_bits());
   for (ColumnId c = 0; c < table.NumColumns(); ++c) {
     std::string norm = NormalizeValue(table.cell(r, c));
-    AddPosting(norm, PostingEntry{t, c, r});
+    MATE_RETURN_IF_ERROR(AddPosting(norm, PostingEntry{t, c, r}));
     hash_->AddValue(norm, &key);
   }
   superkeys_.Set(t, r, key);
@@ -180,7 +187,7 @@ Status InvertedIndex::AddAppendedColumn(const Corpus& corpus, TableId t) {
   for (RowId r = 0; r < table.NumRows(); ++r) {
     if (table.IsRowDeleted(r)) continue;
     std::string norm = NormalizeValue(table.cell(r, c));
-    AddPosting(norm, PostingEntry{t, c, r});
+    MATE_RETURN_IF_ERROR(AddPosting(norm, PostingEntry{t, c, r}));
     // §5.4: OR the new column's Xash result into the existing super key.
     superkeys_.OrInto(t, r, hash_->HashValue(norm));
   }
@@ -200,7 +207,8 @@ Status InvertedIndex::UpdateCell(const Corpus& corpus, TableId t, RowId r,
     superkeys_.Reset(t, r);
     return Status::OK();
   }
-  AddPosting(NormalizeValue(table.cell(r, c)), PostingEntry{t, c, r});
+  MATE_RETURN_IF_ERROR(
+      AddPosting(NormalizeValue(table.cell(r, c)), PostingEntry{t, c, r}));
   // §5.4: a cell update requires a complete re-hash of the row's super key
   // (bits of the old value cannot be un-ORed).
   RehashRow(corpus, t, r);
@@ -253,7 +261,8 @@ Status InvertedIndex::DropColumn(const Corpus& corpus, TableId t,
   for (ColumnId c = dropped; c < table.NumColumns(); ++c) {
     for (RowId r = 0; r < table.NumRows(); ++r) {
       if (table.IsRowDeleted(r)) continue;
-      AddPosting(NormalizeValue(table.cell(r, c)), PostingEntry{t, c, r});
+      MATE_RETURN_IF_ERROR(
+          AddPosting(NormalizeValue(table.cell(r, c)), PostingEntry{t, c, r}));
     }
   }
   for (RowId r = 0; r < table.NumRows(); ++r) {

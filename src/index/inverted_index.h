@@ -141,8 +141,9 @@ class InvertedIndex {
                     const std::vector<std::string>& removed_cells);
 
  private:
-  // Adds one posting entry (kept sorted) for an already-normalized value.
-  void AddPosting(std::string_view normalized, PostingEntry entry);
+  // Adds one posting entry (kept sorted) for an already-normalized value;
+  // fails when the value is new and the dictionary is full.
+  Status AddPosting(std::string_view normalized, PostingEntry entry);
 
   // Removes entry from the PL of `normalized` (no-op if absent).
   void RemovePosting(std::string_view normalized, const PostingEntry& entry);

@@ -12,14 +12,9 @@ std::string ToLower(std::string_view s) {
 }
 
 std::string NormalizeValue(std::string_view raw) {
-  std::string out;
-  NormalizeValueInto(raw, &out);
+  std::string out(Trim(raw));
+  for (char& c : out) c = AsciiToLower(c);
   return out;
-}
-
-void NormalizeValueInto(std::string_view raw, std::string* out) {
-  out->assign(Trim(raw));
-  for (char& c : *out) c = AsciiToLower(c);
 }
 
 std::vector<std::string> Split(std::string_view s, char sep) {

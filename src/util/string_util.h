@@ -5,6 +5,7 @@
 #ifndef MATE_UTIL_STRING_UTIL_H_
 #define MATE_UTIL_STRING_UTIL_H_
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,8 +43,23 @@ inline std::string_view Trim(std::string_view s) {
 /// ASCII-lowercased (the paper's corpora are case-folded the same way).
 std::string NormalizeValue(std::string_view raw);
 
-/// NormalizeValue into `*out`, reusing its buffer (bulk scans).
-void NormalizeValueInto(std::string_view raw, std::string* out);
+/// NormalizeValue for bulk scans, copying only when it must: `raw` itself
+/// when it is already canonical (no leading or trailing whitespace, no
+/// upper-case byte), else the canonical form written to `*buffer`. The
+/// view lives while `raw`'s bytes and `*buffer`'s contents do.
+inline std::string_view NormalizedView(std::string_view raw,
+                                       std::string* buffer) {
+  const bool padded = !raw.empty() && (IsAsciiSpace(raw.front()) ||
+                                       IsAsciiSpace(raw.back()));
+  if (!padded && std::none_of(raw.begin(), raw.end(), [](char c) {
+        return c >= 'A' && c <= 'Z';
+      })) {
+    return raw;
+  }
+  buffer->assign(Trim(raw));
+  for (char& c : *buffer) c = AsciiToLower(c);
+  return *buffer;
+}
 
 /// Splits on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);

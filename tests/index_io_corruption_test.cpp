@@ -321,6 +321,35 @@ TEST(IndexIoCorruptionTest, TrailingGarbageFailsAtReadiness) {
   RemoveFixture(f);
 }
 
+TEST(IndexIoCorruptionTest, RepeatedDictionaryValueFailsPhaseOne) {
+  // The dictionary section of a two-value lake is [2] [2 "xx"] [2 "yy"].
+  // Spelling the second value "xx" repeats the first: interning it hands
+  // back id 0 where the image means id 1.
+  Fixture f = MakeFixture("dictrepeat", OneRowCorpus({"xx", "yy"}));
+  const std::string section("\x02\x02xx\x02yy", 7);
+  const size_t at = f.index_bytes.find(section);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(f.index_bytes.find(section, at + 1), std::string::npos);
+  std::string bytes = f.index_bytes;
+  bytes.replace(at + 5, 2, "xx");
+  OverwriteIndex(f, bytes);
+
+  auto begin = PhasedIndexLoad::Begin(f.index_path);
+  ASSERT_FALSE(begin.ok());
+  EXPECT_TRUE(begin.status().IsCorruption()) << begin.status().ToString();
+  EXPECT_NE(begin.status().message().find("dictionary id skew"),
+            std::string::npos)
+      << begin.status().ToString();
+  EXPECT_NE(begin.status().message().find("dictionary section"),
+            std::string::npos)
+      << begin.status().ToString();
+  const Status verdict = PhasedOpenVerdict(f);
+  EXPECT_TRUE(verdict.IsCorruption()) << verdict.ToString();
+  EXPECT_NE(verdict.message().find("dictionary id skew"), std::string::npos)
+      << verdict.ToString();
+  RemoveFixture(f);
+}
+
 // ---- posting entries checked against the shape ---------------------
 // In a one-row lake's image the posting region ends where the super-key
 // section starts: per list [length], per entry [table delta] [row]

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/query_executor.h"
 #include "index/index_builder.h"
+#include "util/rng.h"
+#include "util/string_util.h"
 
 namespace mate {
 namespace {
@@ -61,24 +70,24 @@ TEST(InitColumnTest, CountPlItems) {
 TEST(InitColumnTest, MinCardinalityPicksFewestDistinct) {
   Table q = MakeQuery();
   // Cardinalities: col0 = 2, col1 = 3, col2 = 1.
-  EXPECT_EQ(SelectInitColumn(q, {0, 1, 2},
+  EXPECT_EQ(SelectInitColumn(q, {0, 1, 2}, InternKeyCombos(q, {0, 1, 2}),
                              InitColumnStrategy::kMinCardinality, nullptr),
             2u);
-  EXPECT_EQ(SelectInitColumn(q, {1, 0},
+  EXPECT_EQ(SelectInitColumn(q, {1, 0}, InternKeyCombos(q, {1, 0}),
                              InitColumnStrategy::kMinCardinality, nullptr),
             1u);  // position of col 0 in the key list
 }
 
 TEST(InitColumnTest, ColumnOrderPicksFirst) {
   Table q = MakeQuery();
-  EXPECT_EQ(SelectInitColumn(q, {2, 1}, InitColumnStrategy::kColumnOrder,
-                             nullptr),
+  EXPECT_EQ(SelectInitColumn(q, {2, 1}, InternKeyCombos(q, {2, 1}),
+                             InitColumnStrategy::kColumnOrder, nullptr),
             0u);
 }
 
 TEST(InitColumnTest, LongestStringPicksLongCell) {
   Table q = MakeQuery();
-  EXPECT_EQ(SelectInitColumn(q, {0, 1, 2},
+  EXPECT_EQ(SelectInitColumn(q, {0, 1, 2}, InternKeyCombos(q, {0, 1, 2}),
                              InitColumnStrategy::kLongestString, nullptr),
             2u);
 }
@@ -88,10 +97,11 @@ TEST(InitColumnTest, OraclesBracketTheHeuristics) {
   auto index = Build(corpus);
   Table q = MakeQuery();
   std::vector<ColumnId> key = {0, 1, 2};
-  size_t best = SelectInitColumn(q, key, InitColumnStrategy::kBestCase,
+  const KeyCombos combos = InternKeyCombos(q, key);
+  size_t best = SelectInitColumn(q, key, combos, InitColumnStrategy::kBestCase,
                                  index.get());
-  size_t worst = SelectInitColumn(q, key, InitColumnStrategy::kWorstCase,
-                                  index.get());
+  size_t worst = SelectInitColumn(q, key, combos,
+                                  InitColumnStrategy::kWorstCase, index.get());
   EXPECT_EQ(best, 2u);   // 0 PL items
   EXPECT_EQ(worst, 0u);  // 51 PL items
   uint64_t best_cost = CountPlItemsForColumn(q, key[best], *index);
@@ -108,12 +118,112 @@ TEST(InitColumnTest, TieBreaksTowardEarlierColumn) {
   q.AddColumn("a");
   q.AddColumn("b");
   (void)q.AppendRow({"x", "y"});  // both cardinality 1
-  EXPECT_EQ(SelectInitColumn(q, {0, 1},
+  EXPECT_EQ(SelectInitColumn(q, {0, 1}, InternKeyCombos(q, {0, 1}),
                              InitColumnStrategy::kMinCardinality, nullptr),
             0u);
-  EXPECT_EQ(SelectInitColumn(q, {1, 0},
+  EXPECT_EQ(SelectInitColumn(q, {1, 0}, InternKeyCombos(q, {1, 0}),
                              InitColumnStrategy::kMinCardinality, nullptr),
             0u);
+}
+
+// A query over four base values whose cells take every spelling
+// normalization folds: empty, whitespace-only, padded and case-variant.
+// Column c draws from the first 1 + c % 4 values, so the columns'
+// cardinalities differ and tie; about one row in five is deleted.
+Table NoisyQuery(Rng* rng, size_t columns, size_t rows) {
+  static const char* const kBase[] = {"alpha", "beta", "gamma", "delta"};
+  Table q("noisy");
+  for (size_t c = 0; c < columns; ++c) q.AddColumn("c" + std::to_string(c));
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<std::string> cells;
+    for (size_t c = 0; c < columns; ++c) {
+      std::string cell = kBase[rng->Uniform(1 + c % 4)];
+      switch (rng->Uniform(6)) {
+        case 0: cell.clear(); break;
+        case 1: cell = std::string(1 + rng->Uniform(3), " \t\r"[c % 3]); break;
+        case 2: cell = " " + cell + "\t"; break;
+        case 3: cell[rng->Uniform(cell.size())] -= 'a' - 'A'; break;
+        default: break;
+      }
+      cells.push_back(std::move(cell));
+    }
+    (void)q.AppendRow(std::move(cells));
+  }
+  for (RowId r = 0; r < rows; ++r) {
+    if (rng->Uniform(5) == 0) (void)q.DeleteRow(r);
+  }
+  return q;
+}
+
+TEST(InitColumnTest, InternedCardinalityIsTheTableDefinition) {
+  // The lake posts the base values 1, 3, 9 and 27 times, so the columns'
+  // probe sets fetch different PL item counts.
+  Corpus corpus;
+  Table lake("lake");
+  lake.AddColumn("v");
+  lake.AddColumn("w");
+  int copies = 1;
+  for (const char* value : {"alpha", "beta", "gamma", "delta"}) {
+    for (int i = 0; i < copies; ++i) (void)lake.AppendRow({value, "x"});
+    copies *= 3;
+  }
+  corpus.AddTable(std::move(lake));
+  const auto index = Build(corpus);
+  const QueryExecutor executor(&corpus, index.get());
+
+  Rng rng(2718);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t columns = 1 + rng.Uniform(6);
+    const Table q = NoisyQuery(&rng, columns, rng.Uniform(12));
+    std::vector<ColumnId> keys;
+    for (ColumnId c = 0; c < columns; ++c) keys.push_back(c);
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.Uniform(i)]);
+    }
+    keys.resize(1 + rng.Uniform(std::min<size_t>(4, columns)));
+
+    const KeyCombos combos = InternKeyCombos(q, keys);
+    ASSERT_EQ(combos.cardinality.size(), keys.size());
+    size_t expected = 0;  // the rule on Table::ColumnCardinality
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(combos.cardinality[i], q.ColumnCardinality(keys[i])) << i;
+      if (q.ColumnCardinality(keys[i]) <
+          q.ColumnCardinality(keys[expected])) {
+        expected = i;
+      }
+    }
+    // MATE passes its index, JOSIE's caller its own: both get the rule.
+    EXPECT_EQ(SelectInitColumn(q, keys, combos,
+                               InitColumnStrategy::kMinCardinality, nullptr),
+              expected);
+    EXPECT_EQ(SelectInitColumn(q, keys, combos,
+                               InitColumnStrategy::kMinCardinality,
+                               index.get()),
+              expected);
+
+    // MATE fetches the lists of the chosen column's distinct values over
+    // the rows whose key cells are all non-empty.
+    std::set<std::string> probes;
+    for (RowId r = 0; r < q.NumRows(); ++r) {
+      if (q.IsRowDeleted(r)) continue;
+      bool has_empty = false;
+      for (const ColumnId c : keys) {
+        has_empty = has_empty || NormalizeValue(q.cell(r, c)).empty();
+      }
+      if (!has_empty) probes.insert(NormalizeValue(q.cell(r, keys[expected])));
+    }
+    uint64_t items = 0;
+    for (const std::string& value : probes) {
+      items += index->Lookup(value).size();
+    }
+    DiscoveryOptions options;
+    options.k = 3;
+    const DiscoveryResult result =
+        executor.Discover(q, keys, options, ExecutorOptions{}, nullptr);
+    EXPECT_EQ(result.stats.pl_items_fetched, items);
+    EXPECT_EQ(executor.EstimatePlItems(q, keys, options), items);
+  }
 }
 
 TEST(InitColumnTest, StrategyNames) {

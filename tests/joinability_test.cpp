@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "index/index_builder.h"
@@ -163,6 +165,53 @@ TEST(MappingAccumulatorTest, MaxOverMappings) {
   acc.Clear();
   EXPECT_EQ(acc.MaxJoinability(), 0);
   EXPECT_TRUE(acc.BestMapping().empty());
+}
+
+TEST(MappingAccumulatorTest, TiesKeepTheSmallestMapping) {
+  MappingAccumulator acc;
+  acc.AddMatch({2, 3}, 1);
+  acc.AddMatch({0, 1}, 1);
+  acc.AddMatch({2, 3}, 2);
+  acc.AddMatch({0, 1}, 2);
+  acc.AddMatch({2, 3}, 1);  // a repeat, not next to its first record
+  EXPECT_EQ(acc.MaxJoinability(), 2);
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{0, 1}));
+  acc.AddMatch({2, 3}, 7);  // a read settles; a later match unsettles
+  EXPECT_EQ(acc.MaxJoinability(), 3);
+  EXPECT_EQ(acc.BestMapping(), (std::vector<ColumnId>{2, 3}));
+}
+
+TEST(MappingAccumulatorTest, AgreesWithASetPerMapping) {
+  // Random match streams against the definition: per mapping, the set of
+  // its combos; the best is the largest set, the smallest mapping on ties.
+  Rng rng(77);
+  MappingAccumulator acc;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t m = 1 + rng.Uniform(4);
+    const size_t columns = m + rng.Uniform(3);
+    const size_t matches = rng.Uniform(200);
+    std::map<std::vector<ColumnId>, std::set<uint32_t>> expected;
+    acc.Clear();
+    for (size_t k = 0; k < matches; ++k) {
+      std::vector<ColumnId> mapping(m);
+      for (ColumnId& c : mapping) {
+        c = static_cast<ColumnId>(rng.Uniform(columns));
+      }
+      const auto combo = static_cast<uint32_t>(rng.Uniform(12));
+      acc.AddMatch(mapping, combo);
+      expected[mapping].insert(combo);
+    }
+    int64_t best = 0;
+    std::vector<ColumnId> best_mapping;
+    for (const auto& [mapping, combos] : expected) {
+      if (static_cast<int64_t>(combos.size()) > best) {
+        best = static_cast<int64_t>(combos.size());
+        best_mapping = mapping;
+      }
+    }
+    EXPECT_EQ(acc.MaxJoinability(), best) << trial;
+    EXPECT_EQ(acc.BestMapping(), best_mapping) << trial;
+  }
 }
 
 // A candidate table indexed as table 0 of a one-table corpus: the verifier

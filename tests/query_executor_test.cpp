@@ -798,9 +798,9 @@ TEST(RowFilterTest, SentToVerificationMatchesAnIndependentCount) {
         }
         spec.options.k = static_cast<int>(std::size(kRunRows));
         spec.options.use_table_filters = false;
-        const size_t init_pos =
-            SelectInitColumn(query, spec.key_columns,
-                             spec.options.init_strategy, &session->index());
+        const size_t init_pos = SelectInitColumn(
+            query, spec.key_columns, InternKeyCombos(query, spec.key_columns),
+            spec.options.init_strategy, &session->index());
         ASSERT_EQ(init_pos, 0u);
         const uint64_t survivors = CountFilterSurvivors(
             session->index(), query, spec.key_columns, init_pos);

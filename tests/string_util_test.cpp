@@ -103,6 +103,24 @@ TEST(StringUtilTest, NormalizedEqualsMatchesNormalizeValue) {
   }
 }
 
+TEST(StringUtilTest, NormalizedViewMatchesNormalizeValue) {
+  std::string buffer;
+  for (const char* raw : {"  Muhammad ", "US", "us ", "60k", "", "  ",
+                          "Ansel Adams", "a", "\tx", "x\n", "mIxed"}) {
+    EXPECT_EQ(NormalizedView(raw, &buffer), NormalizeValue(raw))
+        << "raw=[" << raw << "]";
+  }
+  for (int b = 0; b < 256; ++b) {
+    const std::string cell = std::string("x") + static_cast<char>(b) + "y";
+    EXPECT_EQ(NormalizedView(cell, &buffer), NormalizeValue(cell)) << b;
+    const std::string edge(1, static_cast<char>(b));
+    EXPECT_EQ(NormalizedView(edge, &buffer), NormalizeValue(edge)) << b;
+  }
+  // A canonical value comes back as itself, not as a copy.
+  const std::string canonical = "ansel adams";
+  EXPECT_EQ(NormalizedView(canonical, &buffer).data(), canonical.data());
+}
+
 TEST(StringUtilTest, NormalizedEqualsIsZeroAllocCorrect) {
   EXPECT_TRUE(NormalizedEquals("muhammad", "  MUHAMMAD  "));
   EXPECT_FALSE(NormalizedEquals("muhammad", "muhammed"));
