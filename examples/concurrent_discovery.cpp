@@ -6,10 +6,12 @@
 // serving shape: many independent discovery requests in flight against one
 // shared immutable index.
 //
-// The closing section flips the parallelism axis: ONE query fanned out over
-// the same pool via QuerySpec::intra_query_threads (the sharded executor of
-// core/query_executor.h) — the shape for a single giant query with nothing
-// to batch — again bit-identical to its serial run.
+// The closing section shows the other parallelism axis on its own: ONE
+// query fanned out over the same pool via QuerySpec::intra_query_threads
+// (the sharded executor of core/query_executor.h) — the shape for a single
+// giant query with nothing to batch — again bit-identical to its serial
+// run. A batch runs each of its queries exactly that way, knobs included,
+// so the two axes nest on one pool.
 
 #include <iostream>
 #include <thread>

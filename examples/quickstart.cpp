@@ -9,9 +9,9 @@
 //      composite key <F. Name, L. Name, Country>.
 //
 //   4. persist the pair and reopen it *phased*: Open returns while the
-//      mmap'd postings and super keys stream in on the pool, and the first
-//      Discover blocks on the readiness latch — same results, servable
-//      process long before the index is hot.
+//      mmap'd postings and super keys stream in on a loader thread, and the
+//      first Discover blocks on the readiness latch — same results,
+//      servable process long before the index is hot.
 //
 // Build & run:  ./build/examples/quickstart
 
@@ -130,7 +130,7 @@ int main() {
   SessionOptions reopen;
   reopen.corpus_path = corpus_path;
   reopen.index_path = index_path;
-  reopen.num_threads = 2;  // phase 2 streams on the pool
+  reopen.num_threads = 2;  // the discovery pool; phase 2 has its own thread
   auto served = Session::Open(std::move(reopen));
   if (!served.ok()) {
     std::fprintf(stderr, "reopen failed: %s\n",

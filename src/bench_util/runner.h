@@ -3,10 +3,13 @@
 // mean ± std, FP/TP row counts, PL items fetched).
 //
 // All systems run through a mate::Session: MATE itself goes through the
-// validated Session::DiscoverBatch path, the baselines fan out over the
-// session's long-lived pool via Session::RunBatch (sharing threads but
-// never MATE's result cache). Benches that measure runtime should open
-// their session with cache_bytes = 0 so every query pays full cost.
+// validated Session::DiscoverBatch path, which runs each query exactly as
+// Session::Discover would (a query above the executor's auto gate shards
+// inside the batch's fan-out at --threads > 1); the baselines fan out over
+// the session's long-lived pool via Session::RunBatch (sharing threads but
+// never MATE's result cache), each query serial. Benches that measure
+// runtime should open their session with cache_bytes = 0 so every query
+// pays full cost.
 
 #ifndef MATE_BENCH_UTIL_RUNNER_H_
 #define MATE_BENCH_UTIL_RUNNER_H_

@@ -4,8 +4,6 @@
 #include <sstream>
 
 #include "util/latency_histogram.h"
-#include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace mate {
 
@@ -58,26 +56,11 @@ std::string BatchStats::ToString() const {
     os << " cache_hits=" << cache_hits << " cache_misses=" << cache_misses;
   }
   if (intra_parallel_queries > 0) {
-    os << " intra_parallel=" << intra_parallel_queries
+    os << " intra_parallel_queries=" << intra_parallel_queries
        << " shards_total=" << intra_shards_total
        << " max_fanout=" << max_fanout_threads;
   }
   return os.str();
-}
-
-BatchResult RunDiscoveryBatch(
-    size_t num_queries,
-    const std::function<DiscoveryResult(size_t)>& run_one, ThreadPool* pool) {
-  BatchResult batch;
-  batch.results.resize(num_queries);
-
-  Stopwatch wall;
-  pool->ForkJoin(num_queries,
-                 [&](size_t i) { batch.results[i] = run_one(i); });
-
-  batch.stats = AggregateBatchStats(batch.results, wall.ElapsedSeconds(),
-                                    pool->num_threads());
-  return batch;
 }
 
 }  // namespace mate

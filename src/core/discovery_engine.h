@@ -1,23 +1,19 @@
-// Multi-threaded batch discovery: fans a set of independent queries out
-// over a work-stealing thread pool and aggregates the per-query stats the
-// paper reports over query *sets* (Fig. 4-6, Tables 1-3). Results land in
-// slots indexed by query position, so a batch is bit-identical to the
-// serial loop at any thread count (timings aside). mate::Session runs
-// DiscoverBatch and RunBatch through RunDiscoveryBatch on its long-lived
-// pool.
+// Batch results and the per-batch stats the paper reports over query
+// *sets* (Fig. 4-6, Tables 1-3). mate::Session::DiscoverBatch and RunBatch
+// fan a batch out over the session pool with one ThreadPool::ForkJoin,
+// land each result in the slot of its query's position and fold the
+// results into BatchStats here, so the counters are deterministic at any
+// thread count (timings aside).
 
 #ifndef MATE_CORE_DISCOVERY_ENGINE_H_
 #define MATE_CORE_DISCOVERY_ENGINE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/mate.h"
 
 namespace mate {
-
-class ThreadPool;
 
 /// Aggregate instrumentation over one batch. Counter sums are accumulated
 /// in query-index order, so they are deterministic at any thread count;
@@ -77,17 +73,8 @@ struct BatchResult {
   BatchStats stats;
 };
 
-/// Runs `run_one(i)` for i in [0, num_queries) on `pool` and aggregates
-/// BatchStats. `run_one` must be safe to call concurrently. The call waits
-/// for its own tasks only (ThreadPool::ForkJoin), so other callers may
-/// share the pool meanwhile; it must not run on one of the pool's workers.
-BatchResult RunDiscoveryBatch(
-    size_t num_queries,
-    const std::function<DiscoveryResult(size_t)>& run_one, ThreadPool* pool);
-
 /// Folds per-query results (in query-index order) plus a measured wall time
-/// into BatchStats — shared by the fan-out above and Session's cached and
-/// single-query batch paths.
+/// into BatchStats.
 BatchStats AggregateBatchStats(const std::vector<DiscoveryResult>& results,
                                double wall_seconds, unsigned num_threads);
 

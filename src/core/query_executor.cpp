@@ -418,10 +418,10 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
   return false;
 }
 
-// Runs fn(0..n) over min(`fanout`, n) strided pool tasks; inline when the
-// fan-out degenerates. ForkJoin waits for these tasks only, so concurrent
-// queries share the pool; it asserts that the caller is not a worker of
-// the same pool (a query running as a pool task must pass no pool).
+// Runs fn(0..n) over min(`fanout`, n) strided ForkJoin indexes; inline when
+// the fan-out degenerates. ForkJoin waits for this call's work only, so
+// concurrent queries share the pool, and a query that itself runs on one of
+// the pool's workers (a batch member) fans out the same way.
 void RunStrided(ThreadPool* pool, size_t fanout, size_t n,
                 const std::function<void(size_t)>& fn) {
   fanout = std::min(fanout, n);
@@ -487,9 +487,9 @@ DiscoveryResult QueryExecutor::Discover(
   }
   const size_t requested_shards =
       exec.num_shards != 0 ? exec.num_shards : width;
-  // The serial path (every MateSearch::Discover and per-query batch
-  // execution) must not pay the O(NumTables) weight walk a real plan
-  // costs: one trivial all-tables range is enough.
+  // The serial path (every MateSearch::Discover and every query that
+  // resolves to one shard) must not pay the O(NumTables) weight walk a
+  // real plan costs: one trivial all-tables range is enough.
   std::vector<ShardRange> ranges;
   if (requested_shards <= 1) {
     if (corpus_->NumTables() > 0) {

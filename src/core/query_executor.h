@@ -1,7 +1,9 @@
-// Intra-query parallel execution of Algorithm 1. The batch engine
-// (discovery_engine.h) scales across *many* queries; this executor scales
-// *one* query — the paper's hardest workloads (Fig. 4/6, the OD 10k-row
-// sets) are a single giant query that the batch engine cannot help.
+// Intra-query parallel execution of Algorithm 1. A batch
+// (Session::DiscoverBatch) scales across *many* queries; this executor
+// scales *one* query — the paper's hardest workloads (Fig. 4/6, the OD
+// 10k-row sets) are a single giant query that a batch cannot help. The two
+// nest: a batch runs each of its queries through this executor on the same
+// pool.
 //
 // Per-candidate-table evaluation in Algorithm 1 is independent up to the
 // shared top-k heap, so the executor:
@@ -93,9 +95,9 @@ class QueryExecutor {
 
   /// Top-k discovery for one query. `pool` may be null (forces serial).
   /// Any number of threads may call Discover at once, over the same pool
-  /// or none; each call waits for its own shard tasks only. A caller that
-  /// is itself a worker of `pool` must pass null instead. DiscoveryStats
-  /// records the resolved execution shape in shards_used / fanout_threads.
+  /// or none, workers of `pool` included; each call waits for its own
+  /// shard work only (ThreadPool::ForkJoin). DiscoveryStats records the
+  /// resolved execution shape in shards_used / fanout_threads.
   DiscoveryResult Discover(const Table& query,
                            const std::vector<ColumnId>& key_columns,
                            const DiscoveryOptions& options,

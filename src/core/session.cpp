@@ -77,7 +77,7 @@ class QueryScope {
 }  // namespace
 
 // Phase-2 streaming state shared between the session and its loader
-// task/thread. The task captures the shared_ptr (so the state survives
+// thread. The thread captures the shared_ptr (so the state survives
 // Session moves) and writes into the index through the PhasedIndexLoad's
 // internal pointer — stable because the index lives behind a unique_ptr.
 // `status` is written before the latch counts down, so readers returning
@@ -91,7 +91,7 @@ struct Session::PendingLoad {
   PhasedIndexLoad load;
   Latch done{1};
   Status status;
-  std::thread thread;  // set when the pool is serial (inline Submit)
+  std::thread thread;
 };
 
 Session::~Session() { QuiesceLoad(); }
@@ -101,7 +101,7 @@ Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&& other) noexcept {
   if (this != &other) {
     // Our loader (if any) must be fully stopped before our index goes
-    // away; the pool's destructor only covers the pool-task flavor.
+    // away.
     QuiesceLoad();
     corpus_ = std::move(other.corpus_);
     index_ = std::move(other.index_);
@@ -188,17 +188,10 @@ Result<Session> Session::Open(SessionOptions options) {
     } else {
       auto pending = std::make_shared<PendingLoad>(std::move(load));
       session.pending_ = pending;
-      auto run = [state = pending] {
+      pending->thread = std::thread([state = pending] {
         state->status = state->load.Finish();
         state->done.CountDown();
-      };
-      if (session.pool_->num_threads() > 1) {
-        session.pool_->Submit(std::move(run));
-      } else {
-        // A serial pool runs Submit inline on the caller; a dedicated
-        // loader thread keeps Open non-blocking even at num_threads = 1.
-        pending->thread = std::thread(std::move(run));
-      }
+      });
     }
   }
 
@@ -362,7 +355,7 @@ std::string Session::FingerprintQuery(const QuerySpec& spec) const {
                      digest.bytes.size());
 }
 
-DiscoveryResult Session::RunQuery(const QuerySpec& spec, bool intra_parallel) {
+DiscoveryResult Session::RunQuery(const QuerySpec& spec) {
   // Roots the executor's phase spans under the attach parent — Discover
   // points it at its "discover" span; the batch path leaves the caller's
   // (usually no) attachment in place.
@@ -371,12 +364,12 @@ DiscoveryResult Session::RunQuery(const QuerySpec& spec, bool intra_parallel) {
                                            : QueryTrace::kNoParent);
   QueryExecutor executor(&corpus_, index_.get());
   ExecutorOptions exec;
-  exec.intra_query_threads = intra_parallel ? spec.intra_query_threads : 1;
-  exec.num_shards = intra_parallel ? spec.intra_query_shards : 0;
+  exec.intra_query_threads = spec.intra_query_threads;
+  exec.num_shards = spec.intra_query_shards;
   exec.trace = spec.trace;
   exec.trace_parent = execute.id();
   return executor.Discover(*spec.table, spec.key_columns, spec.options, exec,
-                           intra_parallel ? pool_.get() : nullptr);
+                           pool_.get());
 }
 
 Result<uint64_t> Session::EstimatePlItems(const QuerySpec& spec) const {
@@ -417,7 +410,7 @@ Result<DiscoveryResult> Session::Discover(const QuerySpec& spec) {
     MATE_RETURN_IF_ERROR(WaitUntilReady());
     MATE_RETURN_IF_ERROR(corpus_.load_status());
   }
-  if (cache_ == nullptr) return RunQuery(spec, /*intra_parallel=*/true);
+  if (cache_ == nullptr) return RunQuery(spec);
   std::string key;
   DiscoveryResult result;
   bool hit = false;
@@ -427,7 +420,7 @@ Result<DiscoveryResult> Session::Discover(const QuerySpec& spec) {
     hit = cache_->Lookup(spec.tenant, key, &result);
   }
   if (hit) return result;
-  result = RunQuery(spec, /*intra_parallel=*/true);
+  result = RunQuery(spec);
   {
     ScopedSpan span(trace, "cache_insert", discover.id());
     cache_->Insert(spec.tenant, key, result);
@@ -450,38 +443,22 @@ Result<BatchResult> Session::DiscoverBatch(
   }
   MATE_RETURN_IF_ERROR(WaitUntilReady());
   MATE_RETURN_IF_ERROR(corpus_.load_status());
-  // The pool serves one parallelism axis at a time (a query running as a
-  // pool task must not fan out over the same pool: its wait would hold a
-  // worker the shards need): a batch that boils down to one uncached query
-  // routes it through the intra-query executor; otherwise queries fan out
-  // and each runs serially.
-  const auto run_serial = [this, &specs](size_t i) {
-    return RunQuery(specs[i], /*intra_parallel=*/false);
-  };
-  const auto single_query_batch = [this](const QuerySpec& spec) {
-    Stopwatch wall;
-    BatchResult batch;
-    batch.results.push_back(RunQuery(spec, /*intra_parallel=*/true));
-    batch.stats = AggregateBatchStats(batch.results, wall.ElapsedSeconds(),
-                                      pool_->num_threads());
-    return batch;
-  };
-  if (cache_ == nullptr) {
-    return specs.size() == 1 ? single_query_batch(specs[0])
-                             : RunBatch(specs.size(), run_serial);
-  }
 
   Stopwatch wall;
   BatchResult batch;
   batch.results.resize(specs.size());
 
-  // Group by (tenant, fingerprint): one probe and at most one computation
-  // per distinct query per partition; followers are copies and count as
-  // hits. The tenant joins the grouping key — not the fingerprint — because
-  // identical queries from different tenants probe different partitions.
+  // With the cache on, group by (tenant, fingerprint): one probe and at
+  // most one computation per distinct query per partition; followers are
+  // copies and count as hits. The tenant joins the grouping key — not the
+  // fingerprint — because identical queries from different tenants probe
+  // different partitions. With the cache off, every spec leads a group of
+  // its own.
   std::vector<std::string> keys(specs.size());
   std::vector<std::vector<size_t>> groups;  // first-appearance order
-  {
+  if (cache_ == nullptr) {
+    for (size_t i = 0; i < specs.size(); ++i) groups.push_back({i});
+  } else {
     std::unordered_map<std::string, size_t> group_of;
     for (size_t i = 0; i < specs.size(); ++i) {
       keys[i] = FingerprintQuery(specs[i]);
@@ -495,54 +472,53 @@ Result<BatchResult> Session::DiscoverBatch(
     }
   }
 
-  uint64_t hits = 0, misses = 0;
-  std::vector<size_t> leaders;  // first index of each group to compute
+  std::vector<const std::vector<size_t>*> misses;  // groups to compute
   for (const std::vector<size_t>& group : groups) {
     const size_t first = group.front();
     DiscoveryResult cached;
-    if (cache_->Lookup(specs[first].tenant, keys[first], &cached)) {
+    if (cache_ != nullptr &&
+        cache_->Lookup(specs[first].tenant, keys[first], &cached)) {
       for (size_t i : group) batch.results[i] = cached;
-      hits += group.size();
     } else {
-      leaders.push_back(first);
-      misses += 1;
-      hits += group.size() - 1;
+      misses.push_back(&group);
     }
   }
 
-  if (!leaders.empty()) {
-    BatchResult computed;
-    if (leaders.size() == 1) {
-      computed.results.push_back(
-          RunQuery(specs[leaders[0]], /*intra_parallel=*/true));
-    } else {
-      computed = RunDiscoveryBatch(
-          leaders.size(), [&](size_t j) { return run_serial(leaders[j]); },
-          pool_.get());
+  // Each leader runs exactly as Discover runs it, so its shards nest inside
+  // this fan-out on the one pool.
+  pool_->ForkJoin(misses.size(), [&](size_t j) {
+    const size_t first = misses[j]->front();
+    batch.results[first] = RunQuery(specs[first]);
+  });
+  for (const std::vector<size_t>* group : misses) {
+    const size_t first = group->front();
+    if (cache_ != nullptr) {
+      cache_->Insert(specs[first].tenant, keys[first], batch.results[first]);
     }
-    size_t j = 0;
-    for (const std::vector<size_t>& group : groups) {
-      const size_t first = group.front();
-      if (j < leaders.size() && leaders[j] == first) {
-        const DiscoveryResult& result = computed.results[j];
-        for (size_t i : group) batch.results[i] = result;
-        cache_->Insert(specs[first].tenant, keys[first], result);
-        ++j;
-      }
+    for (size_t m = 1; m < group->size(); ++m) {
+      batch.results[(*group)[m]] = batch.results[first];
     }
   }
 
   batch.stats = AggregateBatchStats(batch.results, wall.ElapsedSeconds(),
                                     pool_->num_threads());
-  batch.stats.cache_hits = hits;
-  batch.stats.cache_misses = misses;
+  if (cache_ != nullptr) {  // every spec but a computed leader is a hit
+    batch.stats.cache_misses = misses.size();
+    batch.stats.cache_hits = specs.size() - misses.size();
+  }
   return batch;
 }
 
 BatchResult Session::RunBatch(
     size_t n, const std::function<DiscoveryResult(size_t)>& run_one) {
   QueryScope scope(&queries_in_flight_.count);
-  return RunDiscoveryBatch(n, run_one, pool_.get());
+  Stopwatch wall;
+  BatchResult batch;
+  batch.results.resize(n);
+  pool_->ForkJoin(n, [&](size_t i) { batch.results[i] = run_one(i); });
+  batch.stats = AggregateBatchStats(batch.results, wall.ElapsedSeconds(),
+                                    pool_->num_threads());
+  return batch;
 }
 
 void Session::InvalidateCache() {

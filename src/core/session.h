@@ -6,9 +6,9 @@
 //     in-memory, or built on open) and validates at Open that they match;
 //   * opens *phased* when loading an index from disk: Open returns once
 //     the header, dictionary, and corpus/index cross-validation are done,
-//     the mmap'd posting region and super keys stream in on the pool, and
-//     the first Discover blocks on a readiness latch (WaitUntilReady /
-//     SessionOptions::eager_load give explicit control);
+//     the mmap'd posting region and super keys stream in on a loader
+//     thread, and the first Discover blocks on a readiness latch
+//     (WaitUntilReady / SessionOptions::eager_load give explicit control);
 //   * loads the corpus *lazily* from its file: Open parses only the shape
 //     header (stats + table directory) over the mmap'd image. Queries
 //     never read cells — join verification answers from the index's
@@ -32,13 +32,14 @@
 // MateSearch class remains an internal implementation detail.
 //
 // Thread-safety: Discover, DiscoverBatch, EstimatePlItems and RunBatch may
-// run concurrently from any number of threads, except a worker of the
-// session's own pool. Queries only read the index and the corpus shape,
-// each call waits on its own pool tasks (ThreadPool::ForkJoin), and the
-// result cache is internally synchronized, as are InvalidateCache and
-// ConfigureCachePartition. ResetHash, SetNumThreads, ConfigureCache and
-// the mutable_* accessors need an otherwise idle session; a Debug build
-// asserts that no query call is in flight when the first three run.
+// run concurrently from any number of threads, a worker of the session's
+// own pool included. Queries only read the index and the corpus shape,
+// each fan-out waits only on its own work in progress (ThreadPool::ForkJoin,
+// whose caller helps), and the result cache is internally synchronized, as
+// are InvalidateCache and ConfigureCachePartition. ResetHash,
+// SetNumThreads, ConfigureCache and the mutable_* accessors need an
+// otherwise idle session; a Debug build asserts that no query call is in
+// flight when the first three run.
 //
 // Typical use:
 //
@@ -145,8 +146,7 @@ struct SessionOptions {
   /// Path-based index loads are *phased* by default: Open returns once the
   /// corpus, index header + value dictionary, and the corpus/index
   /// cross-validation are done, while the posting lists and super keys
-  /// stream in from the mmap'd file on the session pool (a dedicated
-  /// loader thread when the pool is serial). The first
+  /// stream in from the mmap'd file on a dedicated loader thread. The first
   /// Discover/DiscoverBatch blocks on the readiness latch, so results are
   /// bit-identical to a blocking open — only the time at which a load
   /// error in the bulky sections surfaces moves (to WaitUntilReady / the
@@ -205,8 +205,8 @@ class Session {
   /// kCorruption from WaitUntilReady / the first query instead of here.
   static Result<Session> Open(SessionOptions options);
 
-  /// Quiesces any in-flight phased load (waits for the loader task / joins
-  /// the loader thread) before tearing the index down.
+  /// Quiesces any in-flight phased load (joins the loader thread) before
+  /// tearing the index down.
   ~Session();
   Session(Session&&) noexcept;
   Session& operator=(Session&&) noexcept;
@@ -270,19 +270,20 @@ class Session {
   /// any query runs (the error names the failing spec's position). With
   /// the cache enabled, duplicate specs inside the batch compute once and
   /// count as hits; batch-level hit/miss traffic lands in BatchStats.
-  /// The pool is spent on one axis at a time: a batch that boils down to a
-  /// single uncached query runs it through the intra-query executor
-  /// (honoring its knobs); batches with several distinct uncached queries
-  /// fan out across queries, each evaluated serially — a query running as
-  /// a pool task must not fan out over the same pool, since a wait nested
-  /// in a pool task deadlocks once every worker waits. Duplicate specs that
-  /// differ only in execution knobs share one computation (the leader's
-  /// knobs win — the knobs are absent from the fingerprint by design).
+  /// One ForkJoin over the queries left to compute runs each of them
+  /// exactly as Discover would, knobs included, so a query's shards nest
+  /// inside the batch's fan-out on the one pool and result i equals
+  /// Discover(specs[i]), work counters and execution shape included.
+  /// Duplicate specs that differ only in execution knobs share one
+  /// computation (the leader's knobs win — the knobs are absent from the
+  /// fingerprint by design).
   Result<BatchResult> DiscoverBatch(const std::vector<QuerySpec>& specs);
 
   /// Uncached generic fan-out of `run_one(i)` for i in [0, n) over the
   /// session pool — the substrate bench runners use for baseline systems
   /// (SCR/MCR/JOSIE share the pool but must not share MATE's cache).
+  /// `run_one` must be safe to call concurrently; it may call this
+  /// session's queries, which then fan out on the same pool.
   BatchResult RunBatch(size_t n,
                        const std::function<DiscoveryResult(size_t)>& run_one);
 
@@ -372,10 +373,9 @@ class Session {
  private:
   Session() = default;
 
-  /// Blocks until no loader task can touch this session's index again:
-  /// waits the readiness latch and joins the dedicated loader thread, if
-  /// any. Called before destruction / move-assignment tears the index
-  /// down.
+  /// Blocks until the loader thread can no longer touch this session's
+  /// index: waits the readiness latch and joins the thread, if any. Called
+  /// before destruction / move-assignment tears the index down.
   void QuiesceLoad() const;
 
   /// Canonical cache key: a 128-bit digest of the key-column contents plus
@@ -383,10 +383,10 @@ class Session {
   /// shard knobs). Precondition: spec validated.
   std::string FingerprintQuery(const QuerySpec& spec) const;
 
-  /// Uncached execution of one validated spec. `intra_parallel` routes it
-  /// through the sharded executor on the session pool (top-level calls);
-  /// false forces the serial path (queries already running *on* the pool).
-  DiscoveryResult RunQuery(const QuerySpec& spec, bool intra_parallel);
+  /// Uncached execution of one validated spec through the sharded executor
+  /// on the session pool, per the spec's intra-query knobs. Discover and
+  /// DiscoverBatch both run every query through here.
+  DiscoveryResult RunQuery(const QuerySpec& spec);
 
   /// Query calls in flight (Discover, DiscoverBatch, EstimatePlItems,
   /// RunBatch), so that ResetHash, SetNumThreads and ConfigureCache can
@@ -408,7 +408,7 @@ class Session {
   HashFamily hash_family_ = HashFamily::kXash;
   IndexBuildReport build_report_;
   // Phase-2 streaming state of a phased open (null otherwise): the loader
-  // task/thread shares it via shared_ptr, so it survives Session moves.
+  // thread shares it via shared_ptr, so it survives Session moves.
   struct PendingLoad;
   std::shared_ptr<PendingLoad> pending_;
   QueriesInFlight queries_in_flight_;

@@ -1,20 +1,39 @@
 #include "util/thread_pool.h"
 
-#include <cassert>
+#include <algorithm>
+#include <atomic>
 
 namespace mate {
 
 namespace {
 
-// The pool whose WorkerLoop runs on this thread (null elsewhere).
-thread_local const ThreadPool* tls_worker_of = nullptr;
+// One ForkJoin call's state, co-owned by its caller and its helper tasks.
+// A helper that starts after the call has returned finds no index left and
+// never calls `fn`, so `fn` may point into the caller's frame.
+struct JoinState {
+  JoinState(size_t n_in, const std::function<void(size_t)>* fn_in)
+      : n(n_in), fn(fn_in), done(n_in) {}
+
+  // Claims and runs indexes until none is left.
+  void Drain() {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      (*fn)(i);
+      done.CountDown();
+    }
+  }
+
+  const size_t n;
+  const std::function<void(size_t)>* const fn;
+  std::atomic<size_t> next{0};
+  Latch done;
+};
 
 }  // namespace
 
 void Latch::CountDown() {
   // Notify under the lock: a waiter may destroy the latch as soon as it
-  // sees zero (ForkJoin's lives on its caller's stack), so nothing here may
-  // touch it once the lock is released.
+  // sees zero, so nothing here may touch it once the lock is released.
   std::lock_guard<std::mutex> lock(mu_);
   if (count_ > 0) --count_;
   if (count_ == 0) cv_.notify_all();
@@ -81,19 +100,15 @@ void ThreadPool::ForkJoin(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  assert(!OnWorkerThread() &&
-         "ForkJoin from a worker of the same pool can deadlock");
-  Latch done(n);
-  for (size_t i = 0; i < n; ++i) {
-    Submit([&fn, &done, i] {
-      fn(i);
-      done.CountDown();
-    });
+  auto state = std::make_shared<JoinState>(n, &fn);
+  // min(n, width) threads at most, the caller included.
+  const size_t threads = std::min<size_t>(n, num_threads_);
+  for (size_t h = 1; h < threads; ++h) {
+    Submit([state] { state->Drain(); });
   }
-  done.Wait();
+  state->Drain();
+  state->done.Wait();
 }
-
-bool ThreadPool::OnWorkerThread() const { return tls_worker_of == this; }
 
 bool ThreadPool::TryPop(unsigned self, std::function<void()>* task) {
   {
@@ -120,7 +135,6 @@ bool ThreadPool::TryPop(unsigned self, std::function<void()>* task) {
 }
 
 void ThreadPool::WorkerLoop(unsigned self) {
-  tls_worker_of = this;
   for (;;) {
     std::function<void()> task;
     if (TryPop(self, &task)) {

@@ -5,10 +5,12 @@
 // discovery query, one table's hashing pass), so per-deque mutexes — not
 // lock-free deques — are plenty.
 //
-// There is no pool-wide barrier. A caller that needs its tasks finished
-// uses ForkJoin, which counts that call's tasks down on a Latch of its
-// own, so any number of threads can fan out over one pool at once without
-// waiting on each other's work.
+// There is no pool-wide barrier. ForkJoin is a helping join, as in Cilk
+// and TBB: its caller claims indexes alongside the workers and runs every
+// index nobody has started, so a wait only ever covers work already in
+// progress on another thread. Any number of threads may fan out over one
+// pool at once, and a ForkJoin may nest inside another's `fn`, on a
+// worker of the same pool included.
 //
 // Follows the `num_threads` convention of IndexBuildOptions: 0 means
 // hardware concurrency, 1 means a degenerate pool whose Submit runs the
@@ -30,9 +32,9 @@ namespace mate {
 
 /// One-shot countdown latch: Wait blocks until CountDown has been called
 /// `count` times. Session's phased open arms one with count 1 — the loader
-/// task counts it down when postings and super keys are resident, and every
-/// query path waits on it before touching the index — and every
-/// ThreadPool::ForkJoin arms one with its task count. Writes made before
+/// thread counts it down when postings and super keys are resident, and
+/// every query path waits on it before touching the index — and every
+/// ThreadPool::ForkJoin arms one with its index count. Writes made before
 /// CountDown are visible to threads returning from Wait/TryWait, and a
 /// waiter that saw zero may destroy the latch at once. Unlike std::latch,
 /// TryWait is a reliable non-blocking probe (no spurious failures), which
@@ -75,12 +77,15 @@ class ThreadPool {
   /// before returning.
   void Submit(std::function<void()> task);
 
-  /// Runs fn(i) for every i in [0, n) as n pool tasks and returns once all
-  /// of them have finished. Completion is counted on a Latch private to
-  /// this call, so concurrent callers never wait on one another's tasks.
-  /// A one-thread pool runs fn inline, in index order. Must not be called
-  /// from one of this pool's own workers (a Debug build asserts): once
-  /// every worker waits like that, the tasks they wait for never run.
+  /// Runs fn(i) for every i in [0, n) and returns once all of them have
+  /// finished. The caller and at most min(n, width) - 1 helper tasks claim
+  /// indexes from one counter private to this call, and each finished
+  /// index counts down the call's Latch. The caller drains the counter
+  /// itself before it waits, so it runs every index nobody has started and
+  /// waits only on indexes in progress elsewhere: concurrent callers never
+  /// wait on one another's work, and `fn` may itself call ForkJoin on this
+  /// pool. One call keeps at most min(n, width) threads busy, its caller
+  /// included. A one-thread pool runs fn inline, in index order.
   void ForkJoin(size_t n, const std::function<void(size_t)>& fn);
 
   /// Worker count after the 0 -> hardware-concurrency resolution; >= 1.
@@ -93,8 +98,6 @@ class ThreadPool {
   };
 
   void WorkerLoop(unsigned self);
-  /// True iff the calling thread is one of this pool's workers.
-  bool OnWorkerThread() const;
   /// Pops from own back, else steals from a sibling's front.
   bool TryPop(unsigned self, std::function<void()>* task);
 

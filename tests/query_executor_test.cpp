@@ -656,16 +656,26 @@ TEST(QueryExecutorTest, SessionRoutesKnobsAndReportsShape) {
   EXPECT_EQ(batch->stats.intra_shards_total, 3u);
   EXPECT_EQ(batch->stats.max_fanout_threads, 3u);
 
-  // A batch with several distinct queries spends the pool across queries:
-  // every per-query result reports the serial shape.
+  // A batch with several distinct queries runs each as Discover would:
+  // every query fans out over its own shards, nested inside the batch's
+  // fan-out on the same pool.
   QuerySpec spec2 = spec;
   spec2.options.k = 3;
+  auto sharded2 = session->Discover(spec2);
+  ASSERT_TRUE(sharded2.ok());
   auto multi = session->DiscoverBatch({spec, spec2});
   ASSERT_TRUE(multi.ok());
-  for (const DiscoveryResult& r : multi->results) {
-    EXPECT_EQ(r.stats.shards_used, 1u);
+  ASSERT_EQ(multi->results.size(), 2u);
+  const DiscoveryResult* alone[] = {&*sharded, &*sharded2};
+  for (size_t q = 0; q < 2; ++q) {
+    const DiscoveryResult& r = multi->results[q];
+    const std::string label = "multi-spec batch " + std::to_string(q);
+    EXPECT_EQ(r.stats.shards_used, 3u) << label;
+    EXPECT_EQ(r.stats.fanout_threads, 3u) << label;
+    ExpectSameResult(*alone[q], r, label);
+    ExpectSameWorkStats(alone[q]->stats, r.stats, label);
   }
-  EXPECT_EQ(multi->stats.intra_parallel_queries, 0u);
+  EXPECT_EQ(multi->stats.intra_parallel_queries, 2u);
 }
 
 // ---- the row filter against an independent count -------------------

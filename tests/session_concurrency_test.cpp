@@ -202,79 +202,65 @@ TEST(SessionConcurrencyTest, ConcurrentDiscoversMatchTheirSerialReferences) {
 }
 
 TEST(SessionConcurrencyTest, BatchesEstimatesAndDiscoversOverlap) {
+  // A batch runs each query exactly as Discover runs it alone, so batch
+  // results and cache hits filled by a batch leader equal the references
+  // field by field, execution shape included.
   const Lake lake = MakeLake();
   for (unsigned pool_width : {1u, 4u}) {
-    const std::vector<QuerySpec> mix = MakeMix(lake, /*intra_threads=*/0);
-    std::vector<DiscoveryResult> refs;
-    std::vector<uint64_t> estimates;
-    {
-      Session serial = OpenSession(pool_width, 0);
-      for (const QuerySpec& spec : mix) {
-        refs.push_back(*serial.Discover(spec));
-        estimates.push_back(*serial.EstimatePlItems(spec));
+    for (unsigned intra : {0u, 1u, 4u}) {
+      const std::vector<QuerySpec> mix = MakeMix(lake, intra);
+      std::vector<DiscoveryResult> refs;
+      std::vector<uint64_t> estimates;
+      {
+        Session serial = OpenSession(pool_width, 0);
+        for (const QuerySpec& spec : mix) {
+          refs.push_back(*serial.Discover(spec));
+          estimates.push_back(*serial.EstimatePlItems(spec));
+        }
       }
-    }
-    for (size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
-      const std::string label = "pool=" + std::to_string(pool_width) +
-                                (cache_bytes > 0 ? " cache=on"
-                                                 : " cache=off");
-      Session session = OpenSession(pool_width, cache_bytes);
-      std::vector<std::thread> callers;
-      // Two batch callers, one estimating caller, one single-query caller.
-      for (int c = 0; c < 2; ++c) {
-        callers.emplace_back([&] {
-          for (int round = 0; round < kRounds; ++round) {
-            auto batch = session.DiscoverBatch(mix);
-            ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-            ASSERT_EQ(batch->results.size(), mix.size());
-            for (size_t q = 0; q < mix.size(); ++q) {
-              // A batch with several distinct uncached queries runs each
-              // serially, so only the top-k is comparable here.
-              const DiscoveryResult& r = batch->results[q];
-              ASSERT_EQ(r.top_k.size(), refs[q].top_k.size()) << label;
-              for (size_t i = 0; i < r.top_k.size(); ++i) {
-                EXPECT_EQ(r.top_k[i].table_id, refs[q].top_k[i].table_id);
-                EXPECT_EQ(r.top_k[i].joinability,
-                          refs[q].top_k[i].joinability);
-                EXPECT_EQ(r.top_k[i].best_mapping,
-                          refs[q].top_k[i].best_mapping);
+      for (size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
+        const std::string label =
+            "pool=" + std::to_string(pool_width) +
+            " intra=" + std::to_string(intra) +
+            (cache_bytes > 0 ? " cache=on" : " cache=off");
+        Session session = OpenSession(pool_width, cache_bytes);
+        std::vector<std::thread> callers;
+        // Two batch callers, one estimating caller, one single-query
+        // caller.
+        for (int c = 0; c < 2; ++c) {
+          callers.emplace_back([&] {
+            for (int round = 0; round < kRounds; ++round) {
+              auto batch = session.DiscoverBatch(mix);
+              ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+              ASSERT_EQ(batch->results.size(), mix.size());
+              for (size_t q = 0; q < mix.size(); ++q) {
+                ExpectSameResult(refs[q], batch->results[q],
+                                 label + " batch query=" + std::to_string(q));
               }
+            }
+          });
+        }
+        callers.emplace_back([&] {
+          for (int round = 0; round < kRounds * 4; ++round) {
+            for (size_t q = 0; q < mix.size(); ++q) {
+              auto estimate = session.EstimatePlItems(mix[q]);
+              ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+              EXPECT_EQ(*estimate, estimates[q]) << label;
             }
           }
         });
-      }
-      callers.emplace_back([&] {
-        for (int round = 0; round < kRounds * 4; ++round) {
-          for (size_t q = 0; q < mix.size(); ++q) {
-            auto estimate = session.EstimatePlItems(mix[q]);
-            ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
-            EXPECT_EQ(*estimate, estimates[q]) << label;
-          }
-        }
-      });
-      callers.emplace_back([&] {
-        for (int round = 0; round < kRounds; ++round) {
-          for (size_t q = 0; q < mix.size(); ++q) {
-            auto result = session.Discover(mix[q]);
-            ASSERT_TRUE(result.ok()) << result.status().ToString();
-            if (cache_bytes == 0) {
-              ExpectSameResult(refs[q], *result, label);
-            } else {
-              // A hit may carry a batch leader's serial execution shape.
-              ASSERT_EQ(result->top_k.size(), refs[q].top_k.size());
-              for (size_t i = 0; i < result->top_k.size(); ++i) {
-                EXPECT_EQ(result->top_k[i].table_id,
-                          refs[q].top_k[i].table_id);
-                EXPECT_EQ(result->top_k[i].joinability,
-                          refs[q].top_k[i].joinability);
-                EXPECT_EQ(result->top_k[i].best_mapping,
-                          refs[q].top_k[i].best_mapping);
-              }
+        callers.emplace_back([&] {
+          for (int round = 0; round < kRounds; ++round) {
+            for (size_t q = 0; q < mix.size(); ++q) {
+              auto result = session.Discover(mix[q]);
+              ASSERT_TRUE(result.ok()) << result.status().ToString();
+              ExpectSameResult(refs[q], *result,
+                               label + " discover query=" + std::to_string(q));
             }
           }
-        }
-      });
-      for (std::thread& t : callers) t.join();
+        });
+        for (std::thread& t : callers) t.join();
+      }
     }
   }
 }

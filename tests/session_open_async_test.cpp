@@ -2,11 +2,11 @@
 // observationally identical to an eagerly opened one. Discover issued
 // immediately after Open returns races the warmup latch on purpose — it
 // must block on readiness and return results bit-identical to eager load
-// across threads {1,4} and shards {1,8} (the serial-pool case exercises the
-// dedicated loader thread, the 4-thread case the pool task; TSan guards the
-// latch discipline). Lazy sessions here are lazy on BOTH axes: the index
-// streams behind the readiness latch while the corpus stays cold — queries
-// verify from the posting lists and parse no cells. Also covers:
+// across threads {1,4} and shards {1,8} (the index streams on a dedicated
+// loader thread at every pool width; TSan guards the latch discipline).
+// Lazy sessions here are lazy on BOTH axes: the index streams behind the
+// readiness latch while the corpus stays cold — queries verify from the
+// posting lists and parse no cells. Also covers:
 // DiscoverBatch racing the latch, Save draining the load, move/destroy
 // while the index streams, the eager_load / eager_corpus escape hatches,
 // header-served corpus stats, zero query-time residency, older corpus
@@ -189,7 +189,7 @@ TEST(SessionOpenAsyncTest, BatchIssuedImmediatelyAfterOpenMatchesEager) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   Session lazy = OpenSaved(saved, /*num_threads=*/4, /*eager=*/false);
-  auto raced = lazy.DiscoverBatch(specs);  // races the pool-task warmup
+  auto raced = lazy.DiscoverBatch(specs);  // races the loader thread
   ASSERT_TRUE(raced.ok()) << raced.status().ToString();
   ASSERT_EQ(reference->results.size(), raced->results.size());
   for (size_t q = 0; q < reference->results.size(); ++q) {

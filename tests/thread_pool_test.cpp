@@ -13,6 +13,27 @@
 namespace mate {
 namespace {
 
+// Runs `body` on a thread of its own and reports whether it finished
+// within 10 s, joining the thread if it did. A miss leaks the thread
+// (destroying it unjoined would abort), and the test then leaks its pool
+// and whatever `body` references, so a hung join fails the test instead of
+// hanging it at teardown.
+bool FinishesWithinDeadline(std::function<void()> body) {
+  std::promise<void> finished;
+  std::future<void> ready = finished.get_future();
+  auto* runner = new std::thread(
+      [body = std::move(body), finished = std::move(finished)]() mutable {
+        body();
+        finished.set_value();
+      });
+  if (ready.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    return false;
+  }
+  runner->join();
+  delete runner;
+  return true;
+}
+
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1u);
@@ -59,7 +80,7 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
 }
 
 // ForkJoin is the parallel for over [0, n) that batch discovery and the
-// sharded executor run on the session pool.
+// sharded executor run on the session pool, one nested inside the other.
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   const size_t n = 300;
   std::vector<std::atomic<int>> hits(n);
@@ -129,19 +150,69 @@ TEST(ThreadPoolTest, ConcurrentForkJoinsEachSeeTheirOwnResults) {
   for (std::thread& t : callers) t.join();
 }
 
-TEST(ThreadPoolDeathTest, ForkJoinFromItsOwnWorkerAsserts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  // A worker waiting on tasks of its own pool holds a slot those tasks may
-  // need; once every worker waits like that, nothing runs. Debug builds
-  // catch the first such wait. Release builds run it, and with a second
-  // worker free it completes.
-  EXPECT_DEBUG_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.ForkJoin(1,
-                      [&pool](size_t) { pool.ForkJoin(1, [](size_t) {}); });
-      },
-      "same pool");
+TEST(ThreadPoolTest, NestedForkJoinFromEveryWorkerCompletes) {
+  // A batch's queries fan out their shards on the pool that runs the
+  // batch: every outer index, on whichever worker runs it, issues an inner
+  // ForkJoin on the same pool. Its caller runs every inner index nobody
+  // has started, so no wait can hold a worker that the work it waits on
+  // needs.
+  constexpr size_t kInner = 8;
+  constexpr int kRounds = 20;
+  for (unsigned width : {2u, 4u}) {
+    auto* pool = new ThreadPool(width);
+    const size_t outer = 2 * width;
+    auto* hits = new std::vector<std::atomic<int>>(outer * kInner);
+    const bool finished = FinishesWithinDeadline([pool, hits, outer] {
+      for (int round = 0; round < kRounds; ++round) {
+        pool->ForkJoin(outer, [pool, hits](size_t o) {
+          pool->ForkJoin(kInner, [hits, o](size_t i) {
+            (*hits)[o * kInner + i].fetch_add(1);
+          });
+        });
+      }
+    });
+    ASSERT_TRUE(finished) << "a nested ForkJoin hung on a " << width
+                          << "-worker pool";
+    for (size_t i = 0; i < hits->size(); ++i) {
+      EXPECT_EQ((*hits)[i].load(), kRounds) << "width " << width << " " << i;
+    }
+    delete hits;
+    delete pool;
+  }
+}
+
+TEST(ThreadPoolTest, CallerRunsIndexesNoWorkerHasStarted) {
+  // Every worker is parked, so no helper task can start: the caller must
+  // run all eight indexes itself and return without any worker.
+  constexpr unsigned kWidth = 4;
+  constexpr size_t kIndexes = 8;
+  auto* pool = new ThreadPool(kWidth);
+  auto parked = std::make_shared<Latch>(kWidth);
+  auto release = std::make_shared<Latch>(1);
+  for (unsigned w = 0; w < kWidth; ++w) {
+    pool->Submit([parked, release] {
+      parked->CountDown();
+      release->Wait();
+    });
+  }
+  parked->Wait();
+  auto* ran_on = new std::vector<std::thread::id>(kIndexes);
+  auto* caller = new std::thread::id();
+  const bool finished = FinishesWithinDeadline([pool, ran_on, caller] {
+    *caller = std::this_thread::get_id();
+    pool->ForkJoin(kIndexes, [ran_on](size_t i) {
+      (*ran_on)[i] = std::this_thread::get_id();
+    });
+  });
+  ASSERT_TRUE(finished) << "ForkJoin waited on indexes no worker started";
+  EXPECT_FALSE(release->TryWait()) << "the workers must still be parked";
+  for (size_t i = 0; i < kIndexes; ++i) {
+    EXPECT_EQ((*ran_on)[i], *caller) << "index " << i;
+  }
+  release->CountDown();
+  delete pool;  // drains the stale helper tasks, which find nothing to run
+  delete ran_on;
+  delete caller;
 }
 
 TEST(ThreadPoolTest, StealingKeepsWorkersBusyWithUnevenTasks) {

@@ -32,16 +32,18 @@
 // repeated queries served from the session's result cache (size it with
 // --cache-mb, disable with --no-cache).
 //
-// Intra-query parallelism: `--intra-threads N` shards a single query's
-// evaluation over min(N, --threads) workers (`0` = auto); `--auto-parallel`
-// is shorthand for `--intra-threads 0`, letting the session fan out only
-// when a query is large enough to pay off. Results are bit-identical at
-// every setting; the per-query "exec:" line reports the shard/fan-out
-// shape actually used. Default is serial (today's single-query behavior).
+// Intra-query parallelism: `--intra-threads N` shards each query's
+// evaluation over min(N, --threads) workers (`0` = auto), a single query
+// and every query of a `--batch` alike: a batch's queries fan out inside
+// the batch's own fan-out on the same pool. `--auto-parallel` is shorthand
+// for `--intra-threads 0`, letting the session fan out only when a query
+// is large enough to pay off. Results are bit-identical at every setting;
+// the per-query "exec:" line reports the shard/fan-out shape actually
+// used. Default is serial.
 //
 // Cold start: search opens the session *phased* — Open returns after the
 // index header, dictionary, and corpus/index validation, while the mmap'd
-// posting region and super keys stream in on the pool; the first query
+// posting region and super keys stream in on a loader thread; the first query
 // blocks on the readiness latch. The corpus side is *lazy*: Open parses
 // only the shape header, and queries read no cells (verification answers
 // from the posting lists), so tables materialize only for printing or
@@ -100,6 +102,7 @@ int Usage() {
       "  mate_cli client --port N [--host 127.0.0.1]"
       " [--query Q.csv --key a,b | --batch DIR --key a,b] [--k N]"
       " [--tenant T] [--stats] [--ping] [--metrics]\n"
+      "--intra-threads applies to every query, each of a --batch included\n"
       "corpus files are format v3 (what `index` writes); other versions"
       " are rejected\n";
   return 2;
