@@ -115,17 +115,24 @@ int main() {
             << FormatSeconds(fill->stats.wall_seconds)
             << " for the cache-filling pass.\n";
 
-  // The other parallelism axis: one query sharded across the pool. The
-  // cache is off again so the sharded run really recomputes.
+  // The other parallelism axis: one query sharded across the pool, which
+  // the batch loop left at its widest. The cache is off again so the
+  // sharded run really recomputes. The width is explicit: auto (0) only
+  // fans out above QueryExecutor::kAutoParallelMinItems, and this query is
+  // smaller.
   session.ConfigureCache(0);
   QuerySpec one = batch.front();
   one.intra_query_threads = 1;
   auto one_serial = session.Discover(one);
-  one.intra_query_threads = 0;  // auto: fans out when the query is big
-  one.intra_query_shards = 4;   // force the sharded path for the demo
+  one.intra_query_threads = thread_counts.back();
+  one.intra_query_shards = 4;
   auto one_sharded = session.Discover(one);
   if (!one_serial.ok() || !one_sharded.ok()) {
     std::cerr << "intra-query run failed\n";
+    return 1;
+  }
+  if (one_sharded->stats.fanout_threads <= 1) {
+    std::cerr << "ERROR: the sharded single query ran on one worker\n";
     return 1;
   }
   if (!SameTopK({*one_serial}, {*one_sharded})) {

@@ -12,7 +12,6 @@
 #include "index/index_io.h"
 #include "storage/corpus_io.h"
 #include "util/coding.h"
-#include "util/simd.h"
 #include "util/stopwatch.h"
 
 namespace mate {
@@ -158,10 +157,6 @@ Result<Session> Session::Open(SessionOptions options) {
         "SessionOptions sets more than one of index, index_path, and "
         "build_index; pick one");
   }
-
-  // Kernel dispatch is process-global; the knob only ever *narrows* to the
-  // scalar reference (a false value must not undo MATE_FORCE_SCALAR).
-  if (options.force_scalar_kernels) simd::ForceScalar(true);
 
   session.pool_ = std::make_unique<ThreadPool>(options.num_threads);
 

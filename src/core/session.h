@@ -177,14 +177,6 @@ struct SessionOptions {
   uint64_t corpus_budget_bytes = 0;
   /// Result-cache byte budget; 0 disables caching entirely.
   size_t cache_bytes = kDefaultCacheBytes;
-  /// Pins the scalar reference implementations of the hot-path kernels
-  /// (util/simd.h) instead of the runtime-dispatched SIMD variants —
-  /// results are bit-identical either way (tests/simd_test.cpp pins it);
-  /// only speed changes. Process-global, like the MATE_FORCE_SCALAR
-  /// environment variable it mirrors: it flips the dispatch table every
-  /// session in the process reads. False leaves the dispatch as is (it
-  /// does NOT re-enable SIMD if the environment forced scalar).
-  bool force_scalar_kernels = false;
   /// Cross-check that index super keys cover exactly the corpus's tables
   /// and rows (catches corpus/index file mix-ups at Open instead of as
   /// out-of-bounds reads mid-query).

@@ -3,8 +3,10 @@
 // super key per table row, joined with the PLs at probe time). This store
 // implements the per-row layout: a flat word array per table, indexed by
 // row id, so a probe is one pointer computation. The executor's row loop
-// reads a row's key in place through RowWords and tests it against every
-// combo key of the row's init value; Covers is the single-probe form.
+// reads a row's key in place through RowWords and tests it with its own
+// word loop against every combo key of the row's init value. Covers is the
+// single-probe form: it runs BitVector's containment loop (CoversWords), so
+// tests can count filter survivors without sharing the row loop's test.
 
 #ifndef MATE_INDEX_SUPERKEY_STORE_H_
 #define MATE_INDEX_SUPERKEY_STORE_H_
@@ -14,7 +16,6 @@
 
 #include "storage/types.h"
 #include "util/bitvector.h"
-#include "util/simd.h"
 #include "util/status.h"
 
 namespace mate {
@@ -64,12 +65,10 @@ class SuperKeyStore {
   BitVector Get(TableId t, RowId r) const;
 
   /// True iff every set bit of `query` is set in the stored key of (t, r) —
-  /// the row-filter probe of §6.3, walking words upward so the XASH length
-  /// segment short-circuits first. Dispatches to the active SIMD kernel
-  /// (util/simd.h) over the query's raw word pointer.
+  /// the row-filter probe of §6.3, run by CoversWords (util/bitvector.h)
+  /// over the query's raw word pointer.
   bool Covers(TableId t, RowId r, const BitVector& query) const {
-    return simd::Kernels().covers(query.words(), RowWords(t, r),
-                                  words_per_key_);
+    return CoversWords(query.words(), RowWords(t, r), words_per_key_);
   }
 
   size_t NumRows(TableId t) const {

@@ -16,10 +16,21 @@
 #include <string>
 #include <string_view>
 
-#include "util/simd.h"
 #include "util/status.h"
 
 namespace mate {
+
+/// True iff (q & ~row) == 0 over words [0, n) — the super-key masking test
+/// of §6.3. Walks words from word 0 (the paper's left-most segment) upward
+/// and exits on the first word with a miss, so the XASH length segment
+/// short-circuits first. BitVector::IsSubsetOf and SuperKeyStore::Covers
+/// both run this loop.
+inline bool CoversWords(const uint64_t* q, const uint64_t* row, size_t n) {
+  for (size_t w = 0; w < n; ++w) {
+    if ((q[w] & ~row[w]) != 0) return false;
+  }
+  return true;
+}
 
 class BitVector {
  public:
@@ -66,13 +77,13 @@ class BitVector {
   /// this |= other. Precondition: same width.
   void OrWith(const BitVector& other) {
     assert(num_bits_ == other.num_bits_);
-    simd::Kernels().or_words(words_.data(), other.words_.data(), num_words_);
+    for (size_t w = 0; w < num_words_; ++w) words_[w] |= other.words_[w];
   }
 
   /// this &= other. Precondition: same width.
   void AndWith(const BitVector& other) {
     assert(num_bits_ == other.num_bits_);
-    simd::Kernels().and_words(words_.data(), other.words_.data(), num_words_);
+    for (size_t w = 0; w < num_words_; ++w) words_[w] &= other.words_[w];
   }
 
   /// this ^= other. Precondition: same width.
@@ -82,25 +93,27 @@ class BitVector {
   }
 
   /// True iff every 1-bit of *this is also set in `other` — the super-key
-  /// masking test of §6.3 ((q | sk) == sk). The dispatched kernel walks
-  /// words from word 0 (the paper's left-most segment) upward and exits on
-  /// the first chunk with a miss, so the XASH length short-circuit holds
-  /// at every SIMD level.
+  /// masking test of §6.3 ((q | sk) == sk), run by CoversWords.
   bool IsSubsetOf(const BitVector& other) const {
     assert(num_bits_ == other.num_bits_);
-    return simd::Kernels().covers(words_.data(), other.words_.data(),
-                                  num_words_);
+    return CoversWords(words_.data(), other.words_.data(), num_words_);
   }
 
   /// True iff no bit is set.
   bool IsZero() const {
-    return simd::Kernels().is_zero(words_.data(), num_words_);
+    for (size_t w = 0; w < num_words_; ++w) {
+      if (words_[w] != 0) return false;
+    }
+    return true;
   }
 
   /// Number of set bits.
   size_t CountOnes() const {
-    return static_cast<size_t>(
-        simd::Kernels().popcount(words_.data(), num_words_));
+    size_t total = 0;
+    for (size_t w = 0; w < num_words_; ++w) {
+      total += static_cast<size_t>(__builtin_popcountll(words_[w]));
+    }
+    return total;
   }
 
   /// Rotates the bit range [start, start+len) left by `k` positions, in the

@@ -275,5 +275,46 @@ TEST(BitVectorTest, NonWordMultipleWidthKeepsTailZero) {
   EXPECT_EQ(v.CountOnes(), 36u);
 }
 
+// The word loops must agree with a naive bit loop at every width, with and
+// without ragged tails.
+TEST(BitVectorTest, WordOpsMatchNaiveAtEveryWidth) {
+  Rng rng(404);
+  for (size_t bits :
+       {64u, 100u, 128u, 130u, 192u, 256u, 320u, 448u, 511u, 512u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      BitVector a(bits), b(bits);
+      for (size_t i = 0; i < bits; ++i) {
+        if (rng.Uniform(3) == 0) a.SetBit(i);
+        if (rng.Uniform(2) == 0) b.SetBit(i);
+      }
+      if (trial == 0) {  // edge masks: all-zero a, all-one b
+        a.Clear();
+        for (size_t i = 0; i < bits; ++i) b.SetBit(i);
+      }
+      bool naive_subset = true;
+      size_t naive_ones = 0;
+      bool naive_zero = true;
+      for (size_t i = 0; i < bits; ++i) {
+        if (a.TestBit(i) && !b.TestBit(i)) naive_subset = false;
+        if (a.TestBit(i)) ++naive_ones;
+        if (a.TestBit(i)) naive_zero = false;
+      }
+      EXPECT_EQ(a.IsSubsetOf(b), naive_subset) << bits;
+      EXPECT_EQ(a.CountOnes(), naive_ones) << bits;
+      EXPECT_EQ(a.IsZero(), naive_zero) << bits;
+      BitVector or_result = a;
+      or_result.OrWith(b);
+      BitVector and_result = a;
+      and_result.AndWith(b);
+      for (size_t i = 0; i < bits; ++i) {
+        ASSERT_EQ(or_result.TestBit(i), a.TestBit(i) || b.TestBit(i))
+            << bits << " bit " << i;
+        ASSERT_EQ(and_result.TestBit(i), a.TestBit(i) && b.TestBit(i))
+            << bits << " bit " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mate
