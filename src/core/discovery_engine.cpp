@@ -24,6 +24,7 @@ BatchStats AggregateBatchStats(const std::vector<DiscoveryResult>& results,
     stats.total_query_seconds += r.stats.runtime_seconds;
     stats.pl_items_fetched += r.stats.pl_items_fetched;
     stats.rows_checked += r.stats.rows_checked;
+    stats.rows_skipped += r.stats.rows_skipped;
     stats.rows_sent_to_verification += r.stats.rows_sent_to_verification;
     stats.rows_true_positive += r.stats.rows_true_positive;
     if (r.stats.shards_used > 1) {
@@ -50,6 +51,7 @@ std::string BatchStats::ToString() const {
      << " latency p50=" << latency_p50_s << "s p90=" << latency_p90_s
      << "s p99=" << latency_p99_s << "s max=" << latency_max_s << "s"
      << " pl_items=" << pl_items_fetched << " rows_checked=" << rows_checked
+     << " rows_skipped=" << rows_skipped
      << " rows_verified=" << rows_sent_to_verification
      << " tp_rows=" << rows_true_positive;
   if (cache_hits + cache_misses > 0) {

@@ -42,6 +42,7 @@ struct BatchStats {
   // Work counters summed over queries.
   uint64_t pl_items_fetched = 0;
   uint64_t rows_checked = 0;
+  uint64_t rows_skipped = 0;
   uint64_t rows_sent_to_verification = 0;
   uint64_t rows_true_positive = 0;
 

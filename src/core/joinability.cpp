@@ -383,21 +383,21 @@ bool VerifyComboInRow(const ComboPostings& lists, TableId table, RowId row,
 
 namespace {
 
-void EnumerateMappings(const Table& candidate, size_t m,
-                       std::vector<ColumnId>* mapping,
+// `cells` holds the candidate's live rows, each normalized once, row by
+// row: cells[i * n + c] is column c of the i-th live row.
+void EnumerateMappings(const std::vector<std::string>& cells, size_t n,
+                       size_t m, std::vector<ColumnId>* mapping,
                        std::vector<char>* used,
                        const std::unordered_set<std::string>& query_combos,
                        BruteForceResult* result) {
-  const size_t n = candidate.NumColumns();
   if (mapping->size() == m) {
     std::unordered_set<std::string> matched;
     std::string key;
-    for (RowId r = 0; r < candidate.NumRows(); ++r) {
-      if (candidate.IsRowDeleted(r)) continue;
+    for (size_t row = 0; row < cells.size(); row += n) {
       key.clear();
       bool has_empty = false;
       for (ColumnId c : *mapping) {
-        std::string norm = NormalizeValue(candidate.cell(r, c));
+        const std::string& norm = cells[row + c];
         if (norm.empty()) has_empty = true;
         AppendComboValue(norm, &key);
       }
@@ -417,7 +417,7 @@ void EnumerateMappings(const Table& candidate, size_t m,
     if ((*used)[c]) continue;
     (*used)[c] = 1;
     mapping->push_back(c);
-    EnumerateMappings(candidate, m, mapping, used, query_combos, result);
+    EnumerateMappings(cells, n, m, mapping, used, query_combos, result);
     mapping->pop_back();
     (*used)[c] = 0;
   }
@@ -440,9 +440,17 @@ BruteForceResult BruteForceJoinability(
   }
   if (query_combos.empty()) return result;
 
+  const size_t n = candidate.NumColumns();
+  std::vector<std::string> cells;
+  for (RowId r = 0; r < candidate.NumRows(); ++r) {
+    if (candidate.IsRowDeleted(r)) continue;
+    for (ColumnId c = 0; c < n; ++c) {
+      cells.push_back(NormalizeValue(candidate.cell(r, c)));
+    }
+  }
   std::vector<ColumnId> mapping;
-  std::vector<char> used(candidate.NumColumns(), 0);
-  EnumerateMappings(candidate, m, &mapping, &used, query_combos, &result);
+  std::vector<char> used(n, 0);
+  EnumerateMappings(cells, n, m, &mapping, &used, query_combos, &result);
   return result;
 }
 

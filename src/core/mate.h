@@ -35,6 +35,16 @@ struct DiscoveryOptions {
   /// Table-filter rules 1 and 2 (§6.2).
   bool use_table_filters = true;
 
+  /// A presence semi-join ahead of the row loop, beyond the paper: a combo
+  /// can only match in a table that posts its rarest value, so a posting
+  /// run none of whose combos passes that test is skipped
+  /// (DiscoveryStats::rows_skipped), and a table with fewer such combos
+  /// than the current j_k is pruned with rule 1. Runs only with the row
+  /// filter on, so SCR keeps the paper's algorithm. Top-k never changes;
+  /// the work and precision counters do, so benches that measure the
+  /// paper's filter precision turn it off.
+  bool use_semi_join = true;
+
   /// Tables to exclude from results (used by examples that query a table
   /// already present in the corpus against itself).
   std::vector<TableId> exclude_tables;

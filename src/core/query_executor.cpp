@@ -40,9 +40,18 @@ struct TableCandidates {
 // OS (util/page_allocator.h): a query allocates and frees one such buffer
 // per shard, and a freed heap buffer of that size would raise glibc's mmap
 // threshold for every thread.
+//
+// With the semi-join on, presence[i * presence_words, (i + 1) *
+// presence_words) holds candidate tables[i]'s bit of every rare value
+// (PreparedQuery::rare_lists): clear only if the table lacks it. The
+// bits come from the heap: a few KB on most queries (at most 67 KB on
+// perfbench's lakes), where a fresh mapping's page faults would cost more
+// than setting them.
 struct ShardCandidates {
   PageVector<PostingRun> runs;
   std::vector<TableCandidates> tables;
+  size_t presence_words = 0;
+  std::vector<uint64_t> presence;
 };
 
 // Query-side state of Algorithm 1's initialization (§6.1, lines 3-6),
@@ -61,6 +70,12 @@ struct PreparedQuery {
   std::vector<std::vector<uint32_t>> combos_of_value;
   std::unordered_set<TableId> excluded;
   std::unordered_set<TableId> restricted;
+  /// The semi-join (DiscoveryOptions::use_semi_join): combo c can only
+  /// match in a table that posts its rarest non-init value, the one with
+  /// the shortest posting list, which is rare_lists[rare_bit[c]].
+  bool semi_join = false;
+  std::vector<uint32_t> rare_bit;
+  std::vector<PostingSpan> rare_lists;
 };
 
 // The init value of every combo as a slot into the distinct init values,
@@ -129,6 +144,30 @@ PreparedQuery PrepareQuery(const Table& query,
     prep.combos_of_value[slots[c]].push_back(c);
   }
 
+  // A combo of one value has no value to test beyond the run's own.
+  prep.semi_join = options.use_row_filter && options.use_semi_join &&
+                   combos.width > 1;
+  if (prep.semi_join) {
+    constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+    std::vector<uint32_t> bit_of_value(combos.values.size(), kNone);
+    prep.rare_bit.resize(combos.size());
+    for (uint32_t c = 0; c < combos.size(); ++c) {
+      const uint32_t* ids = combos.combo(c);
+      uint32_t rarest = kNone;
+      for (size_t i = 0; i < combos.width; ++i) {
+        if (i != prep.init_pos &&
+            (rarest == kNone || lists[ids[i]].size() < lists[rarest].size())) {
+          rarest = ids[i];
+        }
+      }
+      if (bit_of_value[rarest] == kNone) {
+        bit_of_value[rarest] = static_cast<uint32_t>(prep.rare_lists.size());
+        prep.rare_lists.push_back(lists[rarest]);
+      }
+      prep.rare_bit[c] = bit_of_value[rarest];
+    }
+  }
+
   prep.excluded.insert(options.exclude_tables.begin(),
                        options.exclude_tables.end());
   prep.restricted.insert(options.restrict_tables.begin(),
@@ -155,13 +194,51 @@ struct ShardOutcome {
   DiscoveryStats stats;
 };
 
+// A run that reaches e[kLongRun] is long: RunEnd leaves it by an
+// exponential search instead of stepping.
+constexpr ptrdiff_t kLongRun = 8;
+
+bool LongRun(const PostingEntry* e, const PostingEntry* end) {
+  return end - e > kLongRun && e[kLongRun].table_id == e->table_id;
+}
+
 // End of the run that starts at `e` in a list slice ending at `end`: the
 // entries of e's table.
 const PostingEntry* RunEnd(const PostingEntry* e, const PostingEntry* end) {
   const TableId table_id = e->table_id;
-  while (++e != end && e->table_id == table_id) {
+  if (!LongRun(e, end)) {
+    while (++e != end && e->table_id == table_id) {
+    }
+    return e;
   }
-  return e;
+  // e[step] is in the run; double the step until it is not (or the slice
+  // ends), then search the last stretch.
+  ptrdiff_t step = kLongRun;
+  while (step < end - e && e[step].table_id == table_id) {
+    e += step;
+    step *= 2;
+  }
+  const PostingEntry* const hi = step < end - e ? e + step : end;
+  return std::upper_bound(e, hi, table_id,
+                          [](TableId t, const PostingEntry& entry) {
+                            return t < entry.table_id;
+                          });
+}
+
+// The slice of `list` that falls in the table range [range.begin,
+// range.end): the whole list, without a search, when it lies inside.
+PostingSpan ShardSlice(PostingSpan list, const ShardRange& range) {
+  if (list.empty() || (list.front().table_id >= range.begin &&
+                       list.back().table_id < range.end)) {
+    return list;
+  }
+  const auto by_table_id = [](const PostingEntry& e, TableId t) {
+    return e.table_id < t;
+  };
+  const auto lo =
+      std::lower_bound(list.begin(), list.end(), range.begin, by_table_id);
+  const auto hi = std::lower_bound(lo, list.end(), range.end, by_table_id);
+  return PostingSpan(lo, static_cast<size_t>(hi - lo));
 }
 
 // Fetches the shard's slice of every probed posting list (Alg. 1 lines 4-5
@@ -170,13 +247,11 @@ const PostingEntry* RunEnd(const PostingEntry* e, const PostingEntry* end) {
 // (table_id, row, column), so the slice is one contiguous stretch per PL
 // and each table's entries in it are one run. The scatter walks the
 // slices in the order the count did, so each table's runs keep their
-// arrival order: by init value, rows ascending within a run.
+// arrival order: by init value, rows ascending within a run. With the
+// semi-join on, it then marks which candidates post each rare value.
 ShardCandidates FetchShardCandidates(const PreparedQuery& prep,
                                      const ShardRange& range,
                                      DiscoveryStats* stats) {
-  const auto by_table_id = [](const PostingEntry& e, TableId t) {
-    return e.table_id < t;
-  };
   std::vector<PostingSpan> slices(prep.posting_lists.size());
   // slot[t - range.begin] is first table t's run count, then its index in
   // the candidate list, or kDropped for an excluded (or not restricted-to)
@@ -184,13 +259,11 @@ ShardCandidates FetchShardCandidates(const PreparedQuery& prep,
   constexpr uint32_t kDropped = std::numeric_limits<uint32_t>::max();
   std::vector<uint32_t> slot(range.end - range.begin, 0);
   for (size_t v = 0; v < slices.size(); ++v) {
-    const PostingSpan pl = prep.posting_lists[v];
-    const auto lo =
-        std::lower_bound(pl.begin(), pl.end(), range.begin, by_table_id);
-    const auto hi = std::lower_bound(lo, pl.end(), range.end, by_table_id);
-    slices[v] = PostingSpan(lo, static_cast<size_t>(hi - lo));
+    slices[v] = ShardSlice(prep.posting_lists[v], range);
     stats->pl_items_fetched += slices[v].size();
-    for (const PostingEntry* e = lo; e != hi; e = RunEnd(e, hi)) {
+    const PostingEntry* const end = slices[v].end();
+    for (const PostingEntry* e = slices[v].begin(); e != end;
+         e = RunEnd(e, end)) {
       ++slot[e->table_id - range.begin];
     }
   }
@@ -234,18 +307,62 @@ ShardCandidates FetchShardCandidates(const PreparedQuery& prep,
               if (a.num_items != b.num_items) return a.num_items > b.num_items;
               return a.table_id < b.table_id;
             });
+
+  // The semi-join's presence bits, one row per candidate in evaluation
+  // order plus a sink row that every other table of the shard writes to.
+  // A rare value's list is walked once, entry by entry, each entry setting
+  // its table's bit; a long run is jumped past after its first entry. A
+  // list holding more than kMaxEntriesPerCandidate entries per candidate
+  // is not walked: its value is taken as posted by every candidate, which
+  // can only keep a combo the walk would have dropped. Such a value is
+  // nearly always posted by every candidate anyway (on perfbench's lakes
+  // the bound moves rows_checked by under 0.1%), and the walk is bound by
+  // reading the list: 3-4 ns an entry.
+  constexpr size_t kMaxEntriesPerCandidate = 8;
+  if (prep.semi_join && !out.tables.empty()) {
+    const auto sink = static_cast<uint32_t>(out.tables.size());
+    std::fill(slot.begin(), slot.end(), sink);
+    for (uint32_t i = 0; i < sink; ++i) {
+      slot[out.tables[i].table_id - range.begin] = i;
+    }
+    const size_t words = (prep.rare_lists.size() + 63) / 64;
+    out.presence_words = words;
+    out.presence.assign((out.tables.size() + 1) * words, 0);
+    for (size_t r = 0; r < prep.rare_lists.size(); ++r) {
+      const PostingSpan list = ShardSlice(prep.rare_lists[r], range);
+      uint64_t* const column = out.presence.data() + r / 64;
+      const uint64_t bit = uint64_t{1} << (r % 64);
+      if (list.size() > kMaxEntriesPerCandidate * sink) {
+        for (uint32_t i = 0; i < sink; ++i) column[i * words] |= bit;
+        continue;
+      }
+      for (const PostingEntry* e = list.begin(); e != list.end();) {
+        column[slot[e->table_id - range.begin] * words] |= bit;
+        e = LongRun(e, list.end()) ? RunEnd(e, list.end()) : e + 1;
+      }
+    }
+  }
   return out;
 }
 
-// The row loop's look-ahead: a cursor over a table's posting runs, entry
-// by entry, kept kPrefetchDistance entries ahead of the loop so that each
+// A run the row loop walks: its entries, and the combos it tests them
+// against, which are those of the run's init value the semi-join kept.
+struct LiveRun {
+  const PostingEntry* begin;
+  uint32_t count;
+  uint32_t num_combos;
+  const uint32_t* combos;
+};
+
+// The row loop's look-ahead: a cursor over a table's live runs, entry by
+// entry, kept kPrefetchDistance entries ahead of the loop so that each
 // row's super key is on its way to the cache before the loop probes it.
 class PrefetchCursor {
  public:
   static constexpr int kPrefetchDistance = 8;
 
   PrefetchCursor(const SuperKeyStore& superkeys, TableId table_id,
-                 const PostingRun* run, const PostingRun* runs_end)
+                 const LiveRun* run, const LiveRun* runs_end)
       : superkeys_(superkeys),
         table_id_(table_id),
         run_(run),
@@ -266,8 +383,8 @@ class PrefetchCursor {
  private:
   const SuperKeyStore& superkeys_;
   TableId table_id_;
-  const PostingRun* run_;
-  const PostingRun* runs_end_;
+  const LiveRun* run_;
+  const LiveRun* runs_end_;
   const PostingEntry* entry_;  // null past the last run
 };
 
@@ -310,6 +427,13 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
     return threshold;
   };
 
+  // The table's runs left to walk, and the combos the semi-join kept for
+  // them, back to back. A table's runs hold distinct init values, so they
+  // hold each combo at most once: the compaction, which writes each combo
+  // at the slot after the last one kept, stays inside one slot per combo.
+  std::vector<LiveRun> live;
+  std::vector<uint32_t> kept(prep.semi_join ? prep.rare_bit.size() : 0);
+
   for (size_t cand_idx = start; cand_idx < end; ++cand_idx) {
     const TableCandidates& cand = shard.tables[cand_idx];
     const int64_t items_in_table = static_cast<int64_t>(cand.num_items);
@@ -326,30 +450,72 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
       return true;
     }
 
+    // The semi-join keeps, for each run, the combos of its init value whose
+    // rarest value has its bit set for the table: no other combo can match
+    // a row of it.
+    // A run left with none is skipped, and a table whose kept combos cannot
+    // beat the current j_k is pruned like rule 1 prunes, without the break.
+    live.clear();
+    const uint64_t* const present =
+        prep.semi_join
+            ? shard.presence.data() + cand_idx * shard.presence_words
+            : nullptr;
+    size_t num_kept = 0;
+    int64_t rows_skipped_here = 0;
+    const PostingRun* const runs = shard.runs.data() + cand.first_run;
+    for (const PostingRun* run = runs; run != runs + cand.num_runs; ++run) {
+      const std::vector<uint32_t>& combo_ids =
+          prep.combos_of_value[run->value_idx];
+      if (present == nullptr) {
+        live.push_back({run->begin, run->count,
+                        static_cast<uint32_t>(combo_ids.size()),
+                        combo_ids.data()});
+        continue;
+      }
+      const size_t first = num_kept;
+      for (const uint32_t combo_id : combo_ids) {
+        const uint32_t bit = prep.rare_bit[combo_id];
+        kept[num_kept] = combo_id;
+        num_kept += (present[bit / 64] >> (bit % 64)) & 1;
+      }
+      if (num_kept == first) {
+        rows_skipped_here += run->count;
+      } else {
+        live.push_back({run->begin, run->count,
+                        static_cast<uint32_t>(num_kept - first),
+                        kept.data() + first});
+      }
+    }
+    if (present != nullptr && options.use_table_filters &&
+        static_cast<int64_t>(num_kept) < prune_threshold()) {
+      ++stats.tables_pruned_rule1;
+      continue;
+    }
+
     ++stats.tables_evaluated;
+    stats.rows_skipped += rows_skipped_here;
     const uint64_t rows_start_us = trace != nullptr ? trace->NowUs() : 0;
     acc.Clear();
-    int64_t rows_checked_here = 0;
+    // Skipped entries count as checked and unmatched for rule 2.
+    int64_t rows_checked_here = rows_skipped_here;
     int64_t rows_matched_here = 0;  // r_match of rule 2
     bool pruned_mid_table = false;
 
-    // The row loop walks the table's runs (one per init value) entry by
-    // entry, in place. Each entry's row super key is loaded once and
-    // tested against the super key of every combo holding the run's init
-    // value, while a cursor prefetches the key kPrefetchDistance entries
-    // ahead. A combo that passes is verified with the init column bound to
-    // the entry itself. Prefetches have no effect on the walk, so rule 2
-    // sees every entry in order and every counter advances only for
-    // entries walked. Without the row filter no key is read, and the
-    // cursor gets no runs to walk.
-    const PostingRun* const runs = shard.runs.data() + cand.first_run;
-    const PostingRun* const runs_end = runs + cand.num_runs;
-    PrefetchCursor ahead(superkeys, cand.table_id, runs,
-                         options.use_row_filter ? runs_end : runs);
-    for (const PostingRun* run = runs; run != runs_end && !pruned_mid_table;
+    // The row loop walks the table's live runs entry by entry, in place.
+    // Each entry's row super key is loaded once and tested against the
+    // super key of every combo the run kept, while a cursor prefetches the
+    // key kPrefetchDistance entries ahead. A combo that passes is verified
+    // with the init column bound to the entry itself. Prefetches have no
+    // effect on the walk, so rule 2 sees every walked entry in order and
+    // every counter advances only for entries walked. Without the row
+    // filter no key is read, and the cursor gets no runs to walk.
+    const LiveRun* const walk = live.data();
+    const LiveRun* const walk_end = walk + live.size();
+    PrefetchCursor ahead(superkeys, cand.table_id, walk,
+                         options.use_row_filter ? walk_end : walk);
+    for (const LiveRun* run = walk; run != walk_end && !pruned_mid_table;
          ++run) {
-      const std::vector<uint32_t>& combo_ids =
-          prep.combos_of_value[run->value_idx];
+      const uint32_t* const combos_end = run->combos + run->num_combos;
       const PostingEntry* const run_end = run->begin + run->count;
       for (const PostingEntry* entry = run->begin; entry != run_end;
            ++entry) {
@@ -373,7 +539,9 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
         }
         bool row_passed_filter = false;
         bool row_matched = false;
-        for (const uint32_t combo_id : combo_ids) {
+        for (const uint32_t* combo = run->combos; combo != combos_end;
+             ++combo) {
+          const uint32_t combo_id = *combo;
           // Row filter (§6.3, line 18): the combo's super key must be
           // masked by the row's super key.
           if (row_key != nullptr &&
@@ -404,7 +572,8 @@ bool EvaluateCandidates(const InvertedIndex& index, const PreparedQuery& prep,
           "row_loop", trace_parent, rows_start_us, now - rows_start_us,
           trace_tid,
           "\"table\":" + std::to_string(cand.table_id) +
-              ",\"rows_checked\":" + std::to_string(rows_checked_here));
+              ",\"rows_checked\":" +
+              std::to_string(rows_checked_here - rows_skipped_here));
     }
     if (pruned_mid_table) continue;
     if (acc.recounted()) ++stats.tables_recounted;

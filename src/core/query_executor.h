@@ -14,10 +14,12 @@
 //      its shard's slice of every probed posting list (one binary search
 //      per PL; postings are sorted by table id), groups the slices' runs
 //      (one init value's entries inside one table) by table into one
-//      buffer (a counting sort on table id), and runs the
-//      unmodified per-table evaluation loop with a *local*
-//      TopKHeap and local §6.2 pruning (a local heap's j_k is always <=
-//      the global j_k, so local pruning never drops a global top-k table);
+//      buffer (a counting sort on table id), marks which candidates post
+//      each combo's rarest value (the semi-join,
+//      DiscoveryOptions::use_semi_join), and runs the per-table
+//      evaluation loop with a *local* TopKHeap and local §6.2 pruning (a
+//      local heap's j_k is always <= the global j_k, so local pruning
+//      never drops a global top-k table);
 //   3. advances the shards in lockstep rounds of ~k tables total: between
 //      rounds, a barrier folds every local heap into one global heap and
 //      publishes its k-th score as a shared pruning *floor* — the serial

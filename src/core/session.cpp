@@ -320,9 +320,12 @@ std::string Session::FingerprintQuery(const QuerySpec& spec) const {
   stream.reserve(256);
   PutVarint32(&stream, static_cast<uint32_t>(spec.options.k));
   stream.push_back(static_cast<char>(spec.options.init_strategy));
+  // The semi-join never changes top_k, but a cached result carries the
+  // work counters it was computed with.
   stream.push_back(static_cast<char>((spec.options.use_row_filter ? 1 : 0) |
                                      (spec.options.use_table_filters ? 2
-                                                                     : 0)));
+                                                                     : 0) |
+                                     (spec.options.use_semi_join ? 4 : 0)));
   // Exclusion/restriction are set-semantics; sort so permutations hit.
   for (const std::vector<TableId>* ids :
        {&spec.options.exclude_tables, &spec.options.restrict_tables}) {

@@ -13,6 +13,7 @@ void DiscoveryStats::Merge(const DiscoveryStats& other) {
   tables_pruned_rule1 += other.tables_pruned_rule1;
   tables_pruned_rule2 += other.tables_pruned_rule2;
   rows_checked += other.rows_checked;
+  rows_skipped += other.rows_skipped;
   rows_sent_to_verification += other.rows_sent_to_verification;
   rows_true_positive += other.rows_true_positive;
   value_comparisons += other.value_comparisons;
@@ -28,8 +29,9 @@ std::string DiscoveryStats::ToString() const {
   os << "runtime=" << runtime_seconds << "s pl_items=" << pl_items_fetched
      << " tables(cand/eval/p1/p2)=" << candidate_tables << "/"
      << tables_evaluated << "/" << tables_pruned_rule1 << "/"
-     << tables_pruned_rule2 << " rows(checked/verify/tp)=" << rows_checked
-     << "/" << rows_sent_to_verification << "/" << rows_true_positive
+     << tables_pruned_rule2 << " rows(checked/skipped/verify/tp)="
+     << rows_checked << "/" << rows_skipped << "/"
+     << rows_sent_to_verification << "/" << rows_true_positive
      << " cmp=" << value_comparisons << " precision=" << Precision();
   if (shards_used > 1 || fanout_threads > 1) {
     os << " shards=" << shards_used << " fanout=" << fanout_threads;

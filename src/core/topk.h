@@ -34,7 +34,15 @@ struct DiscoveryStats {
   uint64_t tables_pruned_rule1 = 0;   // §6.2 rule 1 (sorted-order break)
   uint64_t tables_pruned_rule2 = 0;   // §6.2 rule 2 (mid-table skip)
 
-  uint64_t rows_checked = 0;           // PL items visited in the row loop
+  /// PL items the row loop walked: with the semi-join on
+  /// (DiscoveryOptions::use_semi_join), those of the runs it kept.
+  uint64_t rows_checked = 0;
+  /// PL items of the runs the semi-join skipped in evaluated tables: no
+  /// combo of the run's init value has its rarest value in the table, so
+  /// no row of the run can match. Always 0 with the semi-join off.
+  /// rows_checked + rows_skipped is what rows_checked counted without it,
+  /// up to rule 2 firing at another entry.
+  uint64_t rows_skipped = 0;
   uint64_t rows_sent_to_verification = 0;  // passed the super-key filter
   uint64_t rows_true_positive = 0;     // verified joinable (>= 1 combo)
   /// Posting-list probes during verification: one per combo position of

@@ -89,6 +89,7 @@ void ExpectSameResult(const DiscoveryResult& serial,
   EXPECT_EQ(serial.stats.candidate_tables, batched.stats.candidate_tables);
   EXPECT_EQ(serial.stats.tables_evaluated, batched.stats.tables_evaluated);
   EXPECT_EQ(serial.stats.rows_checked, batched.stats.rows_checked);
+  EXPECT_EQ(serial.stats.rows_skipped, batched.stats.rows_skipped);
   EXPECT_EQ(serial.stats.rows_sent_to_verification,
             batched.stats.rows_sent_to_verification);
   EXPECT_EQ(serial.stats.rows_true_positive, batched.stats.rows_true_positive);
@@ -192,6 +193,7 @@ TEST(DiscoveryEngineTest, GenericBatchKeepsResultsIndexAligned) {
     tr.joinability = static_cast<int64_t>(i);
     r.top_k.push_back(tr);
     r.stats.rows_checked = i;
+    r.stats.rows_skipped = 2 * i;
     return r;
   });
   ASSERT_EQ(batch.results.size(), n);
@@ -201,6 +203,7 @@ TEST(DiscoveryEngineTest, GenericBatchKeepsResultsIndexAligned) {
               static_cast<int64_t>(i));
   }
   EXPECT_EQ(batch.stats.rows_checked, n * (n - 1) / 2);
+  EXPECT_EQ(batch.stats.rows_skipped, n * (n - 1));
   EXPECT_EQ(batch.stats.num_threads, 4u);
 }
 

@@ -1,8 +1,8 @@
 // Property matrix over DiscoveryOptions: for every combination of
-// {row filter on/off} x {table filters on/off} x {hash size} x {k}, the
-// reported top-k scores must be identical (filters are performance knobs,
-// never correctness knobs), and the work counters must move in the
-// direction each knob promises.
+// {row filter on/off} x {table filters on/off} x {hash size} x {k} x
+// {semi-join on/off}, the reported top-k scores must be identical (filters
+// are performance knobs, never correctness knobs), and the work counters
+// must move in the direction each knob promises.
 
 #include <gtest/gtest.h>
 
@@ -45,12 +45,12 @@ const World& SharedWorld() {
   return *world;
 }
 
-using OptionsParam = std::tuple<bool, bool, size_t, int>;
+using OptionsParam = std::tuple<bool, bool, size_t, int, bool>;
 
 class DiscoveryOptionsTest : public testing::TestWithParam<OptionsParam> {};
 
 TEST_P(DiscoveryOptionsTest, ScoresInvariantUnderKnobs) {
-  auto [row_filter, table_filters, hash_bits, k] = GetParam();
+  auto [row_filter, table_filters, hash_bits, k, semi_join] = GetParam();
   const World& world = SharedWorld();
   IndexBuildOptions build;
   build.hash_bits = hash_bits;
@@ -64,6 +64,7 @@ TEST_P(DiscoveryOptionsTest, ScoresInvariantUnderKnobs) {
   configured.k = k;
   configured.use_row_filter = row_filter;
   configured.use_table_filters = table_filters;
+  configured.use_semi_join = semi_join;
 
   for (const QueryCase& qc : world.queries) {
     DiscoveryResult expect = mate.Discover(qc.query, qc.key_columns,
@@ -80,11 +81,18 @@ TEST_P(DiscoveryOptionsTest, ScoresInvariantUnderKnobs) {
     if (!row_filter) {
       EXPECT_EQ(actual.stats.rows_checked,
                 actual.stats.rows_sent_to_verification);
+      EXPECT_EQ(actual.stats.rows_skipped, 0u);  // SCR: no semi-join
     } else {
       EXPECT_LE(actual.stats.rows_sent_to_verification,
                 actual.stats.rows_checked);
     }
+    if (!semi_join) {
+      EXPECT_EQ(actual.stats.rows_skipped, 0u);
+    }
     if (!table_filters) {
+      // Every fetched item is walked or skipped.
+      EXPECT_EQ(actual.stats.rows_checked + actual.stats.rows_skipped,
+                actual.stats.pl_items_fetched);
       EXPECT_EQ(actual.stats.tables_pruned_rule1, 0u);
       EXPECT_EQ(actual.stats.tables_pruned_rule2, 0u);
       EXPECT_EQ(actual.stats.tables_evaluated,
@@ -94,11 +102,12 @@ TEST_P(DiscoveryOptionsTest, ScoresInvariantUnderKnobs) {
 }
 
 std::string OptionsName(const testing::TestParamInfo<OptionsParam>& info) {
-  auto [row_filter, table_filters, hash_bits, k] = info.param;
+  auto [row_filter, table_filters, hash_bits, k, semi_join] = info.param;
   std::string name = row_filter ? "rf1" : "rf0";
   name += table_filters ? "_tf1" : "_tf0";
   name += "_b" + std::to_string(hash_bits);
   name += "_k" + std::to_string(k);
+  if (!semi_join) name += "_sj0";
   return name;
 }
 
@@ -106,7 +115,7 @@ INSTANTIATE_TEST_SUITE_P(
     KnobMatrix, DiscoveryOptionsTest,
     testing::Combine(testing::Bool(), testing::Bool(),
                      testing::Values(size_t{128}, size_t{512}),
-                     testing::Values(1, 3, 8)),
+                     testing::Values(1, 3, 8), testing::Bool()),
     OptionsName);
 
 TEST(DiscoveryOptionsInteractionTest, SmallerKPrunesMoreOrEqualTables) {

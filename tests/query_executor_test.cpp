@@ -96,6 +96,7 @@ void ExpectSameWorkStats(const DiscoveryStats& a, const DiscoveryStats& b,
   EXPECT_EQ(a.tables_pruned_rule1, b.tables_pruned_rule1) << label;
   EXPECT_EQ(a.tables_pruned_rule2, b.tables_pruned_rule2) << label;
   EXPECT_EQ(a.rows_checked, b.rows_checked) << label;
+  EXPECT_EQ(a.rows_skipped, b.rows_skipped) << label;
   EXPECT_EQ(a.rows_sent_to_verification, b.rows_sent_to_verification)
       << label;
   EXPECT_EQ(a.rows_true_positive, b.rows_true_positive) << label;
@@ -730,10 +731,14 @@ Table MakeRunQuery(size_t width, uint64_t seed) {
 // Rows Algorithm 1 sends to verification with both table filters off,
 // counted from the definition: every posting entry of each distinct init
 // value is one row visit, and it is sent on iff the row's super key
-// covers MakeSuperKey of some query combo holding that init value.
+// covers MakeSuperKey of some query combo holding that init value. With
+// `semi_join`, a combo only counts in a table that posts its rarest
+// non-init value: the one with the shortest posting list, the first such
+// position on a tie. The executor's semi-join sends at least that many:
+// it may take a value with a long list as posted everywhere.
 uint64_t CountFilterSurvivors(const InvertedIndex& index, const Table& query,
                               const std::vector<ColumnId>& keys,
-                              size_t init_pos) {
+                              size_t init_pos, bool semi_join) {
   std::map<std::string, std::set<std::vector<std::string>>> by_init;
   for (RowId r = 0; r < query.NumRows(); ++r) {
     std::vector<std::string> combo;
@@ -746,14 +751,29 @@ uint64_t CountFilterSurvivors(const InvertedIndex& index, const Table& query,
   uint64_t survivors = 0;
   for (const auto& [init, combos] : by_init) {
     std::vector<BitVector> combo_keys;
+    std::vector<std::set<TableId>> rarest_in;  // tables posting it
     for (const auto& combo : combos) {
       combo_keys.push_back(index.hash().MakeSuperKey(combo));
+      size_t rarest = init_pos == 0 ? 1 : 0;
+      for (size_t i = 0; i < combo.size(); ++i) {
+        if (i != init_pos && index.Lookup(combo[i]).size() <
+                                 index.Lookup(combo[rarest]).size()) {
+          rarest = i;
+        }
+      }
+      rarest_in.emplace_back();
+      for (const PostingEntry& e : index.Lookup(combo[rarest])) {
+        rarest_in.back().insert(e.table_id);
+      }
     }
     for (const PostingEntry& e : index.Lookup(init)) {
-      survivors += std::any_of(
-          combo_keys.begin(), combo_keys.end(), [&](const BitVector& key) {
-            return index.superkeys().Covers(e.table_id, e.row_id, key);
-          });
+      bool sent = false;
+      for (size_t c = 0; c < combo_keys.size(); ++c) {
+        sent = sent ||
+               ((!semi_join || rarest_in[c].count(e.table_id) > 0) &&
+                index.superkeys().Covers(e.table_id, e.row_id, combo_keys[c]));
+      }
+      survivors += sent;
     }
   }
   return survivors;
@@ -813,27 +833,277 @@ TEST(RowFilterTest, SentToVerificationMatchesAnIndependentCount) {
             spec.options.init_strategy, &session->index());
         ASSERT_EQ(init_pos, 0u);
         const uint64_t survivors = CountFilterSurvivors(
-            session->index(), query, spec.key_columns, init_pos);
-        for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
-          SCOPED_TRACE("|Q|=" + std::to_string(query.NumColumns()) +
-                       " shards=" + std::to_string(shards));
-          spec.intra_query_shards = shards;
-          auto result = session->Discover(spec);
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          EXPECT_EQ(result->stats.rows_sent_to_verification, survivors);
-          EXPECT_GT(survivors, 0u);
-          filter_pruned = filter_pruned ||
-                          survivors < result->stats.pl_items_fetched;
-          ASSERT_EQ(result->top_k.size(), expected[q].size());
-          for (size_t i = 0; i < expected[q].size(); ++i) {
-            EXPECT_EQ(result->top_k[i].table_id, expected[q][i].first);
-            EXPECT_EQ(result->top_k[i].joinability, expected[q][i].second);
+            session->index(), query, spec.key_columns, init_pos, false);
+        const uint64_t complete_survivors = CountFilterSurvivors(
+            session->index(), query, spec.key_columns, init_pos, true);
+        for (const bool semi_join : {true, false}) {
+          spec.options.use_semi_join = semi_join;
+          for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+            SCOPED_TRACE("|Q|=" + std::to_string(query.NumColumns()) +
+                         " shards=" + std::to_string(shards) +
+                         (semi_join ? "" : " no semi-join"));
+            spec.intra_query_shards = shards;
+            auto result = session->Discover(spec);
+            ASSERT_TRUE(result.ok()) << result.status().ToString();
+            const uint64_t sent = result->stats.rows_sent_to_verification;
+            if (semi_join) {
+              EXPECT_LE(complete_survivors, sent);
+              EXPECT_LE(sent, survivors);
+            } else {
+              EXPECT_EQ(sent, survivors);
+            }
+            EXPECT_GT(survivors, 0u);
+            filter_pruned = filter_pruned ||
+                            survivors < result->stats.pl_items_fetched;
+            ASSERT_EQ(result->top_k.size(), expected[q].size());
+            for (size_t i = 0; i < expected[q].size(); ++i) {
+              EXPECT_EQ(result->top_k[i].table_id, expected[q][i].first);
+              EXPECT_EQ(result->top_k[i].joinability,
+                        expected[q][i].second);
+            }
           }
         }
       }
     }
   }
   EXPECT_TRUE(filter_pruned);
+}
+
+// ---- the semi-join against the oracle --------------------------------
+
+// A hand-built lake for the semi-join. The query's key columns hold the
+// combos
+//   c0 (a x1 y1 z1)   c1 (a x2 y2 z2)   c2 (a x3 y3 z3)
+//   c3 (b x1 y2 z3)   c4 (b x4 y4 nowhere)
+// with "a" and "b" the init values; no table posts "nowhere". Table 0
+// posts every x and y value 20 times, so at |Q| = 4 each combo's rarest
+// value is its last one. A |Q| < 4 key takes the first |Q| columns.
+//   0 filler     20 x (x1 x2 x3 x4), 20 x (y1 y2 y3 y4): no init value
+//   1 full       c0, c1, c3
+//   2 no_z1      (a x1 y1 z9): c0 without its rarest value
+//   3 split      (a x2 y0 w0), (w1 w1 y2 z2): c1's values, never in one row
+//   4 long       12 x (a f g z3), then c2: a and z3 repeat in 13 rows
+//   5 after      c2: right after table 4 in z3's list, and after tables 0
+//                and 4 in x3's
+//   6 partial    c0, (a x5 y5 z5), (a x6 y6 z6): of a's combos only c0
+//                has its rarest value here
+//   7 b_only     (b x4 y4 z4), c3
+//   8 triple     c0, c1, c2
+//   9 init_only  5 x (a x1 y1 q): no combo of a completes
+//  10 b_skip     2 x (b x4 y4 q): no combo of b completes
+using Rows = std::vector<std::vector<std::string>>;
+
+Corpus MakeSemiJoinLake() {
+  const std::vector<std::string> c0 = {"a", "x1", "y1", "z1"};
+  const std::vector<std::string> c1 = {"a", "x2", "y2", "z2"};
+  const std::vector<std::string> c2 = {"a", "x3", "y3", "z3"};
+  const std::vector<std::string> c3 = {"b", "x1", "y2", "z3"};
+  const auto repeat = [](size_t n, const std::vector<std::string>& row) {
+    return Rows(n, row);
+  };
+  Rows filler = repeat(20, {"x1", "x2", "x3", "x4"});
+  for (const auto& row : repeat(20, {"y1", "y2", "y3", "y4"})) {
+    filler.push_back(row);
+  }
+  Rows long_rows = repeat(12, {"a", "f", "g", "z3"});
+  long_rows.push_back(c2);
+  const std::vector<std::pair<std::string, Rows>> tables = {
+      {"filler", filler},
+      {"full", {c0, c1, c3}},
+      {"no_z1", {{"a", "x1", "y1", "z9"}}},
+      {"split", {{"a", "x2", "y0", "w0"}, {"w1", "w1", "y2", "z2"}}},
+      {"long", long_rows},
+      {"after", {c2}},
+      {"partial", {c0, {"a", "x5", "y5", "z5"}, {"a", "x6", "y6", "z6"}}},
+      {"b_only", {{"b", "x4", "y4", "z4"}, c3}},
+      {"triple", {c0, c1, c2}},
+      {"init_only", repeat(5, {"a", "x1", "y1", "q"})},
+      {"b_skip", repeat(2, {"b", "x4", "y4", "q"})},
+  };
+  Corpus corpus;
+  for (const auto& [name, rows] : tables) {
+    Table table(name);
+    for (int c = 0; c < 4; ++c) table.AddColumn("c" + std::to_string(c));
+    for (const auto& row : rows) (void)table.AppendRow(row);
+    corpus.AddTable(std::move(table));
+  }
+  return corpus;
+}
+
+// The five combos, plus c0 again (a duplicate row adds no combo), in
+// spellings that normalize to the lake's.
+Table MakeSemiJoinQuery() {
+  Table query("semi_q");
+  for (int c = 0; c < 4; ++c) query.AddColumn("k" + std::to_string(c));
+  (void)query.AppendRow({"a", "x1", "y1", "z1"});
+  (void)query.AppendRow({"A", "x2", "y2", "z2"});
+  (void)query.AppendRow({"a", " x3", "y3", "Z3"});
+  (void)query.AppendRow({"b", "x1", "y2", "z3"});
+  (void)query.AppendRow({"b", "x4", "y4", "nowhere"});
+  (void)query.AppendRow({"a ", "x1", "y1", "z1"});
+  return query;
+}
+
+// §2's top-k over the tables `options` admits: BruteForceJoinability per
+// table, joinability desc, table id asc.
+std::vector<TableResult> OracleTopK(const Corpus& corpus, const Table& query,
+                                    const std::vector<ColumnId>& keys,
+                                    const DiscoveryOptions& options) {
+  const std::set<TableId> excluded(options.exclude_tables.begin(),
+                                   options.exclude_tables.end());
+  const std::set<TableId> restricted(options.restrict_tables.begin(),
+                                     options.restrict_tables.end());
+  std::vector<TableResult> ranked;
+  for (TableId t = 0; t < corpus.NumTables(); ++t) {
+    if (excluded.count(t) || (!restricted.empty() && !restricted.count(t))) {
+      continue;
+    }
+    const BruteForceResult best =
+        BruteForceJoinability(query, keys, corpus.table(t));
+    if (best.joinability > 0) {
+      ranked.push_back({t, best.joinability, best.best_mapping});
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const TableResult& a, const TableResult& b) {
+              return a.joinability != b.joinability
+                         ? a.joinability > b.joinability
+                         : a.table_id < b.table_id;
+            });
+  if (ranked.size() > static_cast<size_t>(options.k)) ranked.resize(options.k);
+  return ranked;
+}
+
+TEST(SemiJoinTest, MatchesTheOracleAndTheAlgorithmWithoutIt) {
+  const Corpus corpus = MakeSemiJoinLake();
+  const auto index = Build(corpus);
+  const Table query = MakeSemiJoinQuery();
+  QueryExecutor executor(&corpus, index.get());
+  ThreadPool pool(2);
+
+  struct Filter {
+    std::string name;
+    std::vector<TableId> exclude;
+    std::vector<TableId> restrict_to;
+  };
+  const std::vector<Filter> filters = {
+      {"all", {}, {}},
+      {"exclude", {1, 8}, {}},
+      {"restrict", {}, {2, 3, 4, 5, 7, 9}},
+      {"both", {4}, {1, 4, 5, 6, 10}},
+  };
+  bool skipped_some = false;
+  for (size_t width = 1; width <= 4; ++width) {
+    std::vector<ColumnId> keys(width);
+    for (ColumnId c = 0; c < width; ++c) keys[c] = c;
+    for (const int k : {1, 3, 20}) {
+      for (const bool table_filters : {true, false}) {
+        for (const Filter& filter : filters) {
+          DiscoveryOptions on;
+          on.k = k;
+          on.use_table_filters = table_filters;
+          on.exclude_tables = filter.exclude;
+          on.restrict_tables = filter.restrict_to;
+          DiscoveryOptions off = on;
+          off.use_semi_join = false;
+          const std::vector<TableResult> oracle =
+              OracleTopK(corpus, query, keys, on);
+          ASSERT_FALSE(oracle.empty());
+          for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+            const std::string label =
+                "|Q|=" + std::to_string(width) + " k=" + std::to_string(k) +
+                (table_filters ? "" : " unfiltered") + " " + filter.name +
+                " shards=" + std::to_string(shards);
+            ExecutorOptions exec;
+            exec.num_shards = shards;
+            const DiscoveryResult with =
+                executor.Discover(query, keys, on, exec, &pool);
+            const DiscoveryResult without =
+                executor.Discover(query, keys, off, exec, &pool);
+            ExpectSameResult(without, with, label);
+            ASSERT_EQ(with.top_k.size(), oracle.size()) << label;
+            for (size_t i = 0; i < oracle.size(); ++i) {
+              EXPECT_EQ(with.top_k[i].table_id, oracle[i].table_id) << label;
+              EXPECT_EQ(with.top_k[i].joinability, oracle[i].joinability)
+                  << label;
+              EXPECT_EQ(with.top_k[i].best_mapping, oracle[i].best_mapping)
+                  << label;
+            }
+            EXPECT_EQ(without.stats.rows_skipped, 0u) << label;
+            EXPECT_EQ(with.stats.pl_items_fetched,
+                      without.stats.pl_items_fetched)
+                << label;
+            EXPECT_EQ(with.stats.candidate_tables,
+                      without.stats.candidate_tables)
+                << label;
+            // Without the table filters both walk every entry of every
+            // candidate, so the semi-join only moves entries from walked
+            // to skipped.
+            if (!table_filters) {
+              EXPECT_EQ(with.stats.rows_checked + with.stats.rows_skipped,
+                        without.stats.rows_checked)
+                  << label;
+            }
+            // A |Q| = 1 combo has no value beyond its init value.
+            if (width == 1) {
+              EXPECT_EQ(with.stats.rows_skipped, 0u) << label;
+            }
+            skipped_some = skipped_some || with.stats.rows_skipped > 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(skipped_some);
+}
+
+TEST(SemiJoinTest, CountsSkippedAndWalkedRows) {
+  const Corpus corpus = MakeSemiJoinLake();
+  const auto index = Build(corpus);
+  const Table query = MakeSemiJoinQuery();
+  const std::vector<ColumnId> keys = {0, 1, 2, 3};
+  QueryExecutor executor(&corpus, index.get());
+
+  // a posts 2 + 1 + 1 + 13 + 1 + 3 + 3 + 5 entries in tables 1-6, 8 and
+  // 9, b posts 1 + 2 + 2 in tables 1, 7 and 10: 34 entries in 10
+  // candidates. With the table filters off every candidate is evaluated,
+  // and the semi-join skips a's runs in tables 2 (1 entry) and 9 (5) and
+  // b's in table 10 (2).
+  DiscoveryOptions unfiltered;
+  unfiltered.k = 20;
+  unfiltered.use_table_filters = false;
+  DiscoveryResult with =
+      executor.Discover(query, keys, unfiltered, ExecutorOptions{}, nullptr);
+  EXPECT_EQ(with.stats.pl_items_fetched, 34u);
+  EXPECT_EQ(with.stats.candidate_tables, 10u);
+  EXPECT_EQ(with.stats.tables_evaluated, 10u);
+  EXPECT_EQ(with.stats.rows_skipped, 8u);
+  EXPECT_EQ(with.stats.rows_checked, 26u);
+  unfiltered.use_semi_join = false;
+  DiscoveryResult without =
+      executor.Discover(query, keys, unfiltered, ExecutorOptions{}, nullptr);
+  EXPECT_EQ(without.stats.tables_evaluated, 10u);
+  EXPECT_EQ(without.stats.rows_skipped, 0u);
+  EXPECT_EQ(without.stats.rows_checked, 34u);
+
+  // k = 1 with the table filters on. Candidates in PL-item order, with
+  // the combos whose rarest value each posts: 4 (13 items; c2), 9 (5;
+  // none), 1 (3; c0 c1 c2 c3), 6 (3; c0), 8 (3; c0 c1 c2), then 7, 10,
+  // 2, 3 and 5 with fewer than 3 items. Table 4 scores 1, so table 9
+  // (no combo left) is pruned; table 1 scores 3, so table 6 (one combo)
+  // is pruned while table 8 (three) is walked and ties; rule 1 then
+  // breaks at table 7 and prunes the last five.
+  DiscoveryOptions top1;
+  top1.k = 1;
+  with = executor.Discover(query, keys, top1, ExecutorOptions{}, nullptr);
+  ASSERT_EQ(with.top_k.size(), 1u);
+  EXPECT_EQ(with.top_k[0].table_id, 1u);
+  EXPECT_EQ(with.top_k[0].joinability, 3);
+  EXPECT_EQ(with.stats.tables_evaluated, 3u);
+  EXPECT_EQ(with.stats.tables_pruned_rule1, 7u);
+  EXPECT_EQ(with.stats.tables_pruned_rule2, 0u);
+  EXPECT_EQ(with.stats.rows_skipped, 0u);
+  EXPECT_EQ(with.stats.rows_checked, 13u + 3u + 3u);
 }
 
 }  // namespace

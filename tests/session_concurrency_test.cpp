@@ -126,6 +126,7 @@ void ExpectSameResult(const DiscoveryResult& want, const DiscoveryResult& got,
   EXPECT_EQ(a.tables_pruned_rule2, b.tables_pruned_rule2) << label;
   EXPECT_EQ(a.tables_recounted, b.tables_recounted) << label;
   EXPECT_EQ(a.rows_checked, b.rows_checked) << label;
+  EXPECT_EQ(a.rows_skipped, b.rows_skipped) << label;
   EXPECT_EQ(a.rows_sent_to_verification, b.rows_sent_to_verification)
       << label;
   EXPECT_EQ(a.rows_true_positive, b.rows_true_positive) << label;

@@ -131,6 +131,7 @@ void ExpectBitIdentical(const DiscoveryResult& a, const DiscoveryResult& b,
   EXPECT_EQ(a.stats.candidate_tables, b.stats.candidate_tables);
   EXPECT_EQ(a.stats.tables_evaluated, b.stats.tables_evaluated);
   EXPECT_EQ(a.stats.rows_checked, b.stats.rows_checked);
+  EXPECT_EQ(a.stats.rows_skipped, b.stats.rows_skipped);
   EXPECT_EQ(a.stats.rows_sent_to_verification,
             b.stats.rows_sent_to_verification);
   EXPECT_EQ(a.stats.rows_true_positive, b.stats.rows_true_positive);
@@ -408,6 +409,32 @@ TEST(SessionCacheTest, DifferentOptionsDoNotCollide) {
   for (const TableResult& tr : excluded->top_k) {
     EXPECT_NE(tr.table_id, 0u);
   }
+}
+
+TEST(SessionCacheTest, SemiJoinSwitchMissesTheCache) {
+  // The semi-join never changes top_k, but a result carries the work
+  // counters it was computed with, so flipping the switch must miss.
+  Session session = OpenLakeSession(/*cache_bytes=*/1 << 20);
+  const Table query = MakeQuery();
+  QuerySpec on = MakeSpec(&query, {0, 1});
+  QuerySpec off = MakeSpec(&query, {0, 1});
+  off.options.use_semi_join = false;
+  auto with = session.Discover(on);
+  auto without = session.Discover(off);
+  ASSERT_TRUE(with.ok());
+  ASSERT_TRUE(without.ok());
+  EXPECT_EQ(session.cache_stats().misses, 2u);
+  EXPECT_EQ(session.cache_stats().hits, 0u);
+  EXPECT_EQ(without->stats.rows_skipped, 0u);
+  ASSERT_EQ(with->top_k.size(), without->top_k.size());
+  for (size_t i = 0; i < with->top_k.size(); ++i) {
+    EXPECT_EQ(with->top_k[i].table_id, without->top_k[i].table_id);
+    EXPECT_EQ(with->top_k[i].joinability, without->top_k[i].joinability);
+  }
+  auto again = session.Discover(off);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(session.cache_stats().hits, 1u);
+  ExpectBitIdentical(*without, *again, /*include_runtime=*/true);
 }
 
 TEST(SessionCacheTest, ExcludeOrderInsensitiveFingerprint) {
