@@ -11,6 +11,8 @@
 // The semi-join (DiscoveryOptions::use_semi_join) is off: it keeps the
 // super-key filter from seeing combos whose rarest value a table lacks,
 // which raises precision on its own, and this figure measures XASH.
+// Every row, SCR's included, fetches by §6.1's cardinality rule
+// (InitColumnStrategy::kMinCardinality), as the paper's runs did.
 
 #include <iostream>
 #include <memory>
@@ -68,6 +70,7 @@ int main(int argc, char** argv) {
   {
     DiscoveryOptions scr;
     scr.k = args.k;
+    scr.init_strategy = InitColumnStrategy::kMinCardinality;
     scr.use_row_filter = false;
     QuerySetMetrics metrics =
         RunOrDie(RunMateWithOptions(session, queries, scr, "SCR"));
@@ -104,6 +107,7 @@ int main(int argc, char** argv) {
     }
     DiscoveryOptions mate_options;
     mate_options.k = args.k;
+    mate_options.init_strategy = InitColumnStrategy::kMinCardinality;
     mate_options.use_semi_join = false;
     QuerySetMetrics metrics = RunOrDie(
         RunMateWithOptions(session, queries, mate_options, ablation.label));

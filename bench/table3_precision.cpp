@@ -9,6 +9,9 @@
 // The semi-join (DiscoveryOptions::use_semi_join) is off: it keeps the
 // super-key filter from seeing combos whose rarest value a table lacks,
 // which raises every hash's precision, and this table compares the hashes.
+// Queries fetch by §6.1's cardinality rule
+// (InitColumnStrategy::kMinCardinality), so the rows filtered are the
+// paper's.
 
 #include <iostream>
 
@@ -77,6 +80,7 @@ void RunWorkload(Workload workload, int k,
     for (size_t s = 0; s < workload.query_sets.size(); ++s) {
       DiscoveryOptions mate_options;
       mate_options.k = k;
+      mate_options.init_strategy = InitColumnStrategy::kMinCardinality;
       mate_options.use_semi_join = false;
       QuerySetMetrics metrics = RunOrDie(RunMateWithOptions(
           session, workload.query_sets[s].second, mate_options,

@@ -8,6 +8,9 @@
 // The semi-join (DiscoveryOptions::use_semi_join) is off: it keeps the
 // super-key filter from seeing combos whose rarest value a table lacks,
 // which raises every hash's precision, and this sweep compares the hashes.
+// Queries fetch by §6.1's cardinality rule
+// (InitColumnStrategy::kMinCardinality), so the rows filtered are the
+// paper's.
 
 #include <iostream>
 #include <thread>
@@ -60,6 +63,7 @@ int main(int argc, char** argv) {
     for (size_t ki = 0; ki < std::size(ks); ++ki) {
       DiscoveryOptions mate_options;
       mate_options.k = ks[ki];
+      mate_options.init_strategy = InitColumnStrategy::kMinCardinality;
       mate_options.use_semi_join = false;
       QuerySetMetrics metrics = RunOrDie(
           RunMateWithOptions(session, queries, mate_options,

@@ -123,7 +123,7 @@ DiscoveryResult ScrJosieSearch::Discover(
   // JOSIE probe on the init column.
   const size_t init_pos = SelectInitColumn(
       query, key_columns, InternKeyCombos(query, key_columns),
-      InitColumnStrategy::kMinCardinality, index_);
+      InitColumnStrategy::kMinCardinality, nullptr);
   std::vector<std::string> tokens =
       ColumnTokens(query, key_columns[init_pos]);
   std::vector<TableId> shortlist = josie_->TopTables(

@@ -1,7 +1,8 @@
 // SCR — Single-Column Retrieval (§7.1.1): the strongest non-super-key
-// baseline. It runs the full Algorithm 1 machinery (init-column heuristic,
-// both table-filter rules) but cannot filter rows with super keys, so every
-// fetched candidate row is verified by exact value comparison.
+// baseline. It runs the full Algorithm 1 machinery (the init-column
+// choice of DiscoveryOptions::init_strategy, both table-filter rules) but
+// cannot filter rows with super keys, so every fetched candidate row is
+// verified by exact value comparison.
 
 #ifndef MATE_BASELINES_SCR_H_
 #define MATE_BASELINES_SCR_H_

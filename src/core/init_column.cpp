@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 #include "util/string_util.h"
 
@@ -19,40 +18,27 @@ std::string_view InitColumnStrategyName(InitColumnStrategy strategy) {
   return "?";
 }
 
-uint64_t CountPlItemsForColumn(const Table& query, ColumnId c,
-                               const InvertedIndex& index) {
-  std::unordered_set<std::string> distinct;
-  for (RowId r = 0; r < query.NumRows(); ++r) {
-    if (query.IsRowDeleted(r)) continue;
-    distinct.insert(NormalizeValue(query.cell(r, c)));
+std::vector<uint64_t> PlItemsPerPosition(
+    const KeyCombos& combos, const std::vector<PostingSpan>& lists) {
+  std::vector<uint64_t> items(combos.width, 0);
+  // counted[v] is one past the last position whose sum holds value v.
+  std::vector<uint32_t> counted(combos.values.size(), 0);
+  for (size_t i = 0; i < combos.width; ++i) {
+    for (size_t c = 0; c < combos.size(); ++c) {
+      const uint32_t id = combos.combo(c)[i];
+      if (counted[id] != i + 1) {
+        counted[id] = static_cast<uint32_t>(i + 1);
+        items[i] += lists[id].size();
+      }
+    }
   }
-  uint64_t total = 0;
-  for (const std::string& value : distinct) {
-    if (value.empty()) continue;
-    total += index.Lookup(value).size();
-  }
-  return total;
-}
-
-uint64_t CountPostingListsForColumn(const Table& query, ColumnId c,
-                                    const InvertedIndex& index) {
-  std::unordered_set<std::string> distinct;
-  for (RowId r = 0; r < query.NumRows(); ++r) {
-    if (query.IsRowDeleted(r)) continue;
-    distinct.insert(NormalizeValue(query.cell(r, c)));
-  }
-  uint64_t lists = 0;
-  for (const std::string& value : distinct) {
-    if (value.empty()) continue;
-    if (!index.Lookup(value).empty()) ++lists;
-  }
-  return lists;
+  return items;
 }
 
 size_t SelectInitColumn(const Table& query,
                         const std::vector<ColumnId>& key_columns,
                         const KeyCombos& combos, InitColumnStrategy strategy,
-                        const InvertedIndex* index) {
+                        const std::vector<uint64_t>* pl_items) {
   assert(!key_columns.empty());
   assert(combos.cardinality.size() == key_columns.size());
   switch (strategy) {
@@ -82,21 +68,12 @@ size_t SelectInitColumn(const Table& query,
     }
     case InitColumnStrategy::kWorstCase:
     case InitColumnStrategy::kBestCase: {
-      assert(index != nullptr);
-      size_t best = 0;
-      uint64_t best_count =
-          CountPlItemsForColumn(query, key_columns[0], *index);
-      for (size_t i = 1; i < key_columns.size(); ++i) {
-        uint64_t count = CountPlItemsForColumn(query, key_columns[i], *index);
-        bool better = strategy == InitColumnStrategy::kWorstCase
-                          ? count > best_count
-                          : count < best_count;
-        if (better) {
-          best = i;
-          best_count = count;
-        }
-      }
-      return best;
+      assert(pl_items != nullptr && pl_items->size() == key_columns.size());
+      const std::vector<uint64_t>& items = *pl_items;
+      const auto pick = strategy == InitColumnStrategy::kBestCase
+                            ? std::min_element(items.begin(), items.end())
+                            : std::max_element(items.begin(), items.end());
+      return static_cast<size_t>(pick - items.begin());
     }
   }
   return 0;

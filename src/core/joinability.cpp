@@ -37,8 +37,15 @@ KeyCombos InternKeyCombos(const Table& query,
   ValueDictionary distinct_combos;
   // seen[v * m + i]: value v occurred in key column i.
   std::vector<char> seen;
+  // Sized once for the most a query can hold: a distinct combo per row
+  // and a distinct value per key cell.
+  const size_t rows = query.NumRows();
+  out.values.Reserve(rows * m);
+  out.value_ids.reserve(rows * m);
+  distinct_combos.Reserve(rows);
+  seen.reserve(rows * m * m);
   std::string buffer;
-  for (RowId r = 0; r < query.NumRows(); ++r) {
+  for (RowId r = 0; r < rows; ++r) {
     if (query.IsRowDeleted(r)) continue;
     bool has_empty = false;
     for (size_t i = 0; i < m; ++i) {
@@ -62,6 +69,15 @@ KeyCombos InternKeyCombos(const Table& query,
     }
   }
   return out;
+}
+
+std::vector<PostingSpan> ProbeKeyValues(const KeyCombos& combos,
+                                        const InvertedIndex& index) {
+  std::vector<PostingSpan> lists(combos.values.size());
+  for (uint32_t v = 0; v < lists.size(); ++v) {
+    lists[v] = index.Lookup(combos.values.ValueOf(v));
+  }
+  return lists;
 }
 
 std::vector<std::vector<std::string>> ExtractKeyCombos(

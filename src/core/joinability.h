@@ -52,6 +52,13 @@ struct KeyCombos {
 KeyCombos InternKeyCombos(const Table& query,
                           const std::vector<ColumnId>& key_columns);
 
+/// The posting list of every interned value: entry v is the index's list
+/// for combos.values id v, empty when the index lacks it. One probe per
+/// distinct key value; the lists point into `index` and stay valid until
+/// it is edited.
+std::vector<PostingSpan> ProbeKeyValues(const KeyCombos& combos,
+                                        const InvertedIndex& index);
+
 /// InternKeyCombos with each combo spelled out as its values.
 std::vector<std::vector<std::string>> ExtractKeyCombos(
     const Table& query, const std::vector<ColumnId>& key_columns);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -58,6 +59,9 @@ struct ShardCandidates {
 // computed once and read concurrently by every shard task.
 struct PreparedQuery {
   size_t init_pos = 0;
+  /// The PL items the init values' lists hold: what the fetch reads over
+  /// all shards, and the auto-parallel gate's figure.
+  uint64_t pl_items = 0;
   /// combo_keys[c * key_words, (c + 1) * key_words) is combo c's super key.
   size_t key_words = 0;
   std::vector<uint64_t> combo_keys;
@@ -103,15 +107,20 @@ PreparedQuery PrepareQuery(const Table& query,
                            const InvertedIndex& index) {
   PreparedQuery prep;
   const KeyCombos combos = InternKeyCombos(query, key_columns);
+  // One index probe per distinct key value. The lists rank the key
+  // positions by the PL items they fetch (§7.5.4), the semi-join reads
+  // their lengths, and the verifier probes them instead of cells.
+  const std::vector<PostingSpan> lists = ProbeKeyValues(combos, index);
+  const std::vector<uint64_t> pl_items = PlItemsPerPosition(combos, lists);
   prep.init_pos = SelectInitColumn(query, key_columns, combos,
-                                   options.init_strategy, &index);
+                                   options.init_strategy, &pl_items);
+  prep.pl_items = pl_items[prep.init_pos];
 
-  // One index probe and one signature per distinct value a combo holds,
-  // on first use (values only in dropped rows are never probed). A combo's
-  // super key is the OR of its values' signatures:
-  // RowHashFunction::AddValue ORs a signature that depends on the value
-  // alone, which is what MakeSuperKey and RebuildSuperKeys compute too.
-  std::vector<PostingSpan> lists(combos.values.size());
+  // One signature per distinct value a combo holds, on first use (values
+  // only in dropped rows are never hashed). A combo's super key is the OR
+  // of its values' signatures: RowHashFunction::AddValue ORs a signature
+  // that depends on the value alone, which is what MakeSuperKey and
+  // RebuildSuperKeys compute too.
   std::vector<BitVector> signatures(combos.values.size());  // empty: unseen
   const size_t words = index.superkeys().words_per_key();
   prep.key_words = words;
@@ -124,9 +133,7 @@ PreparedQuery PrepareQuery(const Table& query,
     for (size_t i = 0; i < combos.width; ++i) {
       const uint32_t id = ids[i];
       if (signatures[id].empty()) {
-        const std::string_view value = combos.values.ValueOf(id);
-        lists[id] = index.Lookup(value);
-        signatures[id] = index.hash().HashValue(value);
+        signatures[id] = index.hash().HashValue(combos.values.ValueOf(id));
       }
       prep.combo_lists[c].push_back(lists[id]);
       const uint64_t* signature = signatures[id].words();
@@ -175,12 +182,16 @@ PreparedQuery PrepareQuery(const Table& query,
   return prep;
 }
 
-// Upper bound on the PL items the row loop would visit — the auto-parallel
-// gate. List sizes only, no PL scan.
-uint64_t EstimatePreparedPlItems(const PreparedQuery& prep) {
-  uint64_t total = 0;
-  for (const PostingSpan& pl : prep.posting_lists) total += pl.size();
-  return total;
+// The prepare span's args: which key position the query fetches, by what
+// rule, and how many PL items that costs.
+std::string InitColumnArgs(const PreparedQuery& prep,
+                           const std::vector<ColumnId>& key_columns,
+                           InitColumnStrategy strategy) {
+  return "\"init_pos\":" + std::to_string(prep.init_pos) +
+         ",\"init_column\":" + std::to_string(key_columns[prep.init_pos]) +
+         ",\"init_strategy\":\"" +
+         std::string(InitColumnStrategyName(strategy)) +
+         "\",\"pl_items\":" + std::to_string(prep.pl_items);
 }
 
 // One shard's (or one seed table's) private evaluation state: local heap,
@@ -610,17 +621,12 @@ uint64_t QueryExecutor::EstimatePlItems(
     const DiscoveryOptions& options) const {
   if (key_columns.empty() || options.k <= 0) return 0;
   // PrepareQuery's first steps, without the signatures: the same combos,
-  // init column and probe set, so this is EstimatePreparedPlItems(prep).
+  // probes and init column, so this is PreparedQuery::pl_items.
   const KeyCombos combos = InternKeyCombos(query, key_columns);
-  const size_t init_pos = SelectInitColumn(query, key_columns, combos,
-                                           options.init_strategy, index_);
-  std::vector<uint32_t> init_values;
-  InitSlots(combos, init_pos, &init_values);
-  uint64_t total = 0;
-  for (const uint32_t id : init_values) {
-    total += index_->Lookup(combos.values.ValueOf(id)).size();
-  }
-  return total;
+  const std::vector<uint64_t> pl_items =
+      PlItemsPerPosition(combos, ProbeKeyValues(combos, *index_));
+  return pl_items[SelectInitColumn(query, key_columns, combos,
+                                   options.init_strategy, &pl_items)];
 }
 
 DiscoveryResult QueryExecutor::Discover(
@@ -641,14 +647,16 @@ DiscoveryResult QueryExecutor::Discover(
   ScopedSpan prepare_span(trace, "prepare", troot);
   const PreparedQuery prep =
       PrepareQuery(query, key_columns, options, *index_);
-  prepare_span.End();
+  prepare_span.End(trace != nullptr
+                       ? InitColumnArgs(prep, key_columns,
+                                        options.init_strategy)
+                       : std::string());
 
   // ---- Resolve the execution shape -----------------------------------
   const unsigned pool_width = pool != nullptr ? pool->num_threads() : 1;
   unsigned width = 1;
   if (exec.intra_query_threads == 0) {
-    if (pool_width > 1 &&
-        EstimatePreparedPlItems(prep) >= kAutoParallelMinItems) {
+    if (pool_width > 1 && prep.pl_items >= kAutoParallelMinItems) {
       width = pool_width;
     }
   } else {

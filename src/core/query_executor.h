@@ -109,12 +109,12 @@ class QueryExecutor {
   /// The auto-parallel gate's PL-traffic estimate, surfaced *before*
   /// execution: the summed size of the posting lists the query's distinct
   /// normalized init-column values resolve to, over the rows whose key
-  /// values are all non-empty — exactly the figure Discover's auto mode
-  /// compares against kAutoParallelMinItems, from the same key-combo pass
-  /// and init choice. Cheap relative to execution (one pass over the key
-  /// cells plus one index probe per distinct init value; no super-key
-  /// hashing, no PL scan), so an admission layer can afford it per
-  /// dequeue to steer fan-out (src/server/).
+  /// values are all non-empty — exactly the PL items Discover fetches and
+  /// its auto mode compares against kAutoParallelMinItems, from the same
+  /// key-combo pass, probes and init choice. Cheap relative to execution
+  /// (one pass over the key cells plus one index probe per distinct key
+  /// value; no super-key hashing, no PL scan), so an admission layer can
+  /// afford it per dequeue to steer fan-out (src/server/).
   uint64_t EstimatePlItems(const Table& query,
                            const std::vector<ColumnId>& key_columns,
                            const DiscoveryOptions& options) const;

@@ -253,9 +253,9 @@ class Session {
   /// an admission layer (src/server/) can steer the spec's
   /// intra_query_threads/intra_query_shards knobs per query. Validates the
   /// spec and blocks on index readiness exactly like Discover; cheap
-  /// relative to execution (one init-column pass, one index probe per
-  /// distinct value). The estimate never affects results — it only
-  /// predicts how much work Discover would do.
+  /// relative to execution (one pass over the key cells, one index probe
+  /// per distinct key value). The estimate never affects results — it
+  /// only predicts how much work Discover would do.
   Result<uint64_t> EstimatePlItems(const QuerySpec& spec) const;
 
   /// Batch discovery over the session pool. All specs are validated before

@@ -32,6 +32,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mate {
@@ -134,9 +135,11 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  void End() {
+  /// `args_json` as in QueryTrace::EndSpan; build it only when tracing,
+  /// since the off path must not allocate.
+  void End(std::string args_json = std::string()) {
     if (trace_ != nullptr) {
-      trace_->EndSpan(id_);
+      trace_->EndSpan(id_, std::move(args_json));
       trace_ = nullptr;
     }
   }

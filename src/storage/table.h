@@ -106,7 +106,8 @@ class Table {
   std::vector<std::string> RowValues(RowId r) const;
 
   /// Number of distinct normalized values in column `c` over live rows —
-  /// the cardinality used by the init-column heuristic (§6.1).
+  /// the cardinality §6.1's init-column heuristic ranks
+  /// (InitColumnStrategy::kMinCardinality).
   size_t ColumnCardinality(ColumnId c) const;
 
   /// Total bytes of cell payload (for index sizing stats).

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/mate.h"
@@ -150,22 +151,31 @@ TEST(DiscoveryOptionsInteractionTest, InitStrategyNeverChangesScores) {
       InitColumnStrategy::kLongestString, InitColumnStrategy::kBestCase,
       InitColumnStrategy::kWorstCase};
   for (const QueryCase& qc : world.queries) {
-    DiscoveryOptions base;
-    base.k = 5;
-    DiscoveryResult reference = mate.Discover(qc.query, qc.key_columns, base);
-    for (InitColumnStrategy strategy : strategies) {
-      DiscoveryOptions options = base;
-      options.init_strategy = strategy;
-      DiscoveryResult result = mate.Discover(qc.query, qc.key_columns,
-                                             options);
-      ASSERT_EQ(result.top_k.size(), reference.top_k.size())
-          << InitColumnStrategyName(strategy);
-      for (size_t i = 0; i < result.top_k.size(); ++i) {
-        EXPECT_EQ(result.top_k[i].joinability,
-                  reference.top_k[i].joinability)
-            << InitColumnStrategyName(strategy);
-        EXPECT_EQ(result.top_k[i].table_id, reference.top_k[i].table_id)
-            << InitColumnStrategyName(strategy);
+    for (const bool semi_join : {true, false}) {
+      DiscoveryOptions base;
+      base.k = 5;
+      base.use_semi_join = semi_join;
+      DiscoveryResult reference =
+          mate.Discover(qc.query, qc.key_columns, base);
+      for (InitColumnStrategy strategy : strategies) {
+        const std::string label =
+            std::string(InitColumnStrategyName(strategy)) +
+            (semi_join ? "" : " no semi-join");
+        DiscoveryOptions options = base;
+        options.init_strategy = strategy;
+        DiscoveryResult result = mate.Discover(qc.query, qc.key_columns,
+                                               options);
+        ASSERT_EQ(result.top_k.size(), reference.top_k.size()) << label;
+        for (size_t i = 0; i < result.top_k.size(); ++i) {
+          EXPECT_EQ(result.top_k[i].joinability,
+                    reference.top_k[i].joinability)
+              << label;
+          EXPECT_EQ(result.top_k[i].table_id, reference.top_k[i].table_id)
+              << label;
+          EXPECT_EQ(result.top_k[i].best_mapping,
+                    reference.top_k[i].best_mapping)
+              << label;
+        }
       }
     }
   }

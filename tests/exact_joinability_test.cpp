@@ -75,8 +75,11 @@ TEST(MappingCapTest, RepeatedKeyValueIsCountedExactly) {
     ASSERT_EQ(oracle.joinability, 20);
     ASSERT_EQ(oracle.best_mapping, (std::vector<ColumnId>{17, 18, 19, 20}));
 
+    // The layouts are laid out for an init column holding "a", the column
+    // the cardinality rule takes (the default would fetch the b column).
     DiscoveryOptions options;
     options.k = 3;
+    options.init_strategy = InitColumnStrategy::kMinCardinality;
     const DiscoveryResult mate =
         MateSearch(&corpus, index->get()).Discover(query, keys, options);
     const DiscoveryResult scr =

@@ -56,15 +56,24 @@ Table MakeQuery() {
   return q;
 }
 
+// PL items per key position of `keys`, as discovery counts them.
+std::vector<uint64_t> PlItems(const Table& q, const std::vector<ColumnId>& keys,
+                              const InvertedIndex& index) {
+  const KeyCombos combos = InternKeyCombos(q, keys);
+  return PlItemsPerPosition(combos, ProbeKeyValues(combos, index));
+}
+
 TEST(InitColumnTest, CountPlItems) {
   Corpus corpus = MakeSkewedCorpus();
   auto index = Build(corpus);
   Table q = MakeQuery();
+  const std::vector<uint64_t> items = PlItems(q, {0, 1, 2}, *index);
+  ASSERT_EQ(items.size(), 3u);
   // "common" appears 50x in column a plus 1x in rare_t.b; "common2" never.
-  EXPECT_EQ(CountPlItemsForColumn(q, 0, *index), 51u);
+  EXPECT_EQ(items[0], 51u);
   // "rare" appears once; rare2/rare3 never.
-  EXPECT_EQ(CountPlItemsForColumn(q, 1, *index), 1u);
-  EXPECT_EQ(CountPlItemsForColumn(q, 2, *index), 0u);
+  EXPECT_EQ(items[1], 1u);
+  EXPECT_EQ(items[2], 0u);
 }
 
 TEST(InitColumnTest, MinCardinalityPicksFewestDistinct) {
@@ -98,16 +107,17 @@ TEST(InitColumnTest, OraclesBracketTheHeuristics) {
   Table q = MakeQuery();
   std::vector<ColumnId> key = {0, 1, 2};
   const KeyCombos combos = InternKeyCombos(q, key);
+  const std::vector<uint64_t> items = PlItems(q, key, *index);
   size_t best = SelectInitColumn(q, key, combos, InitColumnStrategy::kBestCase,
-                                 index.get());
+                                 &items);
   size_t worst = SelectInitColumn(q, key, combos,
-                                  InitColumnStrategy::kWorstCase, index.get());
+                                  InitColumnStrategy::kWorstCase, &items);
   EXPECT_EQ(best, 2u);   // 0 PL items
   EXPECT_EQ(worst, 0u);  // 51 PL items
-  uint64_t best_cost = CountPlItemsForColumn(q, key[best], *index);
-  uint64_t worst_cost = CountPlItemsForColumn(q, key[worst], *index);
+  uint64_t best_cost = items[best];
+  uint64_t worst_cost = items[worst];
   for (size_t i = 0; i < key.size(); ++i) {
-    uint64_t cost = CountPlItemsForColumn(q, key[i], *index);
+    uint64_t cost = items[i];
     EXPECT_GE(cost, best_cost);
     EXPECT_LE(cost, worst_cost);
   }
@@ -124,6 +134,15 @@ TEST(InitColumnTest, TieBreaksTowardEarlierColumn) {
   EXPECT_EQ(SelectInitColumn(q, {1, 0}, InternKeyCombos(q, {1, 0}),
                              InitColumnStrategy::kMinCardinality, nullptr),
             0u);
+  // Both positions fetch the same PL items.
+  const std::vector<uint64_t> items = {7, 7};
+  for (const InitColumnStrategy strategy :
+       {InitColumnStrategy::kBestCase, InitColumnStrategy::kWorstCase}) {
+    EXPECT_EQ(SelectInitColumn(q, {0, 1}, InternKeyCombos(q, {0, 1}),
+                               strategy, &items),
+              0u)
+        << InitColumnStrategyName(strategy);
+  }
 }
 
 // A query over four base values whose cells take every spelling
@@ -155,9 +174,30 @@ Table NoisyQuery(Rng* rng, size_t columns, size_t rows) {
   return q;
 }
 
-TEST(InitColumnTest, InternedCardinalityIsTheTableDefinition) {
-  // The lake posts the base values 1, 3, 9 and 27 times, so the columns'
-  // probe sets fetch different PL item counts.
+// The PL items MATE fetches with key position `pos` as init column,
+// counted from the table and the index: the lists of the column's distinct
+// normalized values over the rows whose key cells are all non-empty.
+uint64_t FetchedFrom(const Table& q, const std::vector<ColumnId>& keys,
+                     size_t pos, const InvertedIndex& index) {
+  std::set<std::string> probes;
+  for (RowId r = 0; r < q.NumRows(); ++r) {
+    if (q.IsRowDeleted(r)) continue;
+    bool has_empty = false;
+    for (const ColumnId c : keys) {
+      has_empty = has_empty || NormalizeValue(q.cell(r, c)).empty();
+    }
+    if (!has_empty) probes.insert(NormalizeValue(q.cell(r, keys[pos])));
+  }
+  uint64_t fetched = 0;
+  for (const std::string& value : probes) {
+    fetched += index.Lookup(value).size();
+  }
+  return fetched;
+}
+
+// A lake posting the base values 1, 3, 9 and 27 times, so the columns of
+// a NoisyQuery fetch different PL item counts.
+Corpus MakePowerLake() {
   Corpus corpus;
   Table lake("lake");
   lake.AddColumn("v");
@@ -168,6 +208,22 @@ TEST(InitColumnTest, InternedCardinalityIsTheTableDefinition) {
     copies *= 3;
   }
   corpus.AddTable(std::move(lake));
+  return corpus;
+}
+
+// 1 to 4 distinct key columns of a `columns`-wide query, shuffled.
+std::vector<ColumnId> RandomKeys(Rng* rng, size_t columns) {
+  std::vector<ColumnId> keys;
+  for (ColumnId c = 0; c < columns; ++c) keys.push_back(c);
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng->Uniform(i)]);
+  }
+  keys.resize(1 + rng->Uniform(std::min<size_t>(4, columns)));
+  return keys;
+}
+
+TEST(InitColumnTest, InternedCardinalityIsTheTableDefinition) {
+  const Corpus corpus = MakePowerLake();
   const auto index = Build(corpus);
   const QueryExecutor executor(&corpus, index.get());
 
@@ -176,12 +232,7 @@ TEST(InitColumnTest, InternedCardinalityIsTheTableDefinition) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const size_t columns = 1 + rng.Uniform(6);
     const Table q = NoisyQuery(&rng, columns, rng.Uniform(12));
-    std::vector<ColumnId> keys;
-    for (ColumnId c = 0; c < columns; ++c) keys.push_back(c);
-    for (size_t i = keys.size(); i > 1; --i) {
-      std::swap(keys[i - 1], keys[rng.Uniform(i)]);
-    }
-    keys.resize(1 + rng.Uniform(std::min<size_t>(4, columns)));
+    const std::vector<ColumnId> keys = RandomKeys(&rng, columns);
 
     const KeyCombos combos = InternKeyCombos(q, keys);
     ASSERT_EQ(combos.cardinality.size(), keys.size());
@@ -193,37 +244,75 @@ TEST(InitColumnTest, InternedCardinalityIsTheTableDefinition) {
         expected = i;
       }
     }
-    // MATE passes its index, JOSIE's caller its own: both get the rule.
+    // MATE passes its PL item counts, JOSIE's caller none: both get the
+    // rule.
+    const std::vector<uint64_t> items = PlItems(q, keys, *index);
     EXPECT_EQ(SelectInitColumn(q, keys, combos,
                                InitColumnStrategy::kMinCardinality, nullptr),
               expected);
     EXPECT_EQ(SelectInitColumn(q, keys, combos,
-                               InitColumnStrategy::kMinCardinality,
-                               index.get()),
+                               InitColumnStrategy::kMinCardinality, &items),
               expected);
 
-    // MATE fetches the lists of the chosen column's distinct values over
-    // the rows whose key cells are all non-empty.
-    std::set<std::string> probes;
-    for (RowId r = 0; r < q.NumRows(); ++r) {
-      if (q.IsRowDeleted(r)) continue;
-      bool has_empty = false;
-      for (const ColumnId c : keys) {
-        has_empty = has_empty || NormalizeValue(q.cell(r, c)).empty();
-      }
-      if (!has_empty) probes.insert(NormalizeValue(q.cell(r, keys[expected])));
-    }
-    uint64_t items = 0;
-    for (const std::string& value : probes) {
-      items += index->Lookup(value).size();
-    }
+    const uint64_t fetched = FetchedFrom(q, keys, expected, *index);
     DiscoveryOptions options;
     options.k = 3;
+    options.init_strategy = InitColumnStrategy::kMinCardinality;
     const DiscoveryResult result =
         executor.Discover(q, keys, options, ExecutorOptions{}, nullptr);
-    EXPECT_EQ(result.stats.pl_items_fetched, items);
-    EXPECT_EQ(executor.EstimatePlItems(q, keys, options), items);
+    EXPECT_EQ(result.stats.pl_items_fetched, fetched);
+    EXPECT_EQ(executor.EstimatePlItems(q, keys, options), fetched);
   }
+}
+
+TEST(InitColumnTest, DefaultFetchesTheCheapestKeyColumn) {
+  const Corpus corpus = MakePowerLake();
+  const auto index = Build(corpus);
+  const QueryExecutor executor(&corpus, index.get());
+  const InitColumnStrategy strategies[] = {
+      InitColumnStrategy::kMinCardinality, InitColumnStrategy::kColumnOrder,
+      InitColumnStrategy::kLongestString, InitColumnStrategy::kWorstCase,
+      InitColumnStrategy::kBestCase};
+
+  Rng rng(3141);
+  bool beat_cardinality = false;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t columns = 1 + rng.Uniform(6);
+    const Table q = NoisyQuery(&rng, columns, rng.Uniform(12));
+    const std::vector<ColumnId> keys = RandomKeys(&rng, columns);
+
+    std::vector<uint64_t> per_position;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      per_position.push_back(FetchedFrom(q, keys, i, *index));
+    }
+    EXPECT_EQ(PlItems(q, keys, *index), per_position);
+    const uint64_t cheapest =
+        *std::min_element(per_position.begin(), per_position.end());
+
+    DiscoveryOptions options;
+    options.k = 3;
+    EXPECT_EQ(executor.Discover(q, keys, options, ExecutorOptions{}, nullptr)
+                  .stats.pl_items_fetched,
+              cheapest);
+    for (const InitColumnStrategy strategy : strategies) {
+      options.init_strategy = strategy;
+      const DiscoveryResult result =
+          executor.Discover(q, keys, options, ExecutorOptions{}, nullptr);
+      EXPECT_EQ(executor.EstimatePlItems(q, keys, options),
+                result.stats.pl_items_fetched)
+          << InitColumnStrategyName(strategy);
+      EXPECT_GE(result.stats.pl_items_fetched, cheapest)
+          << InitColumnStrategyName(strategy);
+      if (strategy == InitColumnStrategy::kMinCardinality) {
+        beat_cardinality =
+            beat_cardinality || result.stats.pl_items_fetched > cheapest;
+      }
+    }
+  }
+  // Some query's cardinality column must cost more, or the default was
+  // never told apart from the paper's rule.
+  EXPECT_TRUE(beat_cardinality);
 }
 
 TEST(InitColumnTest, StrategyNames) {

@@ -363,6 +363,56 @@ TEST(TracedDiscoverTest, SpanTreeCoversEveryPipelinePhase) {
   EXPECT_LE(children_us, discover->duration_us);
 }
 
+TEST(TracedDiscoverTest, PrepareSpanNamesTheInitColumn) {
+  SessionOptions options;
+  options.corpus = MakeLake();
+  options.build_index = true;
+  options.cache_bytes = 0;
+  auto session = Session::Open(std::move(options));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  // Key position 0 is column 1 ("newton": 1 PL item), position 1 is
+  // column 0 ("muhammad" 2 + "helmut" 1).
+  Table query("q");
+  query.AddColumn("first");
+  query.AddColumn("last");
+  (void)query.AppendRow({"Muhammad", "Newton"});
+  (void)query.AppendRow({"Helmut", "Newton"});
+  struct Case {
+    InitColumnStrategy strategy;
+    std::string args;
+    uint64_t pl_items;
+  };
+  const Case cases[] = {
+      {InitColumnStrategy::kBestCase,
+       "\"init_pos\":0,\"init_column\":1,\"init_strategy\":\"Best\","
+       "\"pl_items\":1",
+       1},
+      {InitColumnStrategy::kWorstCase,
+       "\"init_pos\":1,\"init_column\":0,\"init_strategy\":\"Worst\","
+       "\"pl_items\":3",
+       3},
+  };
+  for (const Case& c : cases) {
+    QueryTrace trace("search");
+    QuerySpec spec;
+    spec.table = &query;
+    spec.key_columns = {1, 0};
+    spec.options.init_strategy = c.strategy;
+    spec.trace = &trace;
+    auto result = session->Discover(spec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.pl_items_fetched, c.pl_items);
+    size_t prepares = 0;
+    for (const TraceSpan& span : trace.Spans()) {
+      if (span.name != "prepare") continue;
+      ++prepares;
+      EXPECT_EQ(span.args_json, c.args);
+    }
+    EXPECT_EQ(prepares, 1u);
+  }
+}
+
 TEST(TracedDiscoverTest, CacheHitTraceSkipsExecution) {
   SessionOptions options;
   options.corpus = MakeLake();

@@ -427,7 +427,9 @@ TEST(QueryExecutorTest, AutoModeKeepsSmallQueriesSerial) {
 }
 
 TEST(QueryExecutorTest, AutoModeFansOutLargeQueries) {
-  // One hot value whose posting list alone clears the auto gate.
+  // One hot value whose posting list alone clears the auto gate. The query
+  // holds every value of both columns, so either column it fetches clears
+  // the gate.
   Corpus corpus;
   {
     Table big("big");
@@ -450,7 +452,7 @@ TEST(QueryExecutorTest, AutoModeFansOutLargeQueries) {
   Table query("q");
   query.AddColumn("a");
   query.AddColumn("b");
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 7; ++i) {
     (void)query.AppendRow({"dup", "v" + std::to_string(i)});
   }
   QueryExecutor executor(&corpus, index.get());
@@ -500,7 +502,9 @@ TEST(QueryExecutorTest, EstimatePlItemsMatchesFetchTraffic) {
   EXPECT_EQ(executor.EstimatePlItems(doubled, keys, options), estimate);
 
   // Raw init cells probe the index normalized, and a row with an empty key
-  // value probes nothing — PrepareQuery never sees its combo.
+  // value probes nothing — PrepareQuery never sees its combo. Under the
+  // cardinality rule the city column is the init column; the default
+  // fetches the two codes' lists instead.
   Corpus cities;
   Table lake("lake");
   lake.AddColumn("city");
@@ -520,11 +524,17 @@ TEST(QueryExecutorTest, EstimatePlItemsMatchesFetchTraffic) {
   (void)mixed.AppendRow({"Berlin", "DE0"});
   (void)mixed.AppendRow({" berlin", "de1"});
   (void)mixed.AppendRow({"paris", ""});
+  DiscoveryOptions by_cardinality = options;
+  by_cardinality.init_strategy = InitColumnStrategy::kMinCardinality;
   const DiscoveryResult mixed_run =
-      city_executor.Discover(mixed, keys, options, exec, nullptr);
+      city_executor.Discover(mixed, keys, by_cardinality, exec, nullptr);
   EXPECT_EQ(mixed_run.stats.pl_items_fetched, 50u);
-  EXPECT_EQ(city_executor.EstimatePlItems(mixed, keys, options),
+  EXPECT_EQ(city_executor.EstimatePlItems(mixed, keys, by_cardinality),
             mixed_run.stats.pl_items_fetched);
+  EXPECT_EQ(city_executor.Discover(mixed, keys, options, exec, nullptr)
+                .stats.pl_items_fetched,
+            2u);
+  EXPECT_EQ(city_executor.EstimatePlItems(mixed, keys, options), 2u);
 
   // Degenerate shapes estimate zero, mirroring Discover's early return.
   DiscoveryOptions zero_k = options;
@@ -536,7 +546,8 @@ TEST(QueryExecutorTest, EstimatePlItemsMatchesFetchTraffic) {
 TEST(QueryExecutorTest, EstimateAgreesWithAutoParallelGate) {
   // The public estimate is the same figure the auto-parallel gate consults:
   // the tie corpus sits under the threshold (auto mode stays serial), while
-  // a corpus with one hot posting list clears it (auto mode fans out).
+  // a corpus with one hot posting list clears it (auto mode fans out), for
+  // a query holding every value of both columns.
   {
     const Corpus corpus = MakeTieCorpus();
     const auto index = Build(corpus);
@@ -559,7 +570,7 @@ TEST(QueryExecutorTest, EstimateAgreesWithAutoParallelGate) {
     Table query("q");
     query.AddColumn("a");
     query.AddColumn("b");
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < 7; ++i) {
       (void)query.AppendRow({"dup", "v" + std::to_string(i)});
     }
     QueryExecutor executor(&corpus, index.get());
@@ -828,9 +839,12 @@ TEST(RowFilterTest, SentToVerificationMatchesAnIndependentCount) {
         }
         spec.options.k = static_cast<int>(std::size(kRunRows));
         spec.options.use_table_filters = false;
-        const size_t init_pos = SelectInitColumn(
-            query, spec.key_columns, InternKeyCombos(query, spec.key_columns),
-            spec.options.init_strategy, &session->index());
+        const KeyCombos combos = InternKeyCombos(query, spec.key_columns);
+        const std::vector<uint64_t> pl_items = PlItemsPerPosition(
+            combos, ProbeKeyValues(combos, session->index()));
+        const size_t init_pos =
+            SelectInitColumn(query, spec.key_columns, combos,
+                             spec.options.init_strategy, &pl_items);
         ASSERT_EQ(init_pos, 0u);
         const uint64_t survivors = CountFilterSurvivors(
             session->index(), query, spec.key_columns, init_pos, false);
@@ -992,63 +1006,70 @@ TEST(SemiJoinTest, MatchesTheOracleAndTheAlgorithmWithoutIt) {
       {"restrict", {}, {2, 3, 4, 5, 7, 9}},
       {"both", {4}, {1, 4, 5, 6, 10}},
   };
+  // The lake is laid out for the cardinality rule, whose init values are
+  // a and b; the default init column must agree with the oracle too.
   bool skipped_some = false;
-  for (size_t width = 1; width <= 4; ++width) {
-    std::vector<ColumnId> keys(width);
-    for (ColumnId c = 0; c < width; ++c) keys[c] = c;
-    for (const int k : {1, 3, 20}) {
-      for (const bool table_filters : {true, false}) {
-        for (const Filter& filter : filters) {
-          DiscoveryOptions on;
-          on.k = k;
-          on.use_table_filters = table_filters;
-          on.exclude_tables = filter.exclude;
-          on.restrict_tables = filter.restrict_to;
-          DiscoveryOptions off = on;
-          off.use_semi_join = false;
-          const std::vector<TableResult> oracle =
-              OracleTopK(corpus, query, keys, on);
-          ASSERT_FALSE(oracle.empty());
-          for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
-            const std::string label =
-                "|Q|=" + std::to_string(width) + " k=" + std::to_string(k) +
-                (table_filters ? "" : " unfiltered") + " " + filter.name +
-                " shards=" + std::to_string(shards);
-            ExecutorOptions exec;
-            exec.num_shards = shards;
-            const DiscoveryResult with =
-                executor.Discover(query, keys, on, exec, &pool);
-            const DiscoveryResult without =
-                executor.Discover(query, keys, off, exec, &pool);
-            ExpectSameResult(without, with, label);
-            ASSERT_EQ(with.top_k.size(), oracle.size()) << label;
-            for (size_t i = 0; i < oracle.size(); ++i) {
-              EXPECT_EQ(with.top_k[i].table_id, oracle[i].table_id) << label;
-              EXPECT_EQ(with.top_k[i].joinability, oracle[i].joinability)
+  for (const InitColumnStrategy strategy :
+       {InitColumnStrategy::kMinCardinality, InitColumnStrategy::kBestCase}) {
+    for (size_t width = 1; width <= 4; ++width) {
+      std::vector<ColumnId> keys(width);
+      for (ColumnId c = 0; c < width; ++c) keys[c] = c;
+      for (const int k : {1, 3, 20}) {
+        for (const bool table_filters : {true, false}) {
+          for (const Filter& filter : filters) {
+            DiscoveryOptions on;
+            on.k = k;
+            on.init_strategy = strategy;
+            on.use_table_filters = table_filters;
+            on.exclude_tables = filter.exclude;
+            on.restrict_tables = filter.restrict_to;
+            DiscoveryOptions off = on;
+            off.use_semi_join = false;
+            const std::vector<TableResult> oracle =
+                OracleTopK(corpus, query, keys, on);
+            ASSERT_FALSE(oracle.empty());
+            for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+              const std::string label =
+                  "|Q|=" + std::to_string(width) + " k=" + std::to_string(k) +
+                  (table_filters ? "" : " unfiltered") + " " + filter.name +
+                  " shards=" + std::to_string(shards) + " " +
+                  std::string(InitColumnStrategyName(strategy));
+              ExecutorOptions exec;
+              exec.num_shards = shards;
+              const DiscoveryResult with =
+                  executor.Discover(query, keys, on, exec, &pool);
+              const DiscoveryResult without =
+                  executor.Discover(query, keys, off, exec, &pool);
+              ExpectSameResult(without, with, label);
+              ASSERT_EQ(with.top_k.size(), oracle.size()) << label;
+              for (size_t i = 0; i < oracle.size(); ++i) {
+                EXPECT_EQ(with.top_k[i].table_id, oracle[i].table_id) << label;
+                EXPECT_EQ(with.top_k[i].joinability, oracle[i].joinability)
+                    << label;
+                EXPECT_EQ(with.top_k[i].best_mapping, oracle[i].best_mapping)
+                    << label;
+              }
+              EXPECT_EQ(without.stats.rows_skipped, 0u) << label;
+              EXPECT_EQ(with.stats.pl_items_fetched,
+                        without.stats.pl_items_fetched)
                   << label;
-              EXPECT_EQ(with.top_k[i].best_mapping, oracle[i].best_mapping)
+              EXPECT_EQ(with.stats.candidate_tables,
+                        without.stats.candidate_tables)
                   << label;
+              // Without the table filters both walk every entry of every
+              // candidate, so the semi-join only moves entries from walked
+              // to skipped.
+              if (!table_filters) {
+                EXPECT_EQ(with.stats.rows_checked + with.stats.rows_skipped,
+                          without.stats.rows_checked)
+                    << label;
+              }
+              // A |Q| = 1 combo has no value beyond its init value.
+              if (width == 1) {
+                EXPECT_EQ(with.stats.rows_skipped, 0u) << label;
+              }
+              skipped_some = skipped_some || with.stats.rows_skipped > 0;
             }
-            EXPECT_EQ(without.stats.rows_skipped, 0u) << label;
-            EXPECT_EQ(with.stats.pl_items_fetched,
-                      without.stats.pl_items_fetched)
-                << label;
-            EXPECT_EQ(with.stats.candidate_tables,
-                      without.stats.candidate_tables)
-                << label;
-            // Without the table filters both walk every entry of every
-            // candidate, so the semi-join only moves entries from walked
-            // to skipped.
-            if (!table_filters) {
-              EXPECT_EQ(with.stats.rows_checked + with.stats.rows_skipped,
-                        without.stats.rows_checked)
-                  << label;
-            }
-            // A |Q| = 1 combo has no value beyond its init value.
-            if (width == 1) {
-              EXPECT_EQ(with.stats.rows_skipped, 0u) << label;
-            }
-            skipped_some = skipped_some || with.stats.rows_skipped > 0;
           }
         }
       }
@@ -1064,6 +1085,7 @@ TEST(SemiJoinTest, CountsSkippedAndWalkedRows) {
   const std::vector<ColumnId> keys = {0, 1, 2, 3};
   QueryExecutor executor(&corpus, index.get());
 
+  // The counts below are those of the cardinality rule's init column.
   // a posts 2 + 1 + 1 + 13 + 1 + 3 + 3 + 5 entries in tables 1-6, 8 and
   // 9, b posts 1 + 2 + 2 in tables 1, 7 and 10: 34 entries in 10
   // candidates. With the table filters off every candidate is evaluated,
@@ -1071,6 +1093,7 @@ TEST(SemiJoinTest, CountsSkippedAndWalkedRows) {
   // b's in table 10 (2).
   DiscoveryOptions unfiltered;
   unfiltered.k = 20;
+  unfiltered.init_strategy = InitColumnStrategy::kMinCardinality;
   unfiltered.use_table_filters = false;
   DiscoveryResult with =
       executor.Discover(query, keys, unfiltered, ExecutorOptions{}, nullptr);
@@ -1095,6 +1118,7 @@ TEST(SemiJoinTest, CountsSkippedAndWalkedRows) {
   // breaks at table 7 and prunes the last five.
   DiscoveryOptions top1;
   top1.k = 1;
+  top1.init_strategy = InitColumnStrategy::kMinCardinality;
   with = executor.Discover(query, keys, top1, ExecutorOptions{}, nullptr);
   ASSERT_EQ(with.top_k.size(), 1u);
   EXPECT_EQ(with.top_k[0].table_id, 1u);

@@ -65,9 +65,11 @@ Lake MakeLake() {
     (void)big.AppendRow({"hot", "v" + std::to_string(r % 9)});
   }
   lake.corpus.AddTable(std::move(big));
+  // The hot query holds every value of both columns, so either column it
+  // fetches clears the gate.
   lake.hot_query.AddColumn("a");
   lake.hot_query.AddColumn("b");
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 9; ++i) {
     (void)lake.hot_query.AppendRow({"hot", "v" + std::to_string(i)});
   }
   return lake;
